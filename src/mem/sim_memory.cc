@@ -1,11 +1,30 @@
 #include "src/mem/sim_memory.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <cstring>
+#include <cstdlib>
 
 #include "src/common/log.hh"
 
 namespace pmill {
+
+namespace {
+
+/// Smallest host page size; on larger pages the extra commit stores
+/// are redundant, not wrong.
+constexpr std::uint64_t kHostPageBytes = 4096;
+
+} // namespace
+
+void
+SimMemory::HostRelease::operator()(std::uint8_t *p) const
+{
+    if (mapped_bytes)
+        munmap(p, mapped_bytes);
+    else
+        std::free(p);
+}
 
 const char *
 region_name(Region r)
@@ -33,6 +52,19 @@ SimMemory::SimMemory()
 MemHandle
 SimMemory::alloc(std::uint64_t size, std::uint64_t align, Region r)
 {
+    return place(size, align, r, false);
+}
+
+MemHandle
+SimMemory::alloc_sparse(std::uint64_t size, std::uint64_t align, Region r)
+{
+    return place(size, align, r, true);
+}
+
+MemHandle
+SimMemory::place(std::uint64_t size, std::uint64_t align, Region r,
+                 bool sparse)
+{
     PMILL_ASSERT(size > 0, "zero-size allocation");
     PMILL_ASSERT(is_pow2(align), "alignment must be a power of two");
     Addr base = round_up(next_, align);
@@ -41,10 +73,32 @@ SimMemory::alloc(std::uint64_t size, std::uint64_t align, Region r)
     Alloc a;
     a.base = base;
     a.size = size;
-    a.host = std::make_unique<std::uint8_t[]>(size);
+    if (sparse) {
+        // A private anonymous mapping reads as zeros and commits a
+        // page on its first write. No huge pages: one written entry
+        // would commit 2 MiB around it.
+        void *p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        PMILL_ASSERT(p != MAP_FAILED, "host mapping failed");
+#ifdef MADV_NOHUGEPAGE
+        madvise(p, size, MADV_NOHUGEPAGE);
+#endif
+        a.host = HostBytes(static_cast<std::uint8_t *>(p),
+                           HostRelease{size});
+    } else {
+        // calloc zeroes once, but a large request comes back as
+        // uncommitted zero pages. Store one byte per page so the run
+        // never faults; volatile, because the compiler drops plain
+        // zero stores into calloc memory.
+        a.host = HostBytes(static_cast<std::uint8_t *>(std::calloc(size, 1)));
+        PMILL_ASSERT(a.host != nullptr, "host allocation failed");
+        volatile std::uint8_t *commit = a.host.get();
+        for (std::uint64_t off = 0; off < size; off += kHostPageBytes)
+            commit[off] = 0;
+        commit[size - 1] = 0;
+    }
     a.region = r;
     a.socket = home_socket_;
-    std::memset(a.host.get(), 0, size);
 
     MemHandle h{base, a.host.get(), size};
     allocs_.push_back(std::move(a));

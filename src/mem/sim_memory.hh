@@ -74,9 +74,20 @@ class SimMemory {
 
     /**
      * Allocate @p size bytes aligned to @p align (power of two),
-     * contiguously after the previous allocation.
+     * contiguously after the previous allocation. The host backing is
+     * zeroed and committed before return, so a run never takes a
+     * first-touch page fault on it.
      */
     MemHandle alloc(std::uint64_t size, std::uint64_t align, Region r);
+
+    /**
+     * alloc() for a large table that setup fills only in part (the LPM
+     * tbl24): the host backing reads as zeros and commits a page only
+     * when it is first written. The simulated address and accounting
+     * are exactly those of alloc().
+     */
+    MemHandle alloc_sparse(std::uint64_t size, std::uint64_t align,
+                           Region r);
 
     /**
      * Allocate with heap-like scatter: the allocation starts on a
@@ -123,13 +134,26 @@ class SimMemory {
     std::uint32_t socket_of(Addr a) const;
 
   private:
+    /**
+     * Frees a host backing: unmaps a sparse one, else free().
+     * unique_ptr value-initializes it, so mapped_bytes starts at 0.
+     */
+    struct HostRelease {
+        std::uint64_t mapped_bytes;  ///< length of a sparse mapping, or 0
+        void operator()(std::uint8_t *p) const;
+    };
+    using HostBytes = std::unique_ptr<std::uint8_t[], HostRelease>;
+
     struct Alloc {
         Addr base;
         std::uint64_t size;
-        std::unique_ptr<std::uint8_t[]> host;
+        HostBytes host;
         Region region;
         std::uint32_t socket;
     };
+
+    MemHandle place(std::uint64_t size, std::uint64_t align, Region r,
+                    bool sparse);
 
     std::vector<Alloc> allocs_;  // sorted by base
     std::uint64_t region_bytes_[9] = {};

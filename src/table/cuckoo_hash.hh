@@ -73,7 +73,6 @@ class CuckooHash {
             num_buckets_ <<= 1;
         storage_ = mem.alloc(num_buckets_ * sizeof(Bucket), kCacheLineBytes,
                              Region::kTable);
-        std::memset(storage_.host, 0, storage_.size);
     }
 
     /**

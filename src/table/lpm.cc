@@ -1,7 +1,5 @@
 #include "src/table/lpm.hh"
 
-#include <cstring>
-
 #include "src/common/log.hh"
 
 namespace pmill {
@@ -20,7 +18,7 @@ NaiveLpm::add(const Route &r)
 }
 
 std::optional<std::uint16_t>
-NaiveLpm::lookup(Ipv4Addr a) const
+NaiveLpm::lookup(Ipv4Addr a, std::uint8_t *matched_depth) const
 {
     std::optional<std::uint16_t> best;
     int best_len = -1;
@@ -33,18 +31,20 @@ NaiveLpm::lookup(Ipv4Addr a) const
             best_len = r.prefix_len;
         }
     }
+    if (best && matched_depth)
+        *matched_depth = static_cast<std::uint8_t>(best_len);
     return best;
 }
 
 Dir24_8::Dir24_8(SimMemory &mem, std::uint32_t max_tbl8_groups)
     : max_groups_(max_tbl8_groups)
 {
-    tbl24_ = mem.alloc((1u << 24) * sizeof(Entry), kPageBytes,
-                       Region::kTable);
+    // Setup writes only the slots its routes cover, so tbl24 commits
+    // host pages in proportion to the routes, not to its 2^24 slots.
+    tbl24_ = mem.alloc_sparse((1u << 24) * sizeof(Entry), kPageBytes,
+                              Region::kTable);
     tbl8_ = mem.alloc(std::uint64_t(max_tbl8_groups) * 256 * sizeof(Entry),
                       kPageBytes, Region::kTable);
-    std::memset(tbl24_.host, 0, tbl24_.size);
-    std::memset(tbl8_.host, 0, tbl8_.size);
 }
 
 std::uint32_t
@@ -59,8 +59,11 @@ bool
 Dir24_8::add(const Route &r)
 {
     PMILL_ASSERT(r.prefix_len <= 32, "prefix length out of range");
-    const std::uint32_t mask =
-        r.prefix_len == 0 ? 0 : ~0u << (32 - r.prefix_len);
+    if (r.prefix_len == 0) {
+        default_route_ = Entry{r.next_hop, 0, kValid};
+        return true;
+    }
+    const std::uint32_t mask = ~0u << (32 - r.prefix_len);
     const std::uint32_t net = r.prefix.value & mask;
 
     if (r.prefix_len <= 24) {
@@ -132,24 +135,21 @@ Dir24_8::lookup(Ipv4Addr a, AccessSink *sink,
     const std::uint32_t slot24 = a.value >> 8;
     sink_load(sink, tbl24_.addr + std::uint64_t(slot24) * sizeof(Entry),
               kAccountedEntryBytes);
-    const Entry &e = tbl24()[slot24];
-    if (!(e.flags & kValid))
-        return std::nullopt;
-    if (!(e.flags & kGroup)) {
-        if (matched_depth)
-            *matched_depth = e.depth;
-        return e.next_hop;
+    const Entry *e = &tbl24()[slot24];
+    if (e->flags & kGroup) {
+        const std::uint64_t idx =
+            std::uint64_t(e->next_hop) * 256 + (a.value & 0xFF);
+        sink_load(sink, tbl8_.addr + idx * sizeof(Entry),
+                  kAccountedEntryBytes);
+        e = &tbl8()[idx];
     }
-
-    const std::uint64_t idx =
-        std::uint64_t(e.next_hop) * 256 + (a.value & 0xFF);
-    sink_load(sink, tbl8_.addr + idx * sizeof(Entry), kAccountedEntryBytes);
-    const Entry &e8 = tbl8()[idx];
-    if (!(e8.flags & kValid))
+    if (!(e->flags & kValid))
+        e = &default_route_;
+    if (!(e->flags & kValid))
         return std::nullopt;
     if (matched_depth)
-        *matched_depth = e8.depth;
-    return e8.next_hop;
+        *matched_depth = e->depth;
+    return e->next_hop;
 }
 
 std::uint64_t

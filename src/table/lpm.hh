@@ -10,6 +10,11 @@
  * the paper's router loads the whole IP header and performs a single
  * table access per packet on its one-rule-per-port table.
  *
+ * The /0 route is one fallback entry outside the tables, returned for
+ * any slot that no longer route covers. Adding it writes no slot, so
+ * the sparse tbl24 backing commits host memory only for the slots of
+ * the other routes.
+ *
  * NaiveLpm is a deliberately simple linear-scan reference
  * implementation used by the property tests as ground truth.
  */
@@ -40,8 +45,13 @@ class NaiveLpm {
     /** Add a route (later duplicates of the same prefix override). */
     void add(const Route &r);
 
-    /** Longest-prefix lookup; nullopt when no route matches. */
-    std::optional<std::uint16_t> lookup(Ipv4Addr a) const;
+    /**
+     * Longest-prefix lookup; nullopt when no route matches. When
+     * @p matched_depth is non-null it receives the winning prefix
+     * length, as Dir24_8::lookup reports it.
+     */
+    std::optional<std::uint16_t>
+    lookup(Ipv4Addr a, std::uint8_t *matched_depth = nullptr) const;
 
   private:
     std::vector<Route> routes_;
@@ -58,14 +68,16 @@ class Dir24_8 {
 
     /**
      * Add a route. Routes may be added in any order; more-specific
-     * prefixes correctly override less-specific ones.
+     * prefixes correctly override less-specific ones. A /0 route
+     * replaces the fallback entry and writes no table slot.
      * @return false when tbl8 groups are exhausted.
      */
     bool add(const Route &r);
 
     /**
      * Longest-prefix lookup, reporting 1 or 2 table accesses to
-     * @p sink. When @p matched_depth is non-null it receives the
+     * @p sink (a /0 hit costs the same accesses as the slot it falls
+     * back from). When @p matched_depth is non-null it receives the
      * prefix length of the winning route (profile capture joins it
      * back to the configured rule). @return next hop, or nullopt when
      * no route matches.
@@ -99,6 +111,7 @@ class Dir24_8 {
 
     MemHandle tbl24_;
     MemHandle tbl8_;
+    Entry default_route_;  ///< the /0 route; invalid until added
     std::uint32_t max_groups_;
     std::uint32_t next_group_ = 0;
 };

@@ -1,17 +1,25 @@
 /**
  * @file
  * Unit and property tests for the simulated memory and cache
- * hierarchy: allocation invariants, hit/miss walks, LRU behaviour,
- * DDIO way restriction, TLB behaviour, and counter bookkeeping.
+ * hierarchy: allocation invariants, host backing residency, hit/miss
+ * walks, LRU behaviour, DDIO way restriction, TLB behaviour, and
+ * counter bookkeeping.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
+
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "src/mem/cache.hh"
 #include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
+#include "src/table/lpm.hh"
 
 namespace pmill {
 namespace {
@@ -66,6 +74,88 @@ TEST(SimMemory, RegionAccounting)
     mem.alloc(24, 8, Region::kMbufPool);
     EXPECT_EQ(mem.allocated_bytes(Region::kMbufPool), 1024u);
     EXPECT_EQ(mem.allocated_bytes(Region::kTable), 0u);
+}
+
+#ifdef __linux__
+/** Host pages of [p, p + n) that are resident, per mincore(2). */
+std::uint64_t
+resident_bytes(const std::uint8_t *p, std::uint64_t n)
+{
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    const auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+    const auto hi = reinterpret_cast<std::uintptr_t>(p) + n;
+    std::vector<unsigned char> vec((hi - lo + page - 1) / page);
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(lo), hi - lo, vec.data()), 0);
+    std::uint64_t pages = 0;
+    for (unsigned char v : vec)
+        pages += v & 1;
+    return pages * page;
+}
+#endif
+
+// Guards sim_rate: a backing committed lazily would move its
+// first-touch page faults into the timed run.
+TEST(SimMemory, OrdinaryBackingIsZeroedAndCommitted)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "residency is measured with Linux mincore";
+#else
+    SimMemory mem;
+    const std::uint64_t n = 16ull << 20;  // beyond malloc's mmap threshold
+    MemHandle h = mem.alloc(n, kPageBytes, Region::kTable);
+    EXPECT_GE(resident_bytes(h.host, n), n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(h.host[i], 0) << i;
+#endif
+}
+
+TEST(SimMemory, SparseBackingCommitsOnlyWrittenPages)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "residency is measured with Linux mincore";
+#else
+    SimMemory mem;
+    const std::uint64_t n = 64ull << 20;
+    const MemHandle before = mem.alloc(64, 64, Region::kTable);
+    MemHandle h = mem.alloc_sparse(n, kPageBytes, Region::kTable);
+    // Same simulated placement and accounting as alloc().
+    EXPECT_EQ(h.addr, round_up(before.addr + before.size, kPageBytes));
+    EXPECT_EQ(mem.allocated_bytes(Region::kTable), 64 + n);
+    EXPECT_EQ(mem.host_ptr(h.addr + 5), h.host + 5);
+
+    EXPECT_LE(resident_bytes(h.host, n), 64u << 10);
+    h.host[0] = 1;
+    h.host[n / 2] = 2;
+    h.host[n - 1] = 3;
+    EXPECT_LE(resident_bytes(h.host, n), 128u << 10);
+    // Reading maps zero pages, so check residency first.
+    std::uint64_t nonzero = 0;
+    for (std::uint64_t i = 0; i < n; ++i)
+        nonzero += h.host[i] != 0;
+    EXPECT_EQ(nonzero, 3u);
+#endif
+}
+
+TEST(SimMemory, RouterLpmKeepsTbl24Sparse)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "residency is measured with Linux mincore";
+#else
+    SimMemory mem;
+    const MemHandle before = mem.alloc(64, 64, Region::kTable);
+    Dir24_8 t(mem);
+    // router_config()'s IPLookup: five /8s and a default route.
+    for (std::uint8_t top : {20, 21, 22, 23, 10})
+        ASSERT_TRUE(t.add({Ipv4Addr::make(top, 0, 0, 0), 8, 0}));
+    ASSERT_TRUE(t.add({Ipv4Addr::make(0, 0, 0, 0), 0, 0}));
+    EXPECT_EQ(t.lookup(Ipv4Addr::make(99, 1, 2, 3)), 0);
+
+    // tbl24 is the table's first allocation: 2^24 4-byte entries.
+    const std::uint8_t *tbl24 =
+        mem.host_ptr(round_up(before.addr + before.size, kPageBytes));
+    ASSERT_NE(tbl24, nullptr);
+    EXPECT_LT(resident_bytes(tbl24, 64ull << 20), 2u << 20);
+#endif
 }
 
 CacheConfig

@@ -229,6 +229,18 @@ TEST(Dir24_8, AccountsOneOrTwoAccesses)
     CountingSink s2;
     t.lookup(Ipv4Addr::make(20, 0, 0, 130), &s2);
     EXPECT_EQ(s2.loads, 2);
+
+    // A default-route hit costs the accesses of the slot it falls
+    // back from: 1 from an empty tbl24 slot, 2 from an empty tbl8
+    // entry beside the /25.
+    t.add({Ipv4Addr::make(0, 0, 0, 0), 0, 3});
+    CountingSink s3;
+    EXPECT_EQ(t.lookup(Ipv4Addr::make(30, 1, 1, 1), &s3), 3);
+    EXPECT_EQ(s3.loads, 1);
+
+    CountingSink s4;
+    EXPECT_EQ(t.lookup(Ipv4Addr::make(20, 0, 0, 5), &s4), 3);
+    EXPECT_EQ(s4.loads, 2);
 }
 
 TEST(Dir24_8, MatchesNaiveOnRandomRouteSets)
@@ -236,25 +248,55 @@ TEST(Dir24_8, MatchesNaiveOnRandomRouteSets)
     SimMemory mem;
     Dir24_8 fast(mem, 1024);
     NaiveLpm ref;
+    std::vector<Route> added;
     Xorshift64 rng(2026);
 
-    for (int i = 0; i < 200; ++i) {
+    // Compare next hop and matched depth. Every other probe lands in
+    // the /24 of an added route, where tbl8 groups and their empty
+    // entries live; the rest are uniform.
+    auto check = [&] {
+        for (int i = 0; i < 5000; ++i) {
+            std::uint32_t v = static_cast<std::uint32_t>(rng.next());
+            if (i % 2)
+                v = (added[rng.next_below(added.size())].prefix.value &
+                     ~0xFFu) | (v & 0xFF);
+            const Ipv4Addr probe{v};
+            std::uint8_t fast_depth = 0xFF;
+            std::uint8_t ref_depth = 0xFF;
+            ASSERT_EQ(fast.lookup(probe, nullptr, &fast_depth),
+                      ref.lookup(probe, &ref_depth))
+                << probe.to_string();
+            ASSERT_EQ(fast_depth, ref_depth) << probe.to_string();
+        }
+    };
+    auto add = [&](const Route &r) {
+        ref.add(r);
+        ASSERT_TRUE(fast.add(r));
+        added.push_back(r);
+    };
+
+    // A /0 before any tbl8 group exists; the random set below adds
+    // and replaces /0 again after groups exist.
+    add({Ipv4Addr{0}, 0, 100});
+    check();
+    int defaults_after_groups = 0;
+    bool groups = false;
+    for (int i = 0; i < 300; ++i) {
         Route r;
         r.prefix = Ipv4Addr{static_cast<std::uint32_t>(rng.next())};
-        r.prefix_len = static_cast<std::uint8_t>(1 + rng.next_below(32));
+        r.prefix_len = static_cast<std::uint8_t>(rng.next_below(33));
         r.next_hop = static_cast<std::uint16_t>(rng.next_below(100));
         // Normalize the prefix to its network address.
         const std::uint32_t mask =
             r.prefix_len == 0 ? 0 : ~0u << (32 - r.prefix_len);
         r.prefix.value &= mask;
-        ref.add(r);
-        ASSERT_TRUE(fast.add(r));
+        groups = groups || r.prefix_len > 24;
+        defaults_after_groups += groups && r.prefix_len == 0;
+        add(r);
+        if (i % 50 == 49)
+            check();
     }
-    for (int i = 0; i < 20000; ++i) {
-        Ipv4Addr probe{static_cast<std::uint32_t>(rng.next())};
-        EXPECT_EQ(fast.lookup(probe), ref.lookup(probe))
-            << probe.to_string();
-    }
+    EXPECT_GE(defaults_after_groups, 2);
 }
 
 TEST(CuckooHash, HighLoadChurnCyclesMatchReference)
@@ -414,6 +456,20 @@ TEST(Dir24_8, DefaultRouteOnly)
     ASSERT_TRUE(t.add({Ipv4Addr::make(192, 168, 0, 1), 32, 5}));
     EXPECT_EQ(t.lookup(Ipv4Addr::make(192, 168, 0, 1)), 5);
     EXPECT_EQ(t.lookup(Ipv4Addr::make(192, 168, 0, 2)), 9);
+
+    // The other order: the /32's group exists before the /0, which
+    // then answers for the group's empty entries at depth 0.
+    Dir24_8 u(mem, 64);
+    ASSERT_TRUE(u.add({Ipv4Addr::make(192, 168, 0, 1), 32, 5}));
+    EXPECT_FALSE(u.lookup(Ipv4Addr::make(192, 168, 0, 2)).has_value());
+    ASSERT_TRUE(u.add({Ipv4Addr::make(0, 0, 0, 0), 0, 9}));
+    std::uint8_t depth = 0xFF;
+    EXPECT_EQ(u.lookup(Ipv4Addr::make(192, 168, 0, 1), nullptr, &depth), 5);
+    EXPECT_EQ(depth, 32);
+    EXPECT_EQ(u.lookup(Ipv4Addr::make(192, 168, 0, 2), nullptr, &depth), 9);
+    EXPECT_EQ(depth, 0);
+    EXPECT_EQ(u.lookup(Ipv4Addr::make(7, 7, 7, 7), nullptr, &depth), 9);
+    EXPECT_EQ(depth, 0);
 }
 
 } // namespace
