@@ -23,8 +23,9 @@
  *   --offered GBPS      offered load (default 100)
  *   --cores N           RSS cores (default 1)
  *   --host-threads N    host worker threads driving the simulated
- *                       cores (default 1). N > 1 runs the epoch
- *                       scheduler in parallel; results are
+ *                       cores (default 1: every core on the calling
+ *                       thread). Every run, single core included, uses
+ *                       the one epoch schedule, so results are
  *                       bit-identical for every N. Rejected when N
  *                       exceeds --cores; tracing forces N = 1 (with a
  *                       warning) because the trace ring is shared.

@@ -14,7 +14,7 @@ namespace pmill {
 
 NicDevice::NicDevice(const NicConfig &cfg, CacheHierarchy &caches,
                      SimMemory &mem)
-    : cfg_(cfg), caches_(caches)
+    : cfg_(cfg)
 {
     PMILL_ASSERT(cfg.num_queues >= 1, "NIC needs at least one queue");
     if (cfg.rss_table_size != 0) {
@@ -84,45 +84,47 @@ NicDevice::rss_queue(const std::uint8_t *frame, std::uint32_t len) const
 }
 
 bool
-NicDevice::deliver(const std::uint8_t *frame, std::uint32_t len, TimeNs now)
-{
-    const std::uint32_t qi = rss_queue(frame, len);
-    return deliver_impl(qi, frame, len, now, &pcie_rx_free_, &stats_);
-}
-
-bool
-NicDevice::deliver_sharded(std::uint32_t queue, const std::uint8_t *frame,
-                           std::uint32_t len, TimeNs now)
+NicDevice::deliver(std::uint32_t queue, const std::uint8_t *frame,
+                   std::uint32_t len, TimeNs now)
 {
     PMILL_ASSERT(queue < queues_.size(), "bad queue");
     Queue &q = queues_[queue];
-    return deliver_impl(queue, frame, len, now, &q.pcie_rx_free,
-                        &q.rx_stats);
-}
-
-bool
-NicDevice::deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
-                        std::uint32_t len, TimeNs now, TimeNs *pcie_free,
-                        NicStats *st)
-{
-    Queue &q = queues_[qi];
     // Every path below bumps some counter; invalidate the summed
     // snapshot (relaxed: recomputation happens at serial points only).
     snap_dirty_.store(true, std::memory_order_relaxed);
 
     if (q.rx_free.empty()) {
-        ++st->rx_drops_no_desc;
+        ++q.rx_stats.rx_drops_no_desc;
         PMILL_TRACE(tracer_, TraceEventKind::kDrop, now, 0, 0, trace_span_,
                     kDropNoRxDesc);
         return false;
     }
     if (q.completions.full()) {
-        ++st->rx_drops_pcie;
+        ++q.rx_stats.rx_drops_pcie;
         PMILL_TRACE(tracer_, TraceEventKind::kDrop, now, 0, 0, trace_span_,
                     kDropPcie);
         return false;
     }
 
+    // PCIe DMA of the frame (the queue's RX direction pipe
+    // serializes). A refused frame above used no PCIe time.
+    const double pcie_ns =
+        static_cast<double>(len + cfg_.pcie_pkt_overhead_bytes) /
+        cfg_.pcie_bytes_per_sec * 1e9;
+    const TimeNs dma_done = std::max(now, q.pcie_rx_free) + pcie_ns;
+    q.pcie_rx_free = dma_done;
+
+    land(queue, frame, len, dma_done);
+    ++q.rx_stats.rx_frames;
+    q.rx_stats.rx_bytes += len;
+    return true;
+}
+
+void
+NicDevice::land(std::uint32_t qi, const std::uint8_t *frame,
+                std::uint32_t len, TimeNs arrival_ns)
+{
+    Queue &q = queues_[qi];
     CacheHierarchy &qcache = *queue_caches_[qi];
     // The NIC fetches the posted descriptor over PCIe.
     qcache.access(rx_desc_addr(qi, q.rx_free.next_pop_slot()), kDescBytes,
@@ -130,19 +132,12 @@ NicDevice::deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
     RxDescriptor desc;
     q.rx_free.pop(desc);
 
-    // PCIe DMA of the frame (the RX direction pipe serializes).
-    const double pcie_ns =
-        static_cast<double>(len + cfg_.pcie_pkt_overhead_bytes) /
-        cfg_.pcie_bytes_per_sec * 1e9;
-    const TimeNs dma_done = std::max(now, *pcie_free) + pcie_ns;
-    *pcie_free = dma_done;
-
     // Device writes: frame data into the posted buffer, then the CQE.
     // Both land in the LLC DDIO ways — except when a park dock is
     // bound: then only the header prefix is DMA'd into the buffer
     // (DDIO) and the payload is parked DRAM-direct, so large-packet
-    // payloads never occupy LLC ways. The PCIe charge above already
-    // covered the full frame either way.
+    // payloads never occupy LLC ways. The PCIe charge covers the full
+    // frame either way.
     PayloadPark *park = queue_parks_[qi];
     std::uint32_t hdr_len = len;
     Cqe cqe;
@@ -159,7 +154,7 @@ NicDevice::deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
     cqe.buf_addr = desc.buf_addr;
     cqe.buf_host = desc.buf_host;
     cqe.len = len;
-    cqe.arrival_ns = dma_done;
+    cqe.arrival_ns = arrival_ns;
     // Parse from the wire frame (read-only): identical bytes to the
     // buffer on the non-parked path, and the only complete view on
     // the parked one.
@@ -178,16 +173,14 @@ NicDevice::deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
     qcache.access(cqe.cqe_addr, kCqeBytes, AccessType::kDevWrite);
     const bool pushed = q.completions.push(cqe);
     PMILL_ASSERT(pushed, "completion ring overflow despite check");
-
-    ++st->rx_frames;
-    st->rx_bytes += len;
-    return true;
 }
 
 NicStats
 NicDevice::stats() const
 {
-    NicStats s = stats_;
+    NicStats s;
+    s.tx_frames = tx_frames_;
+    s.tx_bytes = tx_bytes_;
     for (const Queue &q : queues_) {
         s.rx_frames += q.rx_stats.rx_frames;
         s.rx_bytes += q.rx_stats.rx_bytes;
@@ -210,7 +203,7 @@ NicDevice::stats_snapshot() const
 void
 NicDevice::stats_reset()
 {
-    stats_ = NicStats{};
+    tx_frames_ = tx_bytes_ = 0;
     for (Queue &q : queues_)
         q.rx_stats = NicStats{};
     snap_dirty_.store(true, std::memory_order_relaxed);
@@ -237,16 +230,6 @@ NicDevice::next_cqe_time(std::uint32_t queue) const
     if (q.completions.empty())
         return std::numeric_limits<double>::infinity();
     return q.completions.front().arrival_ns;
-}
-
-bool
-NicDevice::tx_idle() const
-{
-    for (const Queue &q : queues_) {
-        if (!q.tx_pending.empty())
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -300,49 +283,13 @@ NicDevice::deliver_handoff(std::uint32_t queue, const std::uint8_t *frame,
     Queue &q = queues_[queue];
     if (q.rx_free.empty() || q.completions.full())
         return false;
-
-    CacheHierarchy &qcache = *queue_caches_[queue];
-    // The copy engine still consumes a posted descriptor...
-    qcache.access(rx_desc_addr(queue, q.rx_free.next_pop_slot()),
-                  kDescBytes, AccessType::kDevRead);
-    RxDescriptor desc;
-    q.rx_free.pop(desc);
-
-    // ...and lands the frame + CQE in the destination core's DDIO
-    // ways, but skips the wire and the PCIe RX pipe: the frame
-    // crossed both when it first arrived on the source queue. A park
-    // dock on the destination queue re-parks the payload there (the
-    // source released its own ticket when it staged the handoff).
-    PayloadPark *park = queue_parks_[queue];
-    std::uint32_t hdr_len = len;
-    Cqe cqe;
-    if (park != nullptr && len > park_splits_[queue]) {
-        hdr_len = park_splits_[queue];
-        cqe.park_len = len - hdr_len;
-        cqe.park_ticket = park->park(frame + hdr_len, cqe.park_len);
-        qcache.access(park->slot_addr(cqe.park_ticket), cqe.park_len,
-                      AccessType::kParkWrite);
-    }
-    std::memcpy(desc.buf_host, frame, hdr_len);
-    qcache.access(desc.buf_addr, hdr_len, AccessType::kDevWrite);
-
-    cqe.buf_addr = desc.buf_addr;
-    cqe.buf_host = desc.buf_host;
-    cqe.len = len;
-    cqe.arrival_ns = orig_arrival_ns;
-    FrameView view =
-        parse_frame(const_cast<std::uint8_t *>(frame), len);
-    if (view.ip) {
-        cqe.flags |= 1;
-        FiveTuple t = extract_tuple(frame, len);
-        cqe.rss_hash = rss_hash(t);
-    }
-    if (view.vlan)
-        cqe.vlan_tci = view.vlan->tci();
-    cqe.cqe_addr = cq_ring_addr(queue, q.completions.next_push_slot());
-    qcache.access(cqe.cqe_addr, kCqeBytes, AccessType::kDevWrite);
-    const bool pushed = q.completions.push(cqe);
-    PMILL_ASSERT(pushed, "completion ring overflow despite check");
+    // The copy engine consumes a posted descriptor and lands the frame
+    // + CQE in the destination core's DDIO ways, but skips the wire
+    // and the PCIe RX pipe: the frame crossed both when it first
+    // arrived on the source queue. A park dock on the destination
+    // queue re-parks the payload there (the source released its own
+    // ticket when it staged the handoff).
+    land(queue, frame, len, orig_arrival_ns);
     return true;
 }
 
@@ -357,83 +304,73 @@ NicDevice::post_tx(std::uint32_t queue, const TxDescriptor &desc)
     return ok;
 }
 
+TimeNs
+NicDevice::tx_departure(const TxDescriptor &head, TimeNs *dma_done) const
+{
+    const double pcie_ns =
+        static_cast<double>(head.len + cfg_.pcie_pkt_overhead_bytes) /
+        cfg_.pcie_bytes_per_sec * 1e9;
+    *dma_done = std::max(pcie_tx_free_, head.post_ns) + pcie_ns;
+    return std::max(*dma_done, wire_tx_free_) + wire_time_ns(head.len);
+}
+
 void
-NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out,
-                    bool defer_dma)
+NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out)
 {
     // Early-out when no queue's cached completion bound has been
-    // reached. The min over per-queue bounds equals the shared bound
-    // the pre-shard code kept (same estimates, same 0-reset on a post
-    // to an empty queue), so the decision is identical.
+    // reached: the next departure is at least the smallest bound.
     TimeNs bound = std::numeric_limits<double>::infinity();
     for (const auto &q : queues_)
         bound = std::min(bound, q.tx_bound);
     if (now < bound)
         return;
 
-    // Round-robin across queues while any head frame can finish
-    // serializing by `now`.
-    bool progress = true;
-    while (progress) {
-        progress = false;
+    // Serialize queue heads in post order: the earliest-posted head
+    // takes the wire next, ties to the lower queue. Each queue's
+    // posts are in time order, so this is the device-wide post order,
+    // and a drain at `now` emits exactly the departures <= now of that
+    // one sequence — whenever, and however often, the drain runs.
+    for (;;) {
+        Queue *next = nullptr;
         for (auto &q : queues_) {
-            if (q.tx_pending.empty())
-                continue;
-            const TxDescriptor &head = q.tx_pending.front();
-            const double pcie_ns =
-                static_cast<double>(head.len + cfg_.pcie_pkt_overhead_bytes) /
-                cfg_.pcie_bytes_per_sec * 1e9;
-            const TimeNs dma_done =
-                std::max(pcie_tx_free_, head.post_ns) + pcie_ns;
-            const TimeNs wire_start = std::max(dma_done, wire_tx_free_);
-            const TimeNs departure = wire_start + wire_time_ns(head.len);
-            if (departure > now)
-                continue;
-
-            // Device reads the TX descriptor, then the frame bytes
-            // (from LLC when DDIO kept them resident, else DRAM).
-            // With defer_dma the caller replays both reads on the
-            // owning core's thread; only the addresses are recorded.
-            const std::uint32_t qi =
-                static_cast<std::uint32_t>(&q - queues_.data());
-            const Addr desc_addr =
-                tx_desc_addr(qi, q.tx_pending.next_pop_slot());
-            if (!defer_dma) {
-                CacheHierarchy &qc = *queue_caches_[qi];
-                qc.access(desc_addr, kDescBytes, AccessType::kDevRead);
-                // Parking model: gather — header bytes from the
-                // buffer, payload bytes from the park arena.
-                qc.access(head.buf_addr, head.len - head.park_len,
-                          AccessType::kDevRead);
-                if (head.park_len != 0)
-                    qc.access(head.park_addr, head.park_len,
-                              AccessType::kParkRead);
-            }
-
-            TxCompletion c;
-            c.buf_addr = head.buf_addr;
-            c.buf_host = head.buf_host;
-            c.len = head.len;
-            c.arrival_ns = head.arrival_ns;
-            c.departure_ns = departure;
-            c.queue = qi;
-            c.desc_addr = desc_addr;
-            c.park_addr = head.park_addr;
-            c.park_len = head.park_len;
-            c.park_ticket = head.park_ticket;
-            c.park_host = head.park_host;
-            out.push_back(c);
-
-            pcie_tx_free_ = dma_done;
-            wire_tx_free_ = departure;
-            ++stats_.tx_frames;
-            stats_.tx_bytes += head.len;
-            snap_dirty_.store(true, std::memory_order_relaxed);
-
-            TxDescriptor dropped;
-            q.tx_pending.pop(dropped);
-            progress = true;
+            if (!q.tx_pending.empty() &&
+                (next == nullptr || q.tx_pending.front().post_ns <
+                                        next->tx_pending.front().post_ns))
+                next = &q;
         }
+        if (next == nullptr)
+            break;
+        const TxDescriptor &head = next->tx_pending.front();
+        TimeNs dma_done;
+        const TimeNs departure = tx_departure(head, &dma_done);
+        // Every later head departs after this one.
+        if (departure > now)
+            break;
+
+        const std::uint32_t qi =
+            static_cast<std::uint32_t>(next - queues_.data());
+        TxCompletion c;
+        c.buf_addr = head.buf_addr;
+        c.buf_host = head.buf_host;
+        c.len = head.len;
+        c.arrival_ns = head.arrival_ns;
+        c.departure_ns = departure;
+        c.queue = qi;
+        c.desc_addr = tx_desc_addr(qi, next->tx_pending.next_pop_slot());
+        c.park_addr = head.park_addr;
+        c.park_len = head.park_len;
+        c.park_ticket = head.park_ticket;
+        c.park_host = head.park_host;
+        out.push_back(c);
+
+        pcie_tx_free_ = dma_done;
+        wire_tx_free_ = departure;
+        ++tx_frames_;
+        tx_bytes_ += head.len;
+        snap_dirty_.store(true, std::memory_order_relaxed);
+
+        TxDescriptor sent;
+        next->tx_pending.pop(sent);
     }
 
     // Cache the earliest completion each remaining head could reach.
@@ -441,18 +378,10 @@ NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out,
     // pass only advances pcie_tx_free_/wire_tx_free_, so these are
     // lower bounds and the early-out above is exact.
     for (auto &q : queues_) {
-        if (q.tx_pending.empty()) {
-            q.tx_bound = std::numeric_limits<double>::infinity();
-            continue;
-        }
-        const TxDescriptor &head = q.tx_pending.front();
-        const double pcie_ns =
-            static_cast<double>(head.len + cfg_.pcie_pkt_overhead_bytes) /
-            cfg_.pcie_bytes_per_sec * 1e9;
-        const TimeNs dma_done =
-            std::max(pcie_tx_free_, head.post_ns) + pcie_ns;
-        const TimeNs wire_start = std::max(dma_done, wire_tx_free_);
-        q.tx_bound = wire_start + wire_time_ns(head.len);
+        TimeNs dma_done;
+        q.tx_bound = q.tx_pending.empty()
+                         ? std::numeric_limits<double>::infinity()
+                         : tx_departure(q.tx_pending.front(), &dma_done);
     }
 }
 

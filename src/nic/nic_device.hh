@@ -11,9 +11,9 @@
  * Frame DMA and CQE writes go through the cache hierarchy as device
  * writes (allocating into the LLC's DDIO ways only), so the paper's
  * locality arguments about metadata and buffer working sets are
- * physically represented. PCIe is modeled as two independent
- * direction pipes with a per-packet overhead, which is what caps
- * large-packet pps in Fig. 6.
+ * physically represented. PCIe is modeled as direction pipes with a
+ * per-packet overhead, which is what caps large-packet pps in Fig. 6:
+ * one RX pipe per queue and one TX pipe per device.
  */
 
 #ifndef PMILL_NIC_NIC_DEVICE_HH
@@ -144,6 +144,15 @@ struct NicStats {
  * The simulated device. The engine calls deliver() for wire arrivals
  * and drain_tx() to collect transmitted frames; the PMDs call
  * rx_poll()/replenish()/post_tx().
+ *
+ * All RX-side state a delivery touches — the ring, the completion
+ * queue, the RX PCIe pipe, the RX counters and the bound cache
+ * hierarchy — belongs to one queue, so deliveries to different queues
+ * may run concurrently (queue q is driven by core q's worker). The RX
+ * pipe is per queue because it cannot be precomputed ahead of the
+ * cores: a frame refused for lack of a descriptor uses no PCIe time,
+ * so a shared pipe's state would depend on every queue's delivery
+ * outcomes. TX is device-wide and drained at serial points only.
  */
 class NicDevice {
   public:
@@ -173,10 +182,10 @@ class NicDevice {
 
     const NicConfig &config() const { return cfg_; }
     /**
-     * Aggregate device counters. RX counters accumulate in a per-queue
-     * shard when frames arrive via deliver_sharded() (so concurrent
-     * worker threads never touch a shared cell); this sums the shards
-     * into the device-level base on every call, hence by value.
+     * Aggregate device counters. RX counters accumulate per queue (so
+     * concurrent worker threads never touch a shared cell); this sums
+     * them with the device-level TX counters on every call, hence by
+     * value.
      */
     NicStats stats() const;
     void stats_reset();
@@ -223,24 +232,15 @@ class NicDevice {
     }
 
     /**
-     * A frame finished arriving on the wire at @p now. The NIC DMAs
-     * it into a posted buffer of the RSS-selected queue and writes a
-     * CQE, both as device writes through the cache hierarchy.
-     * @return false when dropped (no descriptor or PCIe backlog).
+     * A frame finished arriving on the wire at @p now; the caller has
+     * RSS-routed it to @p queue (rss_queue()). The NIC DMAs it through
+     * the queue's RX PCIe pipe into a posted buffer and writes a CQE,
+     * both as device writes through the queue-bound cache hierarchy.
+     * Touches only @p queue 's state.
+     * @return false when dropped (no descriptor or CQ full).
      */
-    bool deliver(const std::uint8_t *frame, std::uint32_t len, TimeNs now);
-
-    /**
-     * Arrival variant for the epoch scheduler: the caller already
-     * RSS-routed the frame to @p queue, and all mutable state touched
-     * (ring, PCIe pipe shard, stat shard, the queue-bound cache
-     * hierarchy) is private to that queue, so concurrent calls for
-     * different queues are race-free. Models a per-queue RX PCIe
-     * pipe — a documented divergence from deliver()'s shared pipe
-     * (DESIGN.md section 9).
-     */
-    bool deliver_sharded(std::uint32_t queue, const std::uint8_t *frame,
-                         std::uint32_t len, TimeNs now);
+    bool deliver(std::uint32_t queue, const std::uint8_t *frame,
+                 std::uint32_t len, TimeNs now);
 
     /**
      * Driver-side: pop up to @p max completed CQEs (arrival time
@@ -253,9 +253,6 @@ class NicDevice {
     /** Peek the arrival time of the next pending CQE (or +inf). */
     TimeNs next_cqe_time(std::uint32_t queue) const;
 
-    /** True when no queue has frames waiting to serialize out. */
-    bool tx_idle() const;
-
     /** Driver-side: post a free buffer to @p queue 's RX ring. */
     bool replenish(std::uint32_t queue, const RxDescriptor &desc);
 
@@ -267,18 +264,19 @@ class NicDevice {
 
     /**
      * Engine-side: serialize pending TX frames onto the wire up to
-     * time @p now. DMA reads of frame data are accounted as device
-     * reads. Completions (with departure timestamps) are appended to
-     * @p out; buffer ownership returns to the caller.
+     * time @p now, queue heads in post order (earliest post_ns first,
+     * ties to the lower queue), through the device's TX PCIe pipe and
+     * wire. Completions (with departure timestamps) are appended to
+     * @p out; buffer ownership returns to the caller. The result does
+     * not depend on how often drain_tx runs: every call emits the
+     * departures <= @p now of one post-ordered sequence.
      *
-     * With @p defer_dma the descriptor/frame device reads are NOT
-     * performed here: the caller replays them from the completion's
-     * desc_addr/buf_addr on the owning core's hierarchy (the epoch
-     * scheduler does this on the worker thread, keeping every cache
-     * access core-local). Timing and drain order are unchanged.
+     * The descriptor and frame device reads are not performed here:
+     * the caller replays them from the completion's desc_addr/
+     * buf_addr/park_addr on the owning core's hierarchy, which keeps
+     * every cache access core-local.
      */
-    void drain_tx(TimeNs now, std::vector<TxCompletion> &out,
-                  bool defer_dma = false);
+    void drain_tx(TimeNs now, std::vector<TxCompletion> &out);
 
     /**
      * Handoff delivery: place an already-received frame (copied from
@@ -388,17 +386,14 @@ class NicDevice {
         MemHandle cq_mem;   ///< CQE ring backing (ring_size x 64 B)
         MemHandle rxd_mem;  ///< RX descriptor ring backing
         MemHandle txd_mem;  ///< TX descriptor ring backing
-        /// RX PCIe pipe shard used by deliver_sharded() only (the
-        /// legacy deliver() serializes all queues through the shared
-        /// pcie_rx_free_).
+        /// Next instant this queue's RX PCIe pipe frees.
         TimeNs pcie_rx_free = 0;
-        /// RX counters accumulated by deliver_sharded() (summed into
-        /// stats() on read). Writable from the queue's worker thread.
+        /// RX counters (summed into stats() on read). Writable from
+        /// the queue's worker thread.
         NicStats rx_stats;
         /// Per-queue lower bound on this queue's next TX completion
-        /// time (see drain_tx). The device-level early-out is the min
-        /// over queues — provably the same decision the old shared
-        /// bound made. Reset to 0 when a post lands on a previously
+        /// time (see drain_tx); the device-level early-out is the min
+        /// over queues. Reset to 0 when a post lands on a previously
         /// empty queue (a fresh head may beat the cached bound); the
         /// reset touches only this queue's cell, so concurrent posts
         /// on different queues stay race-free.
@@ -409,22 +404,27 @@ class NicDevice {
     };
 
     /**
-     * Shared arrival body: @p pcie_free and @p st select the shared
-     * members (legacy path, bit-exact with the pre-shard code) or the
-     * queue's shards (deliver_sharded).
+     * Land an accepted frame on queue @p qi (the caller checked for a
+     * free descriptor and CQ slot): descriptor read, frame (or header
+     * + parked payload) write, CQE write stamped @p arrival_ns.
      */
-    bool deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
-                      std::uint32_t len, TimeNs now, TimeNs *pcie_free,
-                      NicStats *st);
+    void land(std::uint32_t qi, const std::uint8_t *frame,
+              std::uint32_t len, TimeNs arrival_ns);
+
+    /**
+     * Departure time of @p head if it took the TX pipe and wire next;
+     * @p dma_done receives its PCIe DMA completion.
+     */
+    TimeNs tx_departure(const TxDescriptor &head, TimeNs *dma_done) const;
 
     NicConfig cfg_;
-    CacheHierarchy &caches_;
     std::vector<CacheHierarchy *> queue_caches_;
     /// Per-queue park docks (Parking model; null = no parking).
     std::vector<PayloadPark *> queue_parks_;
     std::vector<std::uint32_t> park_splits_;
     std::vector<Queue> queues_;
-    NicStats stats_;
+    std::uint64_t tx_frames_ = 0;
+    std::uint64_t tx_bytes_ = 0;
     /// RSS indirection table + per-bucket arrival counters (empty =
     /// legacy modulo mapping). Touched only at serial points (RSS
     /// routing is conductor-side in the epoch scheduler).
@@ -437,8 +437,7 @@ class NicDevice {
     mutable std::atomic<bool> snap_dirty_{true};
     Tracer *tracer_ = nullptr;
     std::uint16_t trace_span_ = 0;
-    TimeNs pcie_rx_free_ = 0;  ///< next instant the RX PCIe pipe frees
-    TimeNs pcie_tx_free_ = 0;
+    TimeNs pcie_tx_free_ = 0;  ///< next instant the TX PCIe pipe frees
     TimeNs wire_tx_free_ = 0;  ///< next instant the TX wire frees
 };
 

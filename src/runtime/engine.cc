@@ -5,7 +5,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <thread>
 
@@ -74,19 +73,48 @@ arrival_key(TimeNs t)
 }
 
 /**
- * One pre-generated wire arrival, RSS-routed to its queue's deque by
- * the conductor and consumed by the owning core's worker thread. The
- * frame bytes either point into the (immutable) Trace arena or are an
- * owned copy of the workload scratch buffer.
+ * One pre-generated wire arrival, RSS-routed to its core's list by the
+ * conductor and consumed by the owning core's worker thread. The frame
+ * bytes sit in the epoch's frame arena at @p off.
  */
 struct PendingArrival {
     TimeNs start = 0;  ///< generator emission time (event order key)
     TimeNs done = 0;   ///< wire completion (NicDevice::deliver's now)
     std::uint32_t len = 0;
     std::uint32_t nic = 0;  ///< ingress device
-    const std::uint8_t *frame = nullptr;  ///< trace mode: arena bytes
-    std::vector<std::uint8_t> owned;      ///< workload mode: a copy
+    std::size_t off = 0;    ///< frame offset in the epoch's arena
 };
+
+/** One epoch's arrivals for one core, in emission order. */
+struct ArrivalList {
+    std::vector<PendingArrival> list;
+    std::size_t next = 0;  ///< first arrival not yet delivered
+};
+
+/** One cyclic replay of @p trace per NIC, all sharing the frames. */
+std::vector<std::unique_ptr<FrameSource>>
+replay_sources(Trace trace, std::uint32_t nics)
+{
+    auto shared = std::make_shared<const Trace>(std::move(trace));
+    std::vector<std::unique_ptr<FrameSource>> v;
+    for (std::uint32_t n = 0; n < nics; ++n)
+        v.push_back(std::make_unique<TraceReplay>(shared));
+    return v;
+}
+
+/**
+ * One WorkloadSource per NIC; the stream index decorrelates their
+ * frame sequences while keeping the whole setup a pure function of the
+ * spec seed.
+ */
+std::vector<std::unique_ptr<FrameSource>>
+workload_sources(const WorkloadSpec &spec, std::uint32_t nics)
+{
+    std::vector<std::unique_ptr<FrameSource>> v;
+    for (std::uint32_t n = 0; n < nics; ++n)
+        v.push_back(std::make_unique<WorkloadSource>(spec, n));
+    return v;
+}
 
 /** CacheHierarchy::NumaProbe over the allocator's placement map. */
 std::uint32_t
@@ -115,29 +143,23 @@ barrier_relax(unsigned &spins)
 
 Engine::Engine(const MachineConfig &machine, const std::string &config_text,
                const PipelineOpts &opts, Trace trace)
-    : machine_(machine), opts_(opts), trace_(std::move(trace))
+    : Engine(machine, config_text, opts,
+             replay_sources(std::move(trace), machine.num_nics))
 {
-    PMILL_ASSERT(!trace_.empty(), "engine needs a nonempty trace");
-    init(config_text);
 }
 
 Engine::Engine(const MachineConfig &machine, const std::string &config_text,
                const PipelineOpts &opts, const WorkloadSpec &workload)
-    : machine_(machine), opts_(opts)
+    : Engine(machine, config_text, opts,
+             workload_sources(workload, machine.num_nics))
 {
-    // One source per NIC; the stream index decorrelates their frame
-    // sequences while keeping the whole setup a pure function of the
-    // spec seed.
-    for (std::uint32_t n = 0; n < machine.num_nics; ++n)
-        workloads_.push_back(std::make_unique<WorkloadSource>(workload, n));
-    init(config_text);
 }
 
-void
-Engine::init(const std::string &config_text)
+Engine::Engine(const MachineConfig &machine, const std::string &config_text,
+               const PipelineOpts &opts,
+               std::vector<std::unique_ptr<FrameSource>> sources)
+    : machine_(machine), opts_(opts)
 {
-    const MachineConfig &machine = machine_;
-    const PipelineOpts &opts = opts_;
     PMILL_ASSERT(machine.num_cores >= 1 && machine.num_nics >= 1,
                  "need at least one core and one NIC");
     PMILL_ASSERT(machine.num_sockets >= 1 &&
@@ -251,6 +273,8 @@ Engine::init(const std::string &config_text)
             e->warm_caches(*core->caches);
 
     gens_.resize(machine.num_nics);
+    for (std::uint32_t n = 0; n < machine.num_nics; ++n)
+        gens_[n].source = std::move(sources[n]);
 
     register_telemetry();
 }
@@ -470,13 +494,14 @@ Engine::register_telemetry()
         });
     }
 
-    // Workload-generator counters (streaming mode only).
-    if (!workloads_.empty()) {
+    // Workload-generator counters, summed over the NICs' synthesizing
+    // sources (a trace replay keeps none).
+    if (workload() != nullptr) {
         auto sum_wl = [this](auto field) {
             return [this, field] {
                 double v = 0;
-                for (const auto &w : workloads_)
-                    v += static_cast<double>(field(w->stats()));
+                for (std::uint32_t n = 0; n < gens_.size(); ++n)
+                    v += static_cast<double>(field(workload(n)->stats()));
                 return v;
             };
         };
@@ -759,45 +784,6 @@ Engine::tail_attribution(double threshold_us) const
 }
 
 void
-Engine::deliver_next(std::uint32_t nic_idx)
-{
-    Generator &gen = gens_[nic_idx];
-    NicDevice &nic = *nics_[nic_idx];
-
-    const std::uint8_t *frame;
-    std::uint32_t len;
-    double gap_scale = 1.0;
-    if (!workloads_.empty()) {
-        // Streaming mode: synthesize the frame now (the NIC copies it
-        // into its mempool inside deliver(), so the scratch buffer can
-        // be reused immediately).
-        len = workloads_[nic_idx]->next_frame(
-            gen_buf_.data(), static_cast<std::uint32_t>(gen_buf_.size()),
-            &gap_scale);
-        frame = gen_buf_.data();
-    } else {
-        frame = trace_.data(gen.cursor);
-        len = trace_.len(gen.cursor);
-        gen.cursor = (gen.cursor + 1) % trace_.size();
-    }
-
-    const TimeNs done = gen.next_start + nic.wire_time_ns(len);
-    nic.deliver(frame, len, done);
-
-    // Next frame starts after this one's share of the offered rate
-    // (post-step rate once the configured load step has passed).
-    // Workload burst modulation scales the gap (x1.0 — exact in IEEE —
-    // on the trace path and whenever bursts are off).
-    const double offered =
-        (load_step_gbps_ > 0 && gen.next_start >= load_step_at_)
-            ? load_step_gbps_
-            : offered_gbps_;
-    const double wire_bits =
-        static_cast<double>((len + kWireOverheadBytes) * 8);
-    gen.next_start += wire_bits / offered * gap_scale;
-}
-
-void
 Engine::step_core(Core &core)
 {
     ExecContext &ctx = *core.ctx;
@@ -921,36 +907,6 @@ Engine::step_core(Core &core)
     }
 }
 
-bool
-Engine::can_idle_spin() const
-{
-    // Tracing stamps per-step tracer state; a live sampler snapshots
-    // counters at intermediate event times. Both observe individual
-    // spins, so replaying them in bulk is only done when neither can.
-    if (PMILL_TRACE_ON(tracer_.get()))
-        return false;
-    if (sampler_ && measuring_)
-        return false;
-    // Global quiescence is required, not just this core's: a pending
-    // CQE on ANY core means that core may process and post TX inside
-    // the window, and TX in flight means the per-event drain_all_tx
-    // calls being skipped might not be no-ops (a deferred drain would
-    // replenish RX descriptors later than the reference interleaving).
-    // With every queue dry and the wire idle, nothing can happen until
-    // the next generator arrival except empty polls.
-    for (const auto &c : cores_) {
-        for (const auto &bq : c->dps) {
-            if (nics_[bq.nic]->next_cqe_time(bq.queue) < kInf)
-                return false;
-        }
-    }
-    for (const auto &nic : nics_) {
-        if (!nic->tx_idle())
-            return false;
-    }
-    return true;
-}
-
 void
 Engine::idle_spin(Core &core, TimeNs until)
 {
@@ -963,7 +919,7 @@ Engine::idle_spin(Core &core, TimeNs until)
         static_cast<std::uint32_t>(core.dps.size());
     // Each iteration is one empty step_core pass: the dry rx() calls
     // it omits touch no simulated state, and the skip-to-CQE scan is a
-    // no-op by the can_idle_spin precondition.
+    // no-op because the core's queues hold no completion.
     while (core.clock < until) {
         ctx.on_compute(empty_cycles, 10);
         const TimeNs elapsed = ctx.elapsed_ns();
@@ -979,55 +935,6 @@ Engine::idle_spin(Core &core, TimeNs until)
             ctx.account().charge_ns(kAcctIdle, kAcctCompute,
                                     core.poll_backoff_ns,
                                     machine_.freq_ghz);
-        }
-    }
-}
-
-void
-Engine::drain_all_tx(TimeNs now)
-{
-    const bool tron = PMILL_TRACE_ON(tracer_.get());
-    for (std::uint32_t n = 0; n < nics_.size(); ++n) {
-        tx_scratch_.clear();
-        nics_[n]->drain_tx(now, tx_scratch_);
-        if (tx_scratch_.empty())
-            continue;
-        // Per-drain counter flush: integer sums are order-independent,
-        // so accumulating locally and publishing once per burst is
-        // bit-identical to per-completion slot increments — it just
-        // keeps the hot loop out of the telemetry slots.
-        std::uint64_t pkts = 0;
-        std::uint64_t wire_bits = 0;
-        std::uint64_t frame_bits = 0;
-        for (const TxCompletion &c : tx_scratch_) {
-            // Capture before on_tx_complete: the completion releases
-            // the park ticket, and the capture gather must read the
-            // slot while the ticket still owns it.
-            if (measuring_ && tx_capture_)
-                capture_tx(c);
-            queue_dp_[n][c.queue]->on_tx_complete(c);
-            if (PMILL_UNLIKELY(tron) && !inflight_.empty()) {
-                auto it = inflight_.find(arrival_key(c.arrival_ns));
-                if (it != inflight_.end()) {
-                    tracer_->record(TraceEventKind::kTx, c.departure_ns,
-                                    it->second, 0, 0, c.len);
-                    inflight_.erase(it);
-                }
-            }
-            ++pkts;
-            wire_bits += (c.len + kWireOverheadBytes) * 8ull;
-            lat_interval_->record((c.departure_ns - c.arrival_ns) / 1000.0);
-            if (measuring_) {
-                frame_bits += c.len * 8ull;
-                latency_->record((c.departure_ns - c.arrival_ns) / 1000.0);
-            }
-        }
-        m_tx_pkts_.add(pkts);
-        m_tx_wire_bits_.add(wire_bits);
-        if (measuring_) {
-            tx_pkts_ += pkts;
-            tx_wire_bits_ += wire_bits;
-            tx_frame_bits_ += frame_bits;
         }
     }
 }
@@ -1109,6 +1016,9 @@ Engine::run(const RunConfig &rc)
 
     latency_ = std::make_unique<Histogram>(rc.latency_range_us, 262144);
     const TimeNs warm_end = rc.warmup_us * 1000.0;
+    const TimeNs end = warm_end + rc.duration_us * 1000.0;
+    const std::uint32_t ncores =
+        static_cast<std::uint32_t>(cores_.size());
 
     measuring_ = false;
     tx_pkts_ = 0;
@@ -1128,203 +1038,11 @@ Engine::run(const RunConfig &rc)
     if (controller_)
         controller_->on_run_start(*this);
 
-    // host_threads == 0 is the historical serial loop; >= 1 on a
-    // multicore engine selects the epoch scheduler (thread-count-
-    // invariant results). A single core has nothing to parallelize.
-    if (rc.host_threads >= 1 && cores_.size() > 1)
-        return run_epoch(rc);
-    return run_serial(rc);
-}
-
-RunResult
-Engine::run_serial(const RunConfig &rc)
-{
-    const TimeNs warm_end = rc.warmup_us * 1000.0;
-    const TimeNs end = warm_end + rc.duration_us * 1000.0;
-
-    std::vector<ExecCounters> exec_base(cores_.size());
-    std::vector<MemStats> mem_base(cores_.size());
-    std::uint64_t drops_base = 0;
-    acct_base_.assign(cores_.size(), CycleAccount::Snapshot{});
-    acct_clock_base_.assign(cores_.size(), 0.0);
-
-    auto maybe_start_measuring = [&](TimeNs t) {
-        if (measuring_ || t < warm_end)
-            return;
-        begin_measuring(exec_base, mem_base, &drops_base, warm_end);
-    };
-
-    const TimeNs gen_stop = rc.generator_stop_us > 0
-                                ? warm_end + rc.generator_stop_us * 1000.0
-                                : kInf;
-
-    while (true) {
-        TimeNs next_arrival = kInf;
-        std::uint32_t arrival_nic = 0;
-        for (std::uint32_t n = 0; n < gens_.size(); ++n) {
-            if (gens_[n].next_start < next_arrival &&
-                gens_[n].next_start < gen_stop) {
-                next_arrival = gens_[n].next_start;
-                arrival_nic = n;
-            }
-        }
-        TimeNs next_core = kInf;
-        std::uint32_t core_idx = 0;
-        for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-            if (cores_[c]->clock < next_core) {
-                next_core = cores_[c]->clock;
-                core_idx = c;
-            }
-        }
-
-        const TimeNs t = std::min(next_arrival, next_core);
-        if (t >= end)
-            break;
-        maybe_start_measuring(t);
-
-        if (next_arrival <= next_core) {
-            deliver_next(arrival_nic);
-        } else {
-            Core &core = *cores_[core_idx];
-            // Idle stretch: nothing can reach this core before the
-            // next generator arrival (capped at the measuring flip and
-            // run end so those trigger at their usual event times), so
-            // replay its empty polls without re-running the
-            // event-selection scans for each one.
-            TimeNs ff_until = std::min(next_arrival, end);
-            if (!measuring_)
-                ff_until = std::min(ff_until, warm_end);
-            if (ff_until > core.clock && can_idle_spin())
-                idle_spin(core, ff_until);
-            else
-                step_core(core);
-        }
-
-        drain_all_tx(t);
-        flush_steering();
-        if (sampler_ && measuring_) {
-            sampler_->advance(t);
-            if (controller_)
-                controller_->observe(sampler_->timeline(), *this);
-        }
-    }
-    drain_all_tx(end);
-    if (sampler_ && measuring_) {
-        // Emit remaining whole intervals, then flush the trailing
-        // partial interval (marked) so no tail time vanishes.
-        sampler_->finish(end);
-        if (controller_)
-            controller_->observe(sampler_->timeline(), *this);
-    }
-
-    return finish_run(exec_base, mem_base, drops_base, warm_end, end);
-}
-
-RunResult
-Engine::finish_run(const std::vector<ExecCounters> &exec_base,
-                   const std::vector<MemStats> &mem_base,
-                   std::uint64_t drops_base, TimeNs warm_end, TimeNs end)
-{
-    RunResult r;
-    r.duration_ns = end - warm_end;
-    r.tx_pkts = tx_pkts_;
-    r.throughput_gbps = static_cast<double>(tx_wire_bits_) / r.duration_ns;
-    r.goodput_gbps = static_cast<double>(tx_frame_bits_) / r.duration_ns;
-    r.mpps = static_cast<double>(tx_pkts_) / r.duration_ns * 1000.0;
-    r.mean_latency_us = latency_->mean();
-    r.median_latency_us = latency_->percentile(0.5);
-    r.p99_latency_us = latency_->percentile(0.99);
-    last_p99_us_ = r.p99_latency_us;
-
-    std::uint64_t drops = 0;
-    for (auto &nic : nics_) {
-        const NicStats s = nic->stats();
-        drops += s.rx_drops_no_desc + s.rx_drops_pcie;
-    }
-    r.rx_drops = drops - drops_base;
-
-    // Parking-model ticket conservation, checked after every run:
-    // each queue's PayloadPark::stats() hard-asserts that the
-    // lifecycle counters match the free list (leak detection), and
-    // every issued ticket must be accounted as rejoined, dropped, or
-    // still attached to a frame legitimately in flight at the end
-    // edge (RX rings / handoff rings / TX rings).
-    for (const auto &core : cores_) {
-        for (const auto &bq : core->dps) {
-            PayloadPark::Stats st;
-            if (!bq.dp->park_stats(&st))
-                continue;
-            PMILL_ASSERT(st.parked ==
-                             st.rejoined + st.dropped + st.outstanding,
-                         "park ticket conservation violated on nic%u q%u: "
-                         "parked=%llu rejoined=%llu dropped=%llu "
-                         "outstanding=%u",
-                         bq.nic, bq.queue,
-                         static_cast<unsigned long long>(st.parked),
-                         static_cast<unsigned long long>(st.rejoined),
-                         static_cast<unsigned long long>(st.dropped),
-                         st.outstanding);
-        }
-    }
-
-    // Cycle-accounting conservation: the bucket sum must equal the
-    // ledger total bit-exactly (integer construction), and the ledger
-    // total must match the core-clock advance up to floating-point
-    // rounding. Both checked per core, every run.
-    acct_measured_.assign(cores_.size(), AcctCoreBreakdown{});
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-        AcctCoreBreakdown &b = acct_measured_[c];
-        b.delta = cores_[c]->ctx->account().snapshot().delta_since(
-            acct_base_[c]);
-        b.clock_cycles =
-            (cores_[c]->clock - acct_clock_base_[c]) * machine_.freq_ghz;
-        b.residual = b.delta.total - CycleAccount::to_fixed(b.clock_cycles);
-        if (CycleAccount::kCompiledIn) {
-            PMILL_ASSERT(b.delta.sum_minus_total() == 0,
-                         "cycle-accounting leak on core %zu: bucket sum "
-                         "differs from total by %lld fixed-point units",
-                         c,
-                         static_cast<long long>(b.delta.sum_minus_total()));
-            const double res_cycles = CycleAccount::cycles(b.residual);
-            PMILL_ASSERT(
-                std::fabs(res_cycles) <= 1.0 + 1e-5 * b.clock_cycles,
-                "cycle-accounting residual %g cycles on core %zu "
-                "(window %g cycles): a clock advance bypassed the ledger",
-                res_cycles, c, b.clock_cycles);
-        }
-    }
-
-    double instr = 0, cycles = 0;
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-        ExecCounters d =
-            counters_delta(cores_[c]->ctx->counters(), exec_base[c]);
-        exec_add(r.exec, d);
-        MemStats md = cores_[c]->caches->stats() - mem_base[c];
-        mem_stats_add(r.mem, md);
-        instr += d.instructions;
-        cycles += d.total_cycles(machine_.freq_ghz);
-    }
-    r.ipc = cycles > 0 ? instr / cycles : 0;
-    const double windows_100ms = r.duration_ns / 1e8;
-    r.llc_kloads_per_100ms =
-        static_cast<double>(r.mem.llc_loads()) / windows_100ms / 1000.0;
-    r.llc_kmisses_per_100ms =
-        static_cast<double>(r.mem.llc_load_misses) / windows_100ms / 1000.0;
-    return r;
-}
-
-RunResult
-Engine::run_epoch(const RunConfig &rc)
-{
-    // The epoch scheduler targets the queue-per-core grid: on every
-    // NIC queue q is bound to core q, so each queue's rings/shards/
-    // cache hierarchy are private to exactly one core.
-    const TimeNs warm_end = rc.warmup_us * 1000.0;
-    const TimeNs end = warm_end + rc.duration_us * 1000.0;
-    const std::uint32_t ncores =
-        static_cast<std::uint32_t>(cores_.size());
-
-    std::uint32_t nthreads = rc.host_threads;
+    // Epoch schedule (DESIGN.md section 9). On every NIC queue q is
+    // bound to core q, so each queue's rings, RX pipe and cache
+    // hierarchy are private to exactly one core. 0 and 1 host threads
+    // both run every core on the calling thread.
+    std::uint32_t nthreads = std::max<std::uint32_t>(rc.host_threads, 1);
     if (PMILL_TRACE_ON(tracer_.get()) && nthreads > 1) {
         warn("tracing serializes host execution: running %u simulated "
              "cores on 1 host thread (asked for %u)",
@@ -1378,17 +1096,31 @@ Engine::run_epoch(const RunConfig &rc)
         std::uint32_t nic = 0;
         TxCompletion c;
     };
-    std::vector<std::deque<PendingArrival>> arrivals(cores_.size());
+    std::vector<ArrivalList> arrivals(cores_.size());
     std::vector<std::vector<PendingFx>> pending_tx(cores_.size());
+    std::vector<TxCompletion> drained;
+
+    // The epoch's frame bytes: pregen writes every frame here, the
+    // cores read them back when they deliver. Every core delivers all
+    // of its arrivals before its epoch ends, so the arena is reused
+    // from offset 0 each epoch and grows only to the largest epoch.
+    std::vector<std::uint8_t> arena;
+    std::size_t arena_used = 0;
 
     // Pre-generate every arrival in [gen.next_start, hi), merging the
     // per-NIC generators by emission time (ties resolve to the lower
-    // NIC index, exactly as the serial loop's event selection does).
-    // Exact: the generators' pacing (next_start advance, load-step
-    // switch, burst gap scale) never depends on delivery outcomes, so
-    // synthesizing ahead of the cores is the same frame/time sequence
-    // the serial loop would produce one event at a time.
+    // NIC index). Exact: the generators' pacing (next_start advance,
+    // load-step switch, burst gap scale) never depends on delivery
+    // outcomes, so synthesizing ahead of the cores yields the same
+    // frame/time sequence as generating one arrival at a time.
     auto pregen = [&](TimeNs hi) {
+        arena_used = 0;
+        for (ArrivalList &al : arrivals) {
+            PMILL_ASSERT(al.next == al.list.size(),
+                         "arrival left undelivered across an epoch edge");
+            al.list.clear();
+            al.next = 0;
+        }
         for (;;) {
             std::uint32_t gi = 0;
             TimeNs best = kInf;
@@ -1403,29 +1135,22 @@ Engine::run_epoch(const RunConfig &rc)
                 break;
             Generator &gen = gens_[gi];
             NicDevice &nic = *nics_[gi];
+            if (arena.size() < arena_used + kMaxFrameLen)
+                arena.resize(
+                    std::max(2 * arena.size(), arena_used + kMaxFrameLen));
+            std::uint8_t *frame = arena.data() + arena_used;
+            double gap_scale = 1.0;
+            const std::uint32_t len =
+                gen.source->next_frame(frame, kMaxFrameLen, &gap_scale);
+            ++gen.frames;
             PendingArrival pa;
             pa.start = gen.next_start;
-            pa.nic = gi;
-            const std::uint8_t *frame;
-            std::uint32_t len;
-            double gap_scale = 1.0;
-            if (!workloads_.empty()) {
-                len = workloads_[gi]->next_frame(
-                    gen_buf_.data(),
-                    static_cast<std::uint32_t>(gen_buf_.size()),
-                    &gap_scale);
-                frame = gen_buf_.data();
-            } else {
-                frame = trace_.data(gen.cursor);
-                len = trace_.len(gen.cursor);
-                gen.cursor = (gen.cursor + 1) % trace_.size();
-                pa.frame = frame;
-            }
-            pa.len = len;
             pa.done = gen.next_start + nic.wire_time_ns(len);
-            const std::uint32_t qi = nic.rss_queue(frame, len);
-            if (!workloads_.empty())
-                pa.owned.assign(frame, frame + len);
+            pa.len = len;
+            pa.nic = gi;
+            pa.off = arena_used;
+            arena_used += len;
+            arrivals[nic.rss_queue(frame, len)].list.push_back(pa);
             const double offered =
                 (load_step_gbps_ > 0 && gen.next_start >= load_step_at_)
                     ? load_step_gbps_
@@ -1433,7 +1158,6 @@ Engine::run_epoch(const RunConfig &rc)
             const double wire_bits =
                 static_cast<double>((len + kWireOverheadBytes) * 8);
             gen.next_start += wire_bits / offered * gap_scale;
-            arrivals[qi].push_back(std::move(pa));
         }
     };
 
@@ -1452,9 +1176,7 @@ Engine::run_epoch(const RunConfig &rc)
             qc.access(c.desc_addr, NicDevice::kDescBytes,
                       AccessType::kDevRead);
             // Parking: the buffer holds only the header prefix; the
-            // payload is gathered from the park arena (same split as
-            // NicDevice::drain_tx's immediate-DMA path, so every
-            // thread count sees the identical access sequence).
+            // payload is gathered from the park arena.
             qc.access(c.buf_addr, c.len - c.park_len, AccessType::kDevRead);
             if (c.park_len != 0)
                 qc.access(c.park_addr, c.park_len, AccessType::kParkRead);
@@ -1464,32 +1186,29 @@ Engine::run_epoch(const RunConfig &rc)
     };
 
     // Advance core @p ci to (at least) @p t1. Touches only the core's
-    // own state, its queue's NIC shards, and its arrival deque — safe
+    // own state, its queues on every NIC, and its arrival list — safe
     // to run concurrently with other cores' segments.
     auto run_core_epoch = [&](std::uint32_t ci, TimeNs t1) {
         Core &core = *cores_[ci];
         apply_tx_effects(ci);
-        std::deque<PendingArrival> &aq = arrivals[ci];
+        ArrivalList &al = arrivals[ci];
         const bool tron = PMILL_TRACE_ON(tracer_.get());
         for (;;) {
             // Deliver every arrival the core has reached. Arrival
-            // wins ties with the poll at the same instant, matching
-            // the serial loop's `next_arrival <= next_core` order.
-            while (!aq.empty() && aq.front().start <= core.clock) {
-                const PendingArrival &pa = aq.front();
-                nics_[pa.nic]->deliver_sharded(
-                    ci, pa.frame ? pa.frame : pa.owned.data(), pa.len,
-                    pa.done);
-                aq.pop_front();
+            // wins ties with the poll at the same instant.
+            while (al.next < al.list.size() &&
+                   al.list[al.next].start <= core.clock) {
+                const PendingArrival &pa = al.list[al.next++];
+                nics_[pa.nic]->deliver(ci, arena.data() + pa.off, pa.len,
+                                       pa.done);
             }
             if (core.clock >= t1)
                 break;
             TimeNs until = t1;
-            if (!aq.empty())
-                until = std::min(until, aq.front().start);
+            if (al.next < al.list.size())
+                until = std::min(until, al.list[al.next].start);
             // Idle fast-forward (bit-identical spin replay) whenever
-            // this core's queues are dry; unlike the serial loop no
-            // global quiescence is needed — drains and sampling only
+            // this core's queues are dry: drains and sampling only
             // happen at edges, and other cores cannot reach this one
             // mid-epoch.
             bool can_ff = !tron;
@@ -1559,22 +1278,24 @@ Engine::run_epoch(const RunConfig &rc)
             barrier_relax(spins);
     };
 
-    // Conductor-side edge work: drain the wire up to @p now with
-    // deferred DMA, routing each completion's core-side effects to its
-    // owner and folding the telemetry exactly as the serial drain
-    // does. NIC index order, completion order within the drain.
+    // Conductor-side edge work: drain the wire up to @p now, routing
+    // each completion's core-side effects (device reads, buffer
+    // return) to its owner and folding the telemetry. NIC index
+    // order, completion order within the drain. Telemetry counters
+    // are summed locally and published once per drain: integer sums
+    // are order-independent, so this equals per-completion increments.
     auto drain_edge = [&](TimeNs now) {
         const bool tron = PMILL_TRACE_ON(tracer_.get());
         for (std::uint32_t n = 0;
              n < static_cast<std::uint32_t>(nics_.size()); ++n) {
-            tx_scratch_.clear();
-            nics_[n]->drain_tx(now, tx_scratch_, /*defer_dma=*/true);
-            if (tx_scratch_.empty())
+            drained.clear();
+            nics_[n]->drain_tx(now, drained);
+            if (drained.empty())
                 continue;
             std::uint64_t pkts = 0;
             std::uint64_t wire_bits = 0;
             std::uint64_t frame_bits = 0;
-            for (const TxCompletion &c : tx_scratch_) {
+            for (const TxCompletion &c : drained) {
                 pending_tx[c.queue].push_back(PendingFx{n, c});
                 if (PMILL_UNLIKELY(tron) && !inflight_.empty()) {
                     auto it = inflight_.find(arrival_key(c.arrival_ns));
@@ -1654,6 +1375,110 @@ Engine::run_epoch(const RunConfig &rc)
     }
 
     return finish_run(exec_base, mem_base, drops_base, warm_end, end);
+}
+
+RunResult
+Engine::finish_run(const std::vector<ExecCounters> &exec_base,
+                   const std::vector<MemStats> &mem_base,
+                   std::uint64_t drops_base, TimeNs warm_end, TimeNs end)
+{
+    RunResult r;
+    r.duration_ns = end - warm_end;
+    r.tx_pkts = tx_pkts_;
+    r.throughput_gbps = static_cast<double>(tx_wire_bits_) / r.duration_ns;
+    r.goodput_gbps = static_cast<double>(tx_frame_bits_) / r.duration_ns;
+    r.mpps = static_cast<double>(tx_pkts_) / r.duration_ns * 1000.0;
+    r.mean_latency_us = latency_->mean();
+    r.median_latency_us = latency_->percentile(0.5);
+    r.p99_latency_us = latency_->percentile(0.99);
+    last_p99_us_ = r.p99_latency_us;
+
+    // Frame ledger, per NIC: every frame its generator emitted was
+    // delivered to a queue within its epoch and either accepted or
+    // refused there (no descriptor / CQ full).
+    std::uint64_t drops = 0;
+    for (std::uint32_t n = 0; n < nics_.size(); ++n) {
+        const NicStats s = nics_[n]->stats();
+        drops += s.rx_drops_no_desc + s.rx_drops_pcie;
+        PMILL_ASSERT(gens_[n].frames ==
+                         s.rx_frames + s.rx_drops_no_desc + s.rx_drops_pcie,
+                     "frame ledger violated on nic%u: generated=%llu "
+                     "rx_frames=%llu drops_no_desc=%llu drops_pcie=%llu",
+                     n, static_cast<unsigned long long>(gens_[n].frames),
+                     static_cast<unsigned long long>(s.rx_frames),
+                     static_cast<unsigned long long>(s.rx_drops_no_desc),
+                     static_cast<unsigned long long>(s.rx_drops_pcie));
+    }
+    r.rx_drops = drops - drops_base;
+
+    // Parking-model ticket conservation, checked after every run:
+    // each queue's PayloadPark::stats() hard-asserts that the
+    // lifecycle counters match the free list (leak detection), and
+    // every ticket handed out must be accounted as rejoined, dropped,
+    // or still attached to a frame legitimately in flight at the end
+    // edge (RX rings / handoff rings / TX rings).
+    for (const auto &core : cores_) {
+        for (const auto &bq : core->dps) {
+            PayloadPark::Stats st;
+            if (!bq.dp->park_stats(&st))
+                continue;
+            PMILL_ASSERT(st.parked ==
+                             st.rejoined + st.dropped + st.outstanding,
+                         "park ticket conservation violated on nic%u q%u: "
+                         "parked=%llu rejoined=%llu dropped=%llu "
+                         "outstanding=%u",
+                         bq.nic, bq.queue,
+                         static_cast<unsigned long long>(st.parked),
+                         static_cast<unsigned long long>(st.rejoined),
+                         static_cast<unsigned long long>(st.dropped),
+                         st.outstanding);
+        }
+    }
+
+    // Cycle-accounting conservation: the bucket sum must equal the
+    // ledger total bit-exactly (integer construction), and the ledger
+    // total must match the core-clock advance up to floating-point
+    // rounding. Both checked per core, every run.
+    acct_measured_.assign(cores_.size(), AcctCoreBreakdown{});
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        AcctCoreBreakdown &b = acct_measured_[c];
+        b.delta = cores_[c]->ctx->account().snapshot().delta_since(
+            acct_base_[c]);
+        b.clock_cycles =
+            (cores_[c]->clock - acct_clock_base_[c]) * machine_.freq_ghz;
+        b.residual = b.delta.total - CycleAccount::to_fixed(b.clock_cycles);
+        if (CycleAccount::kCompiledIn) {
+            PMILL_ASSERT(b.delta.sum_minus_total() == 0,
+                         "cycle-accounting leak on core %zu: bucket sum "
+                         "differs from total by %lld fixed-point units",
+                         c,
+                         static_cast<long long>(b.delta.sum_minus_total()));
+            const double res_cycles = CycleAccount::cycles(b.residual);
+            PMILL_ASSERT(
+                std::fabs(res_cycles) <= 1.0 + 1e-5 * b.clock_cycles,
+                "cycle-accounting residual %g cycles on core %zu "
+                "(window %g cycles): a clock advance bypassed the ledger",
+                res_cycles, c, b.clock_cycles);
+        }
+    }
+
+    double instr = 0, cycles = 0;
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        ExecCounters d =
+            counters_delta(cores_[c]->ctx->counters(), exec_base[c]);
+        exec_add(r.exec, d);
+        MemStats md = cores_[c]->caches->stats() - mem_base[c];
+        mem_stats_add(r.mem, md);
+        instr += d.instructions;
+        cycles += d.total_cycles(machine_.freq_ghz);
+    }
+    r.ipc = cycles > 0 ? instr / cycles : 0;
+    const double windows_100ms = r.duration_ns / 1e8;
+    r.llc_kloads_per_100ms =
+        static_cast<double>(r.mem.llc_loads()) / windows_100ms / 1000.0;
+    r.llc_kmisses_per_100ms =
+        static_cast<double>(r.mem.llc_load_misses) / windows_100ms / 1000.0;
+    return r;
 }
 
 std::vector<std::string>

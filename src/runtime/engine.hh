@@ -91,21 +91,17 @@ struct RunConfig {
     /// @}
     /// @name Parallel host execution.
     /// @{
-    /// Host threads advancing simulated cores. 0 (the default) keeps
-    /// the historical serial event loop and its exact interleaving —
-    /// every legacy golden/pinned result is produced by that path.
-    /// Any value >= 1 on a multicore engine selects the epoch
-    /// scheduler instead, whose results are bit-identical for EVERY
-    /// thread count (1 included) but are a different — equally
-    /// deterministic — schedule than the serial loop (cross-core
-    /// interaction resolves at epoch edges; DESIGN.md section 9).
-    /// Must not exceed the simulated core count; single-core engines
-    /// always run the serial loop.
+    /// Host threads advancing simulated cores on the epoch schedule
+    /// (DESIGN.md section 9). Results are bit-identical for every
+    /// value; 0 (the default) and 1 are the same thing — every core
+    /// runs on the calling thread. Must not exceed the simulated core
+    /// count.
     std::uint32_t host_threads = 0;
-    /// Epoch length (simulated us) for the epoch scheduler. Results
-    /// do not depend on the host thread count for any epoch length;
-    /// the length trades conductor overhead against how promptly TX
-    /// drains/telemetry observe the cores.
+    /// Epoch length (simulated us). Results do not depend on the host
+    /// thread count for any epoch length, and wire departures do not
+    /// depend on it at all (the NIC drains TX in post order); the
+    /// length trades conductor overhead against how promptly TX
+    /// completions return buffers to the cores.
     double epoch_us = 1.0;
     /// @}
 };
@@ -140,16 +136,16 @@ class Engine : public Actuator {
     /**
      * @param config_text Click configuration of the NF.
      * @param opts Optimization/model selection.
-     * @param trace Traffic replayed cyclically into every NIC.
+     * @param trace Traffic replayed cyclically into every NIC (one
+     *        TraceReplay per NIC).
      */
     Engine(const MachineConfig &machine, const std::string &config_text,
            const PipelineOpts &opts, Trace trace);
 
     /**
-     * Streaming-workload variant: instead of replaying a precomputed
-     * Trace, every NIC owns a WorkloadSource (stream = NIC index)
-     * synthesizing frames lazily — million-flow universes with only
-     * per-flow slot state, no frame arena.
+     * Streaming-workload variant: every NIC owns a WorkloadSource
+     * (stream = NIC index) synthesizing frames lazily — million-flow
+     * universes with only per-flow slot state.
      */
     Engine(const MachineConfig &machine, const std::string &config_text,
            const PipelineOpts &opts, const WorkloadSpec &workload);
@@ -280,7 +276,9 @@ class Engine : public Actuator {
     WorkloadSource *
     workload(std::uint32_t nic = 0)
     {
-        return nic < workloads_.size() ? workloads_[nic].get() : nullptr;
+        return nic < gens_.size()
+                   ? dynamic_cast<WorkloadSource *>(gens_[nic].source.get())
+                   : nullptr;
     }
 
     /**
@@ -399,44 +397,36 @@ class Engine : public Actuator {
         std::vector<FlowSteer *> steer_elems;
     };
 
+    /// One traffic generator per NIC: its frame source, the emission
+    /// time of its next frame, and the frames emitted so far (the
+    /// generated side of the per-NIC frame ledger).
     struct Generator {
-        std::size_t cursor = 0;
+        std::unique_ptr<FrameSource> source;
         TimeNs next_start = 0;
+        std::uint64_t frames = 0;
     };
+
+    /** The constructor body: one frame source per NIC. */
+    Engine(const MachineConfig &machine, const std::string &config_text,
+           const PipelineOpts &opts,
+           std::vector<std::unique_ptr<FrameSource>> sources);
 
     /** Advance @p core by one poll iteration; returns its new clock. */
     void step_core(Core &core);
-
-    /**
-     * True when the system is quiescent (every queue on every core dry
-     * with no pending CQE, no TX in flight, tracing off, sampler not
-     * live), so nothing can happen before the next generator arrival
-     * except empty polls, and the main loop may replay a core's spins
-     * in idle_spin() without changing any simulated state.
-     */
-    bool can_idle_spin() const;
 
     /**
      * Replay @p core 's empty polls until its clock reaches @p until.
      * Performs exactly the per-poll state updates of step_core on a
      * dry queue — the same on_compute accumulation in the same order,
      * the same clock arithmetic, the same round-robin advance — so the
-     * core's counters and clock are bit-identical to having spun
-     * through the main loop; it just skips the event-selection scans
-     * and no-op drains around each spin.
+     * core's counters and clock are bit-identical to having stepped
+     * through each spin. Valid only while the core's queues hold no
+     * completion and no arrival reaches it before @p until.
      */
     void idle_spin(Core &core, TimeNs until);
 
-    /** Shared constructor body (topology + telemetry). */
-    void init(const std::string &config_text);
-
     /** Register the engine-level aggregate metrics (ctor helper). */
     void register_telemetry();
-
-    /** Deliver the next frame of @p gen into @p nic_idx. */
-    void deliver_next(std::uint32_t nic_idx);
-
-    void drain_all_tx(TimeNs now);
 
     /**
      * Merge every staged handoff frame into its home core's NIC queue
@@ -446,18 +436,8 @@ class Engine : public Actuator {
      */
     void flush_steering();
 
-    /// @name run() backends (dispatch on RunConfig::host_threads).
+    /// @name run() helpers.
     /// @{
-    /** The historical serial event loop (bit-exact legacy results). */
-    RunResult run_serial(const RunConfig &rc);
-
-    /**
-     * Epoch scheduler: cores advance in parallel inside bounded time
-     * epochs; all cross-core/shared-structure work happens serially at
-     * epoch edges in config core order (DESIGN.md section 9).
-     */
-    RunResult run_epoch(const RunConfig &rc);
-
     /**
      * Flip into the measured window: snapshot per-core baselines (in
      * config core order), reset window counters/element stats, start
@@ -467,7 +447,7 @@ class Engine : public Actuator {
                          std::vector<MemStats> &mem_base,
                          std::uint64_t *drops_base, TimeNs warm_end);
 
-    /** Assemble the RunResult + conservation asserts (shared tail). */
+    /** Assemble the RunResult + conservation asserts. */
     RunResult finish_run(const std::vector<ExecCounters> &exec_base,
                          const std::vector<MemStats> &mem_base,
                          std::uint64_t drops_base, TimeNs warm_end,
@@ -476,12 +456,6 @@ class Engine : public Actuator {
 
     MachineConfig machine_;
     PipelineOpts opts_;
-    Trace trace_;  ///< empty when workloads_ drive the generators
-    /// Streaming frame sources, one per NIC (empty in trace mode).
-    std::vector<std::unique_ptr<WorkloadSource>> workloads_;
-    /// Scratch buffer a workload frame is synthesized into before the
-    /// NIC copies it into its simulated mempool.
-    std::array<std::uint8_t, kMaxFrameLen> gen_buf_{};
     double offered_gbps_ = 100.0;
     /// @name Load step (set per run; gated on load_step_gbps_ > 0).
     /// @{
@@ -511,7 +485,6 @@ class Engine : public Actuator {
     std::uint64_t tx_pkts_ = 0;
     std::uint64_t tx_wire_bits_ = 0;
     std::uint64_t tx_frame_bits_ = 0;
-    std::vector<TxCompletion> tx_scratch_;
 
     /// @name Telemetry.
     /// @{

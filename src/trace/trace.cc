@@ -19,6 +19,25 @@ Trace::add(const std::uint8_t *data, std::uint32_t len)
     total_bytes_ += len;
 }
 
+TraceReplay::TraceReplay(std::shared_ptr<const Trace> trace)
+    : trace_(std::move(trace))
+{
+    PMILL_ASSERT(!trace_->empty(), "replay needs a nonempty trace");
+}
+
+std::uint32_t
+TraceReplay::next_frame(std::uint8_t *buf, std::uint32_t cap,
+                        double *gap_scale)
+{
+    const std::uint32_t len = trace_->len(cursor_);
+    PMILL_ASSERT(len <= cap, "frame of %u bytes exceeds the %u-byte buffer",
+                 len, cap);
+    std::memcpy(buf, trace_->data(cursor_), len);
+    cursor_ = (cursor_ + 1) % trace_->size();
+    *gap_scale = 1.0;
+    return len;
+}
+
 namespace {
 constexpr std::uint32_t kTraceMagic = 0x504D5452;  // "PMTR"
 }

@@ -13,6 +13,7 @@
 #define PMILL_TRACE_TRACE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,45 @@ class Trace {
     std::vector<std::uint8_t> bytes_;
     std::vector<Index> index_;
     std::uint64_t total_bytes_ = 0;
+};
+
+/**
+ * A stream of wire frames feeding one NIC. The engine pulls frames in
+ * emission order and paces them at the offered rate.
+ */
+class FrameSource {
+  public:
+    FrameSource() = default;
+    virtual ~FrameSource() = default;
+
+    /**
+     * Write the next frame into @p buf (capacity @p cap, must hold
+     * kMaxFrameLen) and return its length. @p gap_scale receives the
+     * factor applied to the inter-arrival gap that precedes the
+     * *next* frame (1.0 = the offered rate's own gap).
+     */
+    virtual std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
+                                     double *gap_scale) = 0;
+
+  protected:
+    FrameSource(const FrameSource &) = default;
+    FrameSource(FrameSource &&) = default;
+    FrameSource &operator=(const FrameSource &) = default;
+    FrameSource &operator=(FrameSource &&) = default;
+};
+
+/** Cyclic replay of a Trace, like the paper replays its trace. */
+class TraceReplay : public FrameSource {
+  public:
+    /** @p trace may be shared by several replays (one per NIC). */
+    explicit TraceReplay(std::shared_ptr<const Trace> trace);
+
+    std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
+                             double *gap_scale) override;
+
+  private:
+    std::shared_ptr<const Trace> trace_;
+    std::size_t cursor_ = 0;
 };
 
 /** Parameters for the synthetic campus-trace generator. */

@@ -32,6 +32,7 @@
 
 #include "src/common/random.hh"
 #include "src/net/headers.hh"
+#include "src/trace/trace.hh"
 #include "src/workload/samplers.hh"
 
 namespace pmill {
@@ -92,11 +93,11 @@ struct WorkloadStats {
 };
 
 /**
- * Streaming frame generator the engine polls in place of a Trace.
- * One instance per NIC; @p stream decorrelates multiple instances
- * sharing a spec.
+ * Streaming frame generator: the FrameSource that synthesizes traffic
+ * from a WorkloadSpec. One instance per NIC; @p stream decorrelates
+ * multiple instances sharing a spec.
  */
-class WorkloadSource {
+class WorkloadSource : public FrameSource {
   public:
     WorkloadSource(const WorkloadSpec &spec, std::uint32_t stream = 0);
 
@@ -107,7 +108,7 @@ class WorkloadSource {
      * precedes the *next* frame (1.0 when bursts are off).
      */
     std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
-                             double *gap_scale);
+                             double *gap_scale) override;
 
     const WorkloadStats &stats() const { return stats_; }
     const WorkloadSpec &spec() const { return spec_; }

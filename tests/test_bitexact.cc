@@ -75,44 +75,34 @@ expect_bitexact(const RunResult &r, const Expected &e)
 TEST(BitExact, VanillaRouterSingleCore)
 {
     expect_bitexact(run_fixed(PipelineOpts::vanilla(), 1),
-                    {13328, 12093, 12093, 321507, 280223, 22173,
-                     311.22106793283046, 349.9407958984375,
-                     313.51653954234865, 28.575232, 1.786854890580202});
+                    {13312, 12064, 12064, 320736, 279553, 21585,
+                     311.94132024591619, 351.31652832031244,
+                     314.42253931410278, 28.540928000000001,
+                     1.7825943553094776});
 }
 
 TEST(BitExact, PacketMillRouterSingleCore)
 {
     expect_bitexact(run_fixed(PipelineOpts::packetmill(), 1),
-                    {26107, 0, 0, 448250, 365121, 14466,
-                     158.86445757282681, 159.20198367192197,
-                     156.30595738317936, 55.973407999999999,
-                     2.512788648007898});
+                    {26106, 0, 0, 448250, 365120, 14466,
+                     158.85726804655741, 159.19633653428818,
+                     156.30084762592102, 55.971263999999998,
+                     2.5129303399807994});
 }
 
-TEST(BitExact, VanillaRouterRss4Cores)
-{
-    expect_bitexact(run_fixed(PipelineOpts::vanilla(), 4),
-                    {32653, 32655, 32651, 949302, 685669, 22472,
-                     0.31015608045789933, 0.96324477084847426,
-                     0.38563775410646584, 70.008032,
-                     1.3672230385050892});
-}
-
-// The epoch scheduler (host_threads >= 1 on multicore) is its OWN
-// deterministic schedule — cross-core interaction resolves at epoch
-// edges, so the constants legitimately differ from the serial-loop
-// run above — and it must reproduce these values for every thread
-// count (test_parallel.cc pins 1 == N; this pins the values
-// themselves so a schedule change cannot hide behind thread
-// invariance).
+// The 4-core router on the epoch schedule, the only schedule: the
+// values must not depend on the host thread count (0 and 1 both run
+// every core on the calling thread; test_parallel.cc pins 1 == N on
+// more configurations), and pinning them here keeps a schedule change
+// from hiding behind thread invariance.
 TEST(BitExact, EpochSchedulerRouterRss4Cores)
 {
-    const Expected e = {30838, 32652, 32651, 947168, 684726, 33094,
-                        6.5101174747242645, 270.53794352213538,
-                        60.612556235515356, 66.116671999999994,
-                        1.356855347096833};
-    expect_bitexact(run_fixed(PipelineOpts::vanilla(), 4, 1), e);
-    expect_bitexact(run_fixed(PipelineOpts::vanilla(), 4, 4), e);
+    const Expected e = {32652, 32652, 32651, 949380, 685669, 22440,
+                        0.3189573526925541, 0.94129060444078938,
+                        0.38324597212215888, 70.005887999999999,
+                        1.3660624282800928};
+    for (std::uint32_t threads : {0u, 1u, 4u})
+        expect_bitexact(run_fixed(PipelineOpts::vanilla(), 4, threads), e);
 }
 
 } // namespace

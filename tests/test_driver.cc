@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <set>
+#include <utility>
 
 #include "src/driver/mempool.hh"
 #include "src/driver/pmd.hh"
@@ -112,7 +113,7 @@ TEST_F(DriverFixture, RxBurstConvertsCqeToMbuf)
 {
     pmd.setup_rx(nullptr);
     auto f = frame(256);
-    ASSERT_TRUE(nic.deliver(f.data(), 256, 10.0));
+    ASSERT_TRUE(nic.deliver(0, f.data(), 256, 10.0));
 
     MbufRef out[32];
     const std::uint32_t n = pmd.rx_burst(1e6, out, 32, nullptr);
@@ -130,7 +131,7 @@ TEST_F(DriverFixture, RxBurstRespectsCompletionTime)
 {
     pmd.setup_rx(nullptr);
     auto f = frame();
-    ASSERT_TRUE(nic.deliver(f.data(), 128, 1000.0));
+    ASSERT_TRUE(nic.deliver(0, f.data(), 128, 1000.0));
     MbufRef out[32];
     // Poll before the DMA completes: nothing.
     EXPECT_EQ(pmd.rx_burst(1.0, out, 32, nullptr), 0u);
@@ -142,7 +143,7 @@ TEST_F(DriverFixture, RingReplenishedAfterRx)
     pmd.setup_rx(nullptr);
     const std::size_t before = nic.rx_free_descs(0);
     auto f = frame();
-    nic.deliver(f.data(), 128, 1.0);
+    nic.deliver(0, f.data(), 128, 1.0);
     MbufRef out[32];
     pmd.rx_burst(1e9, out, 32, nullptr);
     EXPECT_EQ(nic.rx_free_descs(0), before)
@@ -154,7 +155,7 @@ TEST_F(DriverFixture, TxRoundTripFreesBuffers)
     pmd.setup_rx(nullptr);
     const std::size_t free_before = pool.free_count();
     auto f = frame(200);
-    nic.deliver(f.data(), 200, 1.0);
+    nic.deliver(0, f.data(), 200, 1.0);
     MbufRef out[32];
     ASSERT_EQ(pmd.rx_burst(1e9, out, 32, nullptr), 1u);
     ASSERT_EQ(pmd.tx_burst(out, 1, 2000.0, nullptr), 1u);
@@ -175,7 +176,7 @@ TEST_F(DriverFixture, DropWhenNoDescriptors)
 {
     // No setup_rx: the RX ring is empty.
     auto f = frame();
-    EXPECT_FALSE(nic.deliver(f.data(), 128, 1.0));
+    EXPECT_FALSE(nic.deliver(0, f.data(), 128, 1.0));
     EXPECT_EQ(nic.stats().rx_drops_no_desc, 1u);
 }
 
@@ -287,7 +288,7 @@ TEST(PmdXchg, ExchangesBuffersWithoutAPool)
     FrameSpec spec;
     spec.frame_len = 300;
     auto f = build_frame(spec);
-    ASSERT_TRUE(nic.deliver(f.data(), 300, 5.0));
+    ASSERT_TRUE(nic.deliver(0, f.data(), 300, 5.0));
 
     void *pkts[32];
     ASSERT_EQ(pmd.rx_burst(1e9, pkts, 32, nullptr), 1u);
@@ -331,6 +332,56 @@ TEST(NicDevice, TxSerializationOrdersDepartures)
     const double wire = nic.wire_time_ns(1000);
     EXPECT_NEAR(done[1].departure_ns - done[0].departure_ns, wire, 1.0);
     EXPECT_NEAR(done[2].departure_ns - done[1].departure_ns, wire, 1.0);
+}
+
+// Queue heads take the wire in post order (earliest post_ns first,
+// ties to the lower queue), so one late drain and a drain every 10 ns
+// emit the same (queue, departure) sequence. Round-robin over queue
+// heads would let the late drain send q0's 900-ns frame first.
+TEST(NicDevice, TxDrainIsPostOrderedWhateverTheCadence)
+{
+    struct Post {
+        std::uint32_t queue;
+        double post_ns;
+    };
+    const Post posts[] = {{3, 200.0},  {2, 200.0}, {1, 350.0}, {3, 600.0},
+                          {0, 900.0},  {1, 950.0}, {2, 1400.0},
+                          {0, 1500.0}};
+    using Seq = std::vector<std::pair<std::uint32_t, double>>;
+    auto drain = [&](bool every_10ns) {
+        SimMemory mem;
+        CacheHierarchy caches;
+        NicConfig nc;
+        nc.num_queues = 4;
+        NicDevice nic(nc, caches, mem);
+        MemHandle buf = mem.alloc(4096, 64, Region::kPacketData);
+        for (const Post &p : posts) {
+            TxDescriptor d;
+            d.buf_addr = buf.addr;
+            d.buf_host = buf.host;
+            d.len = 1000;
+            d.post_ns = p.post_ns;
+            EXPECT_TRUE(nic.post_tx(p.queue, d));
+        }
+        std::vector<TxCompletion> done;
+        if (every_10ns) {
+            for (double now = 0; now <= 5000.0; now += 10.0)
+                nic.drain_tx(now, done);
+        } else {
+            nic.drain_tx(5000.0, done);
+        }
+        Seq seq;
+        for (const TxCompletion &c : done)
+            seq.emplace_back(c.queue, c.departure_ns);
+        return seq;
+    };
+    const Seq late = drain(false);
+    const Seq cadenced = drain(true);
+    ASSERT_EQ(late.size(), 8u);
+    EXPECT_EQ(late, cadenced);
+    const std::uint32_t order[] = {2, 3, 1, 3, 0, 1, 2, 0};
+    for (std::size_t i = 0; i < late.size(); ++i)
+        EXPECT_EQ(late[i].first, order[i]) << "departure " << i;
 }
 
 TEST(NicDevice, RssSpreadsFlowsAcrossQueues)
@@ -460,7 +511,8 @@ TEST(NicDevice, StatsSnapshotMatchesFreshSum)
         FrameSpec spec;
         spec.flow.src_port = static_cast<std::uint16_t>(5000 + i);
         const auto f = build_frame(spec);
-        nic.deliver(f.data(), static_cast<std::uint32_t>(f.size()),
+        const auto len = static_cast<std::uint32_t>(f.size());
+        nic.deliver(nic.rss_queue(f.data(), len), f.data(), len,
                     1000.0 * i);
     }
 

@@ -203,5 +203,64 @@ TEST(EngineRun, LoadStepRaisesOfferedRate)
     EXPECT_NEAR(post, 60.0, 6.0);
 }
 
+// Frame ledger under overload. 64-B frames at 100 G leave most
+// arrivals without an RX descriptor, and every generated frame must
+// still land on exactly one side of each NIC's ledger: accepted or
+// refused. run() hard-asserts this against its own count; these tests
+// pin it against counts taken outside the engine.
+RunConfig
+overload_rc()
+{
+    RunConfig rc;
+    rc.offered_gbps = 100.0;
+    rc.warmup_us = 100;
+    rc.duration_us = 400;
+    rc.sample_interval_us = 0;
+    return rc;
+}
+
+std::uint64_t
+nic_ledger(Engine &engine, std::uint32_t n)
+{
+    const NicStats s = engine.nic(n).stats();
+    EXPECT_GT(s.rx_drops_no_desc, 0u) << "nic" << n << " was not overloaded";
+    return s.rx_frames + s.rx_drops_no_desc + s.rx_drops_pcie;
+}
+
+TEST(FrameLedger, OverloadedTraceReplayBalances)
+{
+    MachineConfig m;
+    Engine engine(m, router_config(), PipelineOpts::packetmill(),
+                  make_fixed_size_trace(64, 1024, 256));
+    const RunConfig rc = overload_rc();
+    engine.run(rc);
+
+    // The generator's own pacing: a 64-B frame starts every
+    // (64 + 24) * 8 / 100 ns, and every frame starting before the run
+    // end is emitted.
+    const TimeNs end = (rc.warmup_us + rc.duration_us) * 1000.0;
+    const double gap = static_cast<double>((64 + kWireOverheadBytes) * 8) /
+                       rc.offered_gbps;
+    std::uint64_t generated = 0;
+    for (TimeNs start = 0; start < end; start += gap)
+        ++generated;
+    EXPECT_EQ(nic_ledger(engine, 0), generated);
+}
+
+TEST(FrameLedger, OverloadedWorkloadBalances)
+{
+    WorkloadSpec spec;
+    std::string err;
+    ASSERT_TRUE(spec.parse("uniform:flows=4096,len=64,seed=3", &err)) << err;
+    MachineConfig m;
+    m.num_cores = 2;
+    m.num_nics = 2;
+    Engine engine(m, router_config(), PipelineOpts::packetmill(), spec);
+    engine.run(overload_rc());
+    for (std::uint32_t n = 0; n < 2; ++n)
+        EXPECT_EQ(nic_ledger(engine, n), engine.workload(n)->stats().frames)
+            << "nic" << n;
+}
+
 } // namespace
 } // namespace pmill

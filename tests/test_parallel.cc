@@ -2,11 +2,11 @@
  * @file
  * Determinism gate for the epoch scheduler (parallel host execution).
  *
- * The contract under test: with RunConfig::host_threads >= 1 on a
- * multicore engine, the simulated results are bit-identical for EVERY
- * host thread count — 1 worker and N workers produce the same frames,
- * the same cache/TLB counters, the same latency percentiles, the same
- * timeline rows, and the same cycle-accounting ledgers. As in
+ * The contract under test: the simulated results are bit-identical
+ * for EVERY host thread count — 1 worker and N workers produce the
+ * same frames, the same cache/TLB counters, the same latency
+ * percentiles, the same timeline rows, and the same cycle-accounting
+ * ledgers. As in
  * test_bitexact.cc the floating-point comparisons use EXPECT_EQ
  * deliberately: the schedule is deterministic IEEE arithmetic in a
  * fixed order, so any deviation is a semantic race, not noise.
@@ -181,6 +181,36 @@ TEST(EpochEdge, ArrivalsExactlyOnEdges)
     expect_bitexact(t1, t4);
 }
 
+// Wire departures follow the device-wide post order, so the drain
+// cadence (one drain per epoch edge) no longer shapes the results: the
+// BitExact 4-core router sends the same frames at 1-us and 0.1-us
+// epochs, carries the offered 70 Gbps, and keeps p99 near the
+// unloaded latency.
+TEST(EpochEdge, DrainCadenceDoesNotShapeResults)
+{
+    auto run_one = [](double epoch_us) {
+        MachineConfig m;
+        m.num_cores = 4;
+        Engine engine(m, router_config(), PipelineOpts::vanilla(),
+                      make_fixed_size_trace(512, 2048, 512));
+        RunConfig rc;
+        rc.offered_gbps = 70.0;
+        rc.warmup_us = 500;
+        rc.duration_us = 2000;
+        rc.sample_interval_us = 0;
+        rc.host_threads = 1;
+        rc.epoch_us = epoch_us;
+        return engine.run(rc);
+    };
+    const RunResult coarse = run_one(1.0);
+    const RunResult fine = run_one(0.1);
+    EXPECT_EQ(coarse.tx_pkts, fine.tx_pkts);
+    for (const RunResult &r : {coarse, fine}) {
+        EXPECT_GE(r.throughput_gbps, 69.9);
+        EXPECT_LT(r.p99_latency_us, 2.0);
+    }
+}
+
 // One epoch covering the whole run: the only edges are the warm-up
 // flip, the sampler boundaries, and the end. Cores run the entire
 // window in one parallel segment each.
@@ -246,9 +276,8 @@ TEST(EpochEdge, TracingSerializesButStaysDeterministic)
 
 // The generalized topology grid: every core polls its queue on EVERY
 // NIC, and the epoch pregenerator merges the per-NIC arrival streams
-// by emission time (lowest NIC index on ties, matching the serial
-// loop's event scan). Multi-NIC multicore runs must be thread-
-// invariant like the single-NIC ones.
+// by emission time (lowest NIC index on ties). Multi-NIC multicore
+// runs must be thread-invariant like the single-NIC ones.
 TEST(Parallel, MultiNicGridThreadInvariant)
 {
     auto run_one = [](std::uint32_t threads) {
@@ -346,9 +375,9 @@ TEST(Steering, ParkingSteeredThreadInvariant)
                                "drop-path ticket release";
 }
 
-// A single-core engine always runs the serial loop: host_threads = 1
-// must reproduce the host_threads = 0 legacy results exactly.
-TEST(Parallel, SingleCoreFallsBackToSerialLoop)
+// host_threads 0 and 1 are the same schedule: every core on the
+// calling thread.
+TEST(Parallel, ZeroAndOneHostThreadsAgreeOnOneCore)
 {
     auto run_one = [](std::uint32_t threads) {
         MachineConfig m;
@@ -361,10 +390,10 @@ TEST(Parallel, SingleCoreFallsBackToSerialLoop)
         rc.host_threads = threads;
         return snapshot(engine, rc);
     };
-    const Snap serial = run_one(0);
+    const Snap zero = run_one(0);
     const Snap one = run_one(1);
-    EXPECT_GT(serial.r.tx_pkts, 0u);
-    expect_bitexact(serial, one);
+    EXPECT_GT(zero.r.tx_pkts, 0u);
+    expect_bitexact(zero, one);
 }
 
 TEST(ParallelValidation, MoreThreadsThanCoresDies)
