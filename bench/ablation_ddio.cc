@@ -36,8 +36,8 @@ main()
             PacketMill::grind(engine);
             RunConfig rc;
             rc.offered_gbps = 100.0;
-            rc.warmup_us = Quality::standard().warmup_us;
-            rc.duration_us = Quality::standard().duration_us;
+            rc.warmup_us = Quality{}.warmup_us;
+            rc.duration_us = Quality{}.duration_us;
             RunResult r = engine.run(rc);
             const double dram_pct =
                 r.mem.dev_reads

@@ -9,11 +9,11 @@
  * construction — and `eq_acct_residual`/`eq_acct_total` pin the whole
  * ledger bit-exactly: ANY change in how cycles are attributed (a new
  * charge site, a scope moved, a double-count) shifts one of them and
- * fails pmill_bench_diff. The share columns are informational: they
- * move with every legitimate model change.
+ * fails pmill_bench_diff. The share columns are gated exactly too, like
+ * every simulated cell: a model change that moves them re-records the
+ * golden.
  *
- * Run lengths are pinned (PMILL_QUICK ignored) so the eq_ columns
- * match on every machine.
+ * Run lengths are pinned so every column matches on every machine.
  */
 
 #include <cstdio>
@@ -102,7 +102,7 @@ pct(double part, double whole)
 int
 main()
 {
-    // Pinned quality: eq_ columns must not depend on PMILL_QUICK.
+    // Pinned run lengths: the golden was recorded with these.
     const double kWarmupUs = 1000.0;
     const double kDurationUs = 2000.0;
 
@@ -174,7 +174,7 @@ main()
              "ledger total, fixed-point units; 0 by construction). "
              "eq_acct_residual and eq_acct_total pin the ledger-vs-clock "
              "tie and the full ledger bit-exactly, so any attribution "
-             "change fails the diff. Share columns are informational.");
+             "change fails the diff, as does any moved share.");
     rep.emit();
 
     // Side artifact for pmill_explain (CI smokes the tool on it): the

@@ -6,17 +6,16 @@
  * The scenario is the hostile one from the workload-synthesis PR — a
  * million-flow Zipf NAT with flow-state aging on 8 RSS cores — run at
  * --host-threads 1/2/4/8 under the epoch scheduler. The wall_ms and
- * speedup columns are host-side measurements (informational in
- * pmill_bench_diff: this container may have a single CPU, in which
- * case speedup hovers near 1.0 and only a multi-core runner shows the
- * scaling); the eq_ columns are the simulated results and are gated
- * bit-for-bit. On top of the gate, this binary hard-fails if ANY eq_
- * value differs across thread counts — thread-count invariance is the
- * epoch scheduler's contract, and a violation is a determinism bug,
- * not a perf regression.
+ * host_speedup columns are host-side measurements (informational in
+ * pmill_bench_diff: a single-CPU runner shows a speedup near 1.0 and
+ * only a multi-core runner shows the scaling); the eq_ columns are the
+ * simulated results and are gated bit-for-bit. On top of the gate,
+ * this binary hard-fails if ANY eq_ value differs across thread
+ * counts — thread-count invariance is the epoch scheduler's contract,
+ * and a violation is a determinism bug, not a perf regression.
  *
- * Run lengths are pinned (PMILL_QUICK ignored) so the eq_ columns are
- * identical on every machine and in every build flavor.
+ * Run lengths are pinned so the eq_ columns are identical on every
+ * machine and in every build flavor.
  */
 
 #include <chrono>
@@ -104,7 +103,7 @@ main()
                     "Host-parallel scaling: million-flow Zipf NAT on 8 "
                     "RSS cores, epoch scheduler (eq_ columns gated "
                     "bit-for-bit, identical for every thread count)");
-    rep.header({"Threads", "wall_ms", "speedup", "eq_frames",
+    rep.header({"Threads", "wall_ms", "host_speedup", "eq_frames",
                 "eq_llc_loads", "eq_llc_misses", "eq_p50_us", "eq_p99_us",
                 "eq_drops", "eq_acct_total"});
 
@@ -141,8 +140,8 @@ main()
     }
 
     rep.note(strprintf(
-        "wall_ms/speedup are this runner's wall clock (informational in "
-        "the gate; %u hardware thread(s) here). eq_ columns are "
+        "wall_ms/host_speedup are this runner's wall clock (informational "
+        "in the gate; %u hardware thread(s) here). eq_ columns are "
         "simulated results: bit-identical across thread counts by the "
         "epoch scheduler's determinism contract, and hard-failed by "
         "this binary if they ever diverge.",

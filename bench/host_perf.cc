@@ -6,15 +6,15 @@
  * packets simulated per second across representative configs (vanilla
  * vs PacketMill pipeline, single core vs 4-core RSS, tracing on vs
  * off). The `wall_*`/`host_*` columns are the host-performance
- * trajectory — informational in the bench gate by default because
- * wall-clock is runner-dependent — while the `eq_*` columns pin the
- * *simulated* results of exactly these workloads and are gated
- * bit-for-bit: any host-side optimization that perturbs a frame
- * count, an LLC counter, or a latency percentile fails the diff.
+ * trajectory — informational in the bench gate because wall-clock is
+ * runner-dependent — while the `eq_*` columns pin the *simulated*
+ * results of exactly these workloads and are gated bit-for-bit: any
+ * host-side optimization that perturbs a frame count, an LLC counter,
+ * or a latency percentile fails the diff.
  *
- * Run lengths are pinned (PMILL_QUICK ignored) so the eq_ columns are
- * identical on every machine and in every build flavor
- * (RelWithDebInfo vs Release+LTO, PMILL_TRACE on/off).
+ * Run lengths are pinned so the eq_ columns are identical on every
+ * machine and in every build flavor (RelWithDebInfo vs Release+LTO,
+ * PMILL_TRACE on/off).
  */
 
 #include <chrono>
@@ -42,7 +42,7 @@ main()
 {
     const Trace trace = default_campus_trace();
 
-    // Pinned quality: eq_ columns must not depend on PMILL_QUICK.
+    // Pinned run lengths: the golden was recorded with these.
     Quality q;
     q.warmup_us = 1200;
     q.duration_us = 2500;

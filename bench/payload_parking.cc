@@ -15,8 +15,8 @@
  * parked, and the two models must agree to within address-layout
  * noise.
  *
- * Run lengths are pinned (PMILL_QUICK ignored) so the eq_ columns are
- * bit-for-bit reproducible; park_* columns are informational volumes.
+ * Run lengths are pinned so every column, the park_* volumes included,
+ * is bit-for-bit reproducible.
  * The crossover itself is hard-gated: at >= 1024 B the NAT rows must
  * show Parking strictly ahead on both LLC load misses and throughput,
  * the router rows must never be worse, and the 64-B rows must park
@@ -67,7 +67,6 @@ run_model(const std::string &config, MetadataModel model,
 int
 main()
 {
-    // Pinned quality: eq_ columns must not depend on PMILL_QUICK.
     const double kOffered = 100.0;
 
     // NAT sized so the steady-state touched cuckoo-bucket working set

@@ -7,9 +7,9 @@
  *
  * Weak scaling: the offered load is 6 Gbps per core, so an ideal
  * scale-out holds per-core throughput flat while the aggregate grows
- * linearly. The eq_ columns are simulated results and golden-gated
- * bit-for-bit (run lengths are pinned; PMILL_QUICK is ignored); the
- * steer_, numa_, and acct_ columns are informational attribution.
+ * linearly. Every column but wall_ms is a simulated result and
+ * golden-gated bit-for-bit (run lengths are pinned): the eq_ columns
+ * and the steer_ and numa_ attribution columns alike.
  *
  * The second table is the skewed-hash pathology: at 8 cores a
  * skew=1.3 Zipf elephant pins one core while its siblings idle. The

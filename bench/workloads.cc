@@ -7,8 +7,8 @@
  * tables' occupancy/eviction behaviour — the pathology each profile
  * is designed to trigger (see EXPERIMENTS.md). All generation is
  * seeded and the simulation deterministic, so every eq_ column is
- * gated bit-for-bit by pmill_bench_diff; run lengths are pinned
- * (PMILL_QUICK ignored) so the columns match on every machine.
+ * gated bit-for-bit by pmill_bench_diff; run lengths are pinned so
+ * the columns match on every machine.
  *
  * The bench also hard-gates the tentpole acceptance scenario: a
  * 1.5M-flow universe against a bounded NAT table must complete with
@@ -92,7 +92,7 @@ run_profile(const std::string &config, const WorkloadSpec &spec,
 int
 main()
 {
-    // Pinned quality: eq_ columns must not depend on PMILL_QUICK.
+    // Pinned run lengths: the golden was recorded with these.
     const double kWarmupUs = 1000.0;
     const double kDurationUs = 2000.0;
     const double kOffered = 12.0;

@@ -26,13 +26,6 @@ gbps(double g)
     return g * kGiga;
 }
 
-/** Convert a core frequency in GHz to cycles per nanosecond. */
-constexpr double
-ghz_to_cycles_per_ns(double f_ghz)
-{
-    return f_ghz;
-}
-
 /** Format a bit rate as "NN.N Gbps". */
 std::string format_gbps(double bits_per_sec);
 

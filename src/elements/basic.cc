@@ -178,44 +178,9 @@ Classifier::configure(const std::vector<std::string> &args,
 }
 
 void
-Classifier::reset_hits()
+Classifier::reset_rule_hits()
 {
     hits_.assign(patterns_.size(), 0);
-}
-
-void
-Classifier::specialize_match_order()
-{
-    // Hot-first under the same semantics constraint as
-    // apply_rule_order: a pattern may not jump ahead of an
-    // earlier-configured pattern it overlaps with. Repeatedly emit
-    // the most-hit pattern whose overlapping predecessors are all
-    // placed (ties break toward configuration order).
-    std::vector<std::uint32_t> out;
-    std::vector<bool> placed(patterns_.size(), false);
-    while (out.size() < patterns_.size()) {
-        std::uint32_t best = 0;
-        bool have_best = false;
-        for (std::uint32_t i = 0; i < patterns_.size(); ++i) {
-            if (placed[i])
-                continue;
-            bool ready = true;
-            for (std::uint32_t j = 0; j < i && ready; ++j)
-                if (!placed[j] &&
-                    patterns_overlap(patterns_[j], patterns_[i]))
-                    ready = false;
-            if (!ready)
-                continue;
-            if (!have_best || hits_[i] > hits_[best]) {
-                best = i;
-                have_best = true;
-            }
-        }
-        PMILL_ASSERT(have_best, "overlap constraint graph is acyclic");
-        placed[best] = true;
-        out.push_back(best);
-    }
-    order_ = out;
 }
 
 bool

@@ -112,10 +112,6 @@ class Classifier : public Element {
     /// mill reorders the *match order* hot-first from observed hit
     /// counts, without changing output-port semantics.
     /// @{
-    const std::vector<std::uint64_t> &hits() const { return hits_; }
-    void reset_hits();
-    /** Re-sort the match order by descending hit count. */
-    void specialize_match_order();
     /** Current match order (pattern indices, first tried first). */
     const std::vector<std::uint32_t> &match_order() const
     {
@@ -125,7 +121,7 @@ class Classifier : public Element {
     // Generic rule hooks (mill::PlanSearch drives these).
     std::size_t num_rules() const override { return patterns_.size(); }
     std::vector<std::uint64_t> rule_hits() const override { return hits_; }
-    void reset_rule_hits() override { reset_hits(); }
+    void reset_rule_hits() override;
     bool apply_rule_order(const std::vector<std::uint32_t> &order) override;
     /// @}
 

@@ -10,6 +10,10 @@ namespace pmill {
 
 namespace {
 
+constexpr std::uint32_t kMempoolSize = 16384;  ///< mbufs (Copy/Overlay)
+constexpr std::uint32_t kAppPoolSize = 4096;   ///< Packet objects (Copying)
+constexpr std::uint32_t kXchgMetaSlots = 64;   ///< X-Change metadata objects
+
 /** Shared helper: populate the handle fields common to all models. */
 void
 fill_handle(PacketHandle &h, Addr data_addr, std::uint8_t *data_host,
@@ -31,22 +35,20 @@ fill_handle(PacketHandle &h, Addr data_addr, std::uint8_t *data_host,
 class CopyingDatapath : public Datapath {
   public:
     CopyingDatapath(NicDevice &nic, SimMemory &mem,
-                    const MetadataLayout &layout, std::uint32_t queue,
-                    const DatapathConfig &cfg)
+                    const MetadataLayout &layout, std::uint32_t queue)
         : layout_(layout),
-          pool_(mem, cfg.mempool_size),
-          pmd_(nic, pool_, queue),
-          cfg_(cfg)
+          pool_(mem, kMempoolSize),
+          pmd_(nic, pool_, queue)
     {
         const std::uint64_t obj =
             round_up(layout.total_bytes, kCacheLineBytes);
-        app_mem_ = mem.alloc(obj * cfg.app_pool_size, kCacheLineBytes,
+        app_mem_ = mem.alloc(obj * kAppPoolSize, kCacheLineBytes,
                              Region::kMetadataPool);
-        app_ring_mem_ = mem.alloc(cfg.app_pool_size * 4ull, kCacheLineBytes,
+        app_ring_mem_ = mem.alloc(kAppPoolSize * 4ull, kCacheLineBytes,
                                   Region::kMetadataPool);
         obj_stride_ = obj;
-        app_stack_.reserve(cfg.app_pool_size);
-        for (std::uint32_t i = 0; i < cfg.app_pool_size; ++i)
+        app_stack_.reserve(kAppPoolSize);
+        for (std::uint32_t i = 0; i < kAppPoolSize; ++i)
             app_stack_.push_back(i);
     }
 
@@ -159,7 +161,7 @@ class CopyingDatapath : public Datapath {
         pmd_.register_metrics(reg, prefix);
         reg.add_gauge(prefix + "app_pool_occupancy", [this] {
             return 1.0 - static_cast<double>(app_stack_.size()) /
-                             static_cast<double>(cfg_.app_pool_size);
+                             static_cast<double>(kAppPoolSize);
         });
     }
 
@@ -197,7 +199,7 @@ class CopyingDatapath : public Datapath {
         const std::uint32_t obj_idx = static_cast<std::uint32_t>(
             (h.meta_addr - app_mem_.addr) / obj_stride_);
         ctx.store(app_ring_mem_.addr, 8);
-        PMILL_ASSERT(app_stack_.size() < cfg_.app_pool_size,
+        PMILL_ASSERT(app_stack_.size() < kAppPoolSize,
                      "application pool double free");
         app_stack_.push_back(obj_idx);
         if (free_mbuf) {
@@ -213,7 +215,6 @@ class CopyingDatapath : public Datapath {
     MemHandle app_ring_mem_;  ///< hot freelist-head line
     std::vector<std::uint32_t> app_stack_;
     std::uint64_t obj_stride_ = 0;
-    DatapathConfig cfg_;
 };
 
 /**
@@ -223,9 +224,8 @@ class CopyingDatapath : public Datapath {
 class OverlayDatapath : public Datapath {
   public:
     OverlayDatapath(NicDevice &nic, SimMemory &mem,
-                    const MetadataLayout &layout, std::uint32_t queue,
-                    const DatapathConfig &cfg)
-        : layout_(layout), pool_(mem, cfg.mempool_size),
+                    const MetadataLayout &layout, std::uint32_t queue)
+        : layout_(layout), pool_(mem, kMempoolSize),
           pmd_(nic, pool_, queue)
     {}
 
@@ -368,9 +368,8 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         kMbufHeadroomBytes + kMbufDataRoomBytes;
 
     XchgDatapath(NicDevice &nic, SimMemory &mem,
-                 const MetadataLayout &layout, std::uint32_t queue,
-                 const DatapathConfig &cfg)
-        : XchgDatapath(nic, mem, layout, queue, cfg, kBufStride)
+                 const MetadataLayout &layout, std::uint32_t queue)
+        : XchgDatapath(nic, mem, layout, queue, kBufStride)
     {}
 
   protected:
@@ -383,21 +382,21 @@ class XchgDatapath : public Datapath, public XchgAdapter {
      */
     XchgDatapath(NicDevice &nic, SimMemory &mem,
                  const MetadataLayout &layout, std::uint32_t queue,
-                 const DatapathConfig &cfg, std::uint64_t buf_stride)
+                 std::uint64_t buf_stride)
         : layout_(layout), pmd_(nic, *this, queue),
           spares_(1u << log2_ceil(2 * nic.config().rx_ring_size +
                                   nic.config().tx_ring_size +
-                                  4 * cfg.xchg_meta_slots + 2)),
-          cfg_(cfg), buf_stride_(buf_stride)
+                                  4 * kXchgMetaSlots + 2)),
+          buf_stride_(buf_stride)
     {
         nic_ring_size_ = nic.config().rx_ring_size;
         const std::uint64_t meta_stride =
             round_up(layout.total_bytes, kCacheLineBytes);
-        meta_mem_ = mem.alloc(meta_stride * cfg.xchg_meta_slots,
+        meta_mem_ = mem.alloc(meta_stride * kXchgMetaSlots,
                               kCacheLineBytes, Region::kMetadataPool);
         meta_stride_ = meta_stride;
-        slots_.resize(cfg.xchg_meta_slots);
-        for (std::uint32_t i = 0; i < cfg.xchg_meta_slots; ++i) {
+        slots_.resize(kXchgMetaSlots);
+        for (std::uint32_t i = 0; i < kXchgMetaSlots; ++i) {
             slots_[i].meta_addr = meta_mem_.addr + i * meta_stride;
             slots_[i].meta_host = meta_mem_.host + i * meta_stride;
         }
@@ -408,7 +407,7 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         // keeps the app's free-buffer count equal to what it sent).
         const std::uint32_t nbufs =
             2 * nic.config().rx_ring_size + nic.config().tx_ring_size +
-            4 * cfg.xchg_meta_slots;
+            4 * kXchgMetaSlots;
         buf_mem_ = mem.alloc(std::uint64_t(nbufs) * buf_stride_,
                              kCacheLineBytes, Region::kPacketData);
         spares_mem_ = mem.alloc(spares_.capacity() * 8ull, kCacheLineBytes,
@@ -681,14 +680,13 @@ class XchgDatapath : public Datapath, public XchgAdapter {
     MemHandle buf_mem_;
     Ring<Spare> spares_;
     MemHandle spares_mem_;
-    DatapathConfig cfg_;
     std::uint64_t buf_stride_ = kBufStride;
     std::uint32_t nic_ring_size_ = 0;
 };
 
 /**
  * Parking model: X-Change plus a parked-payload store. The NIC DMAs
- * only the header prefix (cfg.park_split_bytes) into the packet
+ * only the header prefix (split_bytes) into the packet
  * buffer and parks the rest in a per-queue PayloadPark arena
  * (DRAM-direct, no DDIO/LLC allocation — see AccessType::kParkWrite).
  * The pipeline runs header-only; the TX descriptor carries the park
@@ -707,21 +705,21 @@ class ParkingDatapath : public XchgDatapath {
   public:
     ParkingDatapath(NicDevice &nic, SimMemory &mem,
                     const MetadataLayout &layout, std::uint32_t queue,
-                    const DatapathConfig &cfg)
-        : XchgDatapath(nic, mem, layout, queue, cfg,
+                    std::uint32_t split_bytes)
+        : XchgDatapath(nic, mem, layout, queue,
                        // Header-sized buffers: data room for the split
                        // prefix (line-rounded), headroom for in-place
                        // encap growth, exactly like the full stride.
                        kMbufHeadroomBytes +
-                           round_up(cfg.park_split_bytes, kCacheLineBytes)),
+                           round_up(split_bytes, kCacheLineBytes)),
           park_(mem,
                 2 * nic.config().rx_ring_size + nic.config().tx_ring_size +
-                    4 * cfg.xchg_meta_slots,
+                    4 * kXchgMetaSlots,
                 kMbufDataRoomBytes)
     {
         // One park slot per data buffer: a ticket can live exactly as
         // long as the frame that owns it, so the arena never runs dry.
-        nic.bind_queue_park(queue, &park_, cfg.park_split_bytes);
+        nic.bind_queue_park(queue, &park_, split_bytes);
     }
 
     void
@@ -859,20 +857,18 @@ class ParkingDatapath : public XchgDatapath {
 std::unique_ptr<Datapath>
 make_datapath(MetadataModel model, NicDevice &nic, SimMemory &mem,
               const MetadataLayout &layout, std::uint32_t queue,
-              const DatapathConfig &cfg)
+              std::uint32_t park_split_bytes)
 {
     switch (model) {
       case MetadataModel::kCopying:
-        return std::make_unique<CopyingDatapath>(nic, mem, layout, queue,
-                                                 cfg);
+        return std::make_unique<CopyingDatapath>(nic, mem, layout, queue);
       case MetadataModel::kOverlaying:
-        return std::make_unique<OverlayDatapath>(nic, mem, layout, queue,
-                                                 cfg);
+        return std::make_unique<OverlayDatapath>(nic, mem, layout, queue);
       case MetadataModel::kXchange:
-        return std::make_unique<XchgDatapath>(nic, mem, layout, queue, cfg);
+        return std::make_unique<XchgDatapath>(nic, mem, layout, queue);
       case MetadataModel::kParking:
         return std::make_unique<ParkingDatapath>(nic, mem, layout, queue,
-                                                 cfg);
+                                                 park_split_bytes);
     }
     panic("bad metadata model");
 }

@@ -106,25 +106,17 @@ class Datapath {
     }
 };
 
-/** Sizing knobs shared by the datapath factories. */
-struct DatapathConfig {
-    std::uint32_t burst = 32;
-    std::uint32_t mempool_size = 16384;    ///< mbuf count (Copy/Overlay)
-    std::uint32_t app_pool_size = 4096;    ///< Packet objects (Copying)
-    std::uint32_t xchg_meta_slots = 64;    ///< X-Change metadata objects
-    std::uint32_t park_split_bytes = 96;   ///< Parking header/payload split
-};
-
 /**
  * Create the datapath for @p model on @p queue of @p nic. @p layout
  * must outlive the datapath (the caller owns it so the mill can swap
- * in a reordered one).
+ * in a reordered one). @p park_split_bytes is the Parking model's
+ * header/payload split; the other models ignore it.
  */
 std::unique_ptr<Datapath> make_datapath(MetadataModel model, NicDevice &nic,
                                         SimMemory &mem,
                                         const MetadataLayout &layout,
                                         std::uint32_t queue,
-                                        const DatapathConfig &cfg);
+                                        std::uint32_t park_split_bytes);
 
 } // namespace pmill
 

@@ -339,7 +339,6 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
             if (!batch[i].dropped) {
                 PMILL_ASSERT(out.count < kMaxBurst, "tx batch overflow");
                 out.pkts[out.count++] = batch[i];
-                ++forwarded_;
             } else {
                 ++dropped_;
                 if (tron && batch[i].trace_id)

@@ -80,9 +80,6 @@ class Pipeline {
     /** All elements, in configuration order. */
     std::vector<Element *> elements() const;
 
-    /** Per-run survivors counter (packets handed to TX). */
-    std::uint64_t forwarded() const { return forwarded_; }
-
     /** Packets dropped inside the graph. */
     std::uint64_t dropped() const { return dropped_; }
 
@@ -147,7 +144,6 @@ class Pipeline {
     MemHandle frag_;
     std::uint64_t frag_cursor_ = 0;
 
-    std::uint64_t forwarded_ = 0;
     std::uint64_t dropped_ = 0;
     std::vector<ElementStats> elem_stats_;
 

@@ -436,13 +436,10 @@ CacheHierarchy::cpu_line_miss(std::uint64_t line, bool is_load,
         r.level = HitLevel::kLlc;
         return r;
     }
-    if (is_load) {
+    if (is_load)
         ++stats_.llc_load_misses;
-        if (miss_hook_)
-            miss_hook_(miss_ctx_, line * kCacheLineBytes);
-    } else {
+    else
         ++stats_.llc_store_misses;
-    }
 
     r.wall_ns += cfg_.dram_ns;
     ++r.dram_fills;

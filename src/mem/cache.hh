@@ -396,14 +396,6 @@ class CacheHierarchy {
     explicit CacheHierarchy(const CacheConfig &cfg = CacheConfig{});
 
     /**
-     * Diagnostic hook invoked on every LLC *load* miss with the
-     * missing line's address and the registered context pointer.
-     * Statically bound (plain function pointer, no std::function
-     * indirection on the per-line path); null (disabled) by default.
-     */
-    using LlcMissHook = void (*)(void *ctx, Addr line_addr);
-
-    /**
      * Perform an access of @p size bytes at simulated address @p addr.
      * Accesses spanning multiple cache lines walk each line. The
      * returned latency components are summed over lines; @p level is
@@ -435,19 +427,12 @@ class CacheHierarchy {
 
     const CacheConfig &config() const { return cfg_; }
 
-    /** Install (or clear, with nullptr) the LLC load-miss hook. */
-    void
-    set_llc_miss_hook(LlcMissHook hook, void *ctx = nullptr)
-    {
-        miss_hook_ = hook;
-        miss_ctx_ = ctx;
-    }
-
     /**
      * NUMA home-socket probe: invoked on every DRAM fill with the
      * line's address; returns the home socket of that address.
-     * Statically bound like the LLC-miss hook; null (disabled, the
-     * default) keeps the single-socket model bit-identical.
+     * Statically bound (a plain function pointer, no std::function
+     * indirection on the per-line path); null (disabled, the default)
+     * keeps the single-socket model bit-identical.
      */
     using NumaProbe = std::uint32_t (*)(void *ctx, Addr line_addr);
 
@@ -510,8 +495,6 @@ class CacheHierarchy {
     CacheLevel llc_;
     TlbModel tlb_;
     MemStats stats_;
-    LlcMissHook miss_hook_ = nullptr;
-    void *miss_ctx_ = nullptr;
     NumaProbe numa_probe_ = nullptr;
     void *numa_ctx_ = nullptr;
     std::uint32_t socket_ = 0;

@@ -26,23 +26,6 @@ SimMemory::HostRelease::operator()(std::uint8_t *p) const
         std::free(p);
 }
 
-const char *
-region_name(Region r)
-{
-    switch (r) {
-      case Region::kStaticArena: return "static-arena";
-      case Region::kHeap: return "heap";
-      case Region::kMbufPool: return "mbuf-pool";
-      case Region::kMetadataPool: return "metadata-pool";
-      case Region::kPacketData: return "packet-data";
-      case Region::kDeviceRing: return "device-ring";
-      case Region::kTable: return "table";
-      case Region::kScratch: return "scratch";
-      case Region::kPayloadPark: return "payload-park";
-    }
-    return "unknown";
-}
-
 SimMemory::SimMemory()
     : next_(0x100000),  // leave the first MiB unused (catches addr 0 bugs)
       scatter_rng_(0xC0FFEEull)
@@ -97,13 +80,11 @@ SimMemory::place(std::uint64_t size, std::uint64_t align, Region r,
             commit[off] = 0;
         commit[size - 1] = 0;
     }
-    a.region = r;
     a.socket = home_socket_;
 
     MemHandle h{base, a.host.get(), size};
     allocs_.push_back(std::move(a));
     region_bytes_[static_cast<std::size_t>(r)] += size;
-    total_ += size;
     return h;
 }
 
@@ -125,20 +106,6 @@ std::uint64_t
 SimMemory::allocated_bytes(Region r) const
 {
     return region_bytes_[static_cast<std::size_t>(r)];
-}
-
-Region
-SimMemory::region_of(Addr a) const
-{
-    auto it = std::upper_bound(
-        allocs_.begin(), allocs_.end(), a,
-        [](Addr addr, const Alloc &al) { return addr < al.base; });
-    if (it == allocs_.begin())
-        return Region::kHeap;
-    --it;
-    if (a >= it->base + it->size)
-        return Region::kHeap;
-    return it->region;
 }
 
 std::uint32_t

@@ -42,9 +42,6 @@ enum class Region : std::uint8_t {
     kPayloadPark,   ///< Parked-payload arena (Parking model).
 };
 
-/** Human-readable region name. */
-const char *region_name(Region r);
-
 /**
  * Handle to one simulated allocation: the simulated base address used
  * for cache accounting and the host pointer used for real data access.
@@ -100,21 +97,12 @@ class SimMemory {
     /** Total simulated bytes allocated per region. */
     std::uint64_t allocated_bytes(Region r) const;
 
-    /** Total simulated bytes allocated overall. */
-    std::uint64_t total_allocated() const { return total_; }
-
     /**
      * Look up the host pointer backing simulated address @p a, or
      * nullptr when @p a was never allocated. O(log n); prefer keeping
      * the MemHandle instead.
      */
     std::uint8_t *host_ptr(Addr a);
-
-    /**
-     * Region that contains simulated address @p a (diagnostics, e.g.
-     * LLC-miss attribution); kHeap when unmapped.
-     */
-    Region region_of(Addr a) const;
 
     /**
      * NUMA home socket for every *subsequent* allocation. The engine
@@ -148,7 +136,6 @@ class SimMemory {
         Addr base;
         std::uint64_t size;
         HostBytes host;
-        Region region;
         std::uint32_t socket;
     };
 
@@ -157,7 +144,6 @@ class SimMemory {
 
     std::vector<Alloc> allocs_;  // sorted by base
     std::uint64_t region_bytes_[9] = {};
-    std::uint64_t total_ = 0;
     Addr next_;
     Xorshift64 scatter_rng_;
     std::uint32_t home_socket_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/log.hh"
-#include "src/elements/elements.hh"
 #include "src/runtime/engine.hh"
 
 namespace pmill {
@@ -224,28 +223,6 @@ PacketMill::grind(Engine &engine, const Profile *profile)
         report.plan = std::move(plan);
     }
     return report;
-}
-
-std::uint32_t
-PacketMill::profile_guided(Engine &engine, double profile_us)
-{
-    RunConfig rc;
-    rc.offered_gbps = 20.0;
-    rc.warmup_us = 50.0;
-    rc.duration_us = profile_us;
-    engine.run(rc);
-
-    std::uint32_t specialized = 0;
-    for (std::uint32_t c = 0; c < engine.num_cores(); ++c) {
-        for (Element *e : engine.pipeline(c).elements()) {
-            if (auto *cl = dynamic_cast<Classifier *>(e)) {
-                cl->specialize_match_order();
-                cl->reset_hits();
-                ++specialized;
-            }
-        }
-    }
-    return specialized;
 }
 
 std::string

@@ -119,15 +119,6 @@ class PacketMill {
 
     /** Report-only variant for a single pipeline. */
     static MillReport analyze(Pipeline &pipeline, bool apply_reorder);
-
-    /**
-     * Profile-guided specialization (the §5 FAQ extension): run a
-     * short profiling interval of @p engine, then re-sort every
-     * Classifier's match order hot-first. @return number of
-     * classifiers specialized.
-     */
-    static std::uint32_t profile_guided(Engine &engine,
-                                        double profile_us = 300.0);
 };
 
 } // namespace pmill

@@ -213,10 +213,6 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
         queue_dp_[n].resize(nc.num_queues, nullptr);
     }
 
-    DatapathConfig dcfg;
-    dcfg.burst = opts.burst;
-    dcfg.park_split_bytes = opts.park_split_bytes;
-
     // Datapaths (and their mempools) are per (core, NIC) and homed on
     // the polling core's socket — the "per-socket mempools" half of
     // the NUMA model; the steering fabric's rings are the other half.
@@ -229,7 +225,8 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
             bq.nic = n;
             bq.queue = c;
             bq.dp = make_datapath(opts.model, *nics_[n], *mem_,
-                                  core.pipe->layout(), c, dcfg);
+                                  core.pipe->layout(), c,
+                                  opts.park_split_bytes);
             queue_dp_[n][c] = bq.dp.get();
             core.dps.push_back(std::move(bq));
         }

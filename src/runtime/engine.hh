@@ -260,15 +260,6 @@ class Engine : public Actuator {
     SteerFabric *steering() { return steer_.get(); }
     const SteerFabric *steering() const { return steer_.get(); }
 
-    /** NUMA socket core @p c lives on (contiguous blocks). */
-    std::uint32_t
-    socket_of_core(std::uint32_t c) const
-    {
-        return static_cast<std::uint32_t>(
-            static_cast<std::uint64_t>(c) * machine_.num_sockets /
-            cores_.size());
-    }
-
     /**
      * Workload source feeding NIC @p nic, or nullptr when this engine
      * replays a Trace instead.
@@ -350,9 +341,6 @@ class Engine : public Actuator {
      */
     std::vector<std::string> acct_scope_labels() const;
     /// @}
-
-    /** p99 latency (us) of the most recent run. */
-    double last_p99_us() const { return last_p99_us_; }
 
     /**
      * Tail-latency attribution over the traced window. A negative

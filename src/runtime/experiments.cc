@@ -1,6 +1,5 @@
 #include "src/runtime/experiments.hh"
 
-#include <cstdlib>
 
 #include "src/common/log.hh"
 
@@ -276,18 +275,6 @@ opts_fastclick_light()
     o.batch_link = false;  // light build disables linked-list batching
     o.lto = true;
     return o;
-}
-
-Quality
-Quality::standard()
-{
-    Quality q;
-    const char *quick = std::getenv("PMILL_QUICK");
-    if (quick && quick[0] == '1') {
-        q.warmup_us = 300;
-        q.duration_us = 600;
-    }
-    return q;
 }
 
 RunResult

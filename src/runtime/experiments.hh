@@ -85,13 +85,10 @@ PipelineOpts opts_vpp();          ///< VPP-like (overlay + field copy)
 PipelineOpts opts_fastclick_light();  ///< FastClick w/ Overlaying
 /// @}
 
-/** Run-length quality knob (PMILL_QUICK=1 shrinks every run). */
+/** Run lengths of one measurement (fixed, so results are golden). */
 struct Quality {
     double warmup_us = 1200;
     double duration_us = 2500;
-
-    /** Defaults honouring the PMILL_QUICK environment variable. */
-    static Quality standard();
 };
 
 /** One measurement: build engine, grind, run. */
@@ -102,7 +99,7 @@ struct ExperimentSpec {
     double offered_gbps = 100.0;
     std::uint32_t num_cores = 1;
     std::uint32_t num_nics = 1;
-    Quality quality = Quality::standard();
+    Quality quality;
 };
 
 /** Execute @p spec against @p trace. */

@@ -13,98 +13,22 @@
 
 namespace pmill {
 
-namespace {
-
-/** Lower-cased alphanumeric tokens of a column name. */
-std::vector<std::string>
-tokens_of(const std::string &column)
-{
-    std::vector<std::string> toks;
-    std::string cur;
-    for (char c : column) {
-        if (std::isalnum(static_cast<unsigned char>(c))) {
-            cur += static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        } else if (!cur.empty()) {
-            toks.push_back(cur);
-            cur.clear();
-        }
-    }
-    if (!cur.empty())
-        toks.push_back(cur);
-    return toks;
-}
-
 bool
-has_token(const std::vector<std::string> &toks,
-          std::initializer_list<const char *> names)
+is_host_column(const std::string &column)
 {
-    for (const std::string &t : toks)
-        for (const char *n : names)
-            if (t == n)
-                return true;
+    // Lower-cased alphanumeric tokens: "host_Mpps" -> {host, mpps}.
+    std::string tok;
+    for (std::size_t i = 0; i <= column.size(); ++i) {
+        const unsigned char c = i < column.size() ? column[i] : ' ';
+        if (std::isalnum(c)) {
+            tok += static_cast<char>(std::tolower(c));
+            continue;
+        }
+        if (tok == "wall" || tok == "host")
+            return true;
+        tok.clear();
+    }
     return false;
-}
-
-} // namespace
-
-ColumnClass
-classify_column(const std::string &column)
-{
-    const std::vector<std::string> toks = tokens_of(column);
-    // Simulated-equivalence columns ("eq_frames", "eq_p99_us"): any
-    // numeric change at all is a regression, so check before the
-    // latency/throughput tokens their names also contain.
-    if (has_token(toks, {"eq"}))
-        return ColumnClass::kExact;
-    // Host wall-clock measurements ("wall_ms", "host_Mpps"): noisy on
-    // shared runners; checked before the rate tokens so host
-    // throughput never gates like simulated throughput.
-    if (has_token(toks, {"wall", "host"}))
-        return ColumnClass::kHostWall;
-    // Input axes are identical between runs by construction; exclude
-    // them so a changed sweep shows up as a row mismatch, not a fake
-    // throughput regression.
-    if (has_token(toks, {"offered", "bytes", "size", "len", "cores",
-                         "threads", "ghz", "freq", "rate",
-                         "improvement", "speedup", "ratio"}))
-        return ColumnClass::kInformational;
-    // Cycle-accounting breakdowns ("acct_idle_pct", "acct_llc_cycles"):
-    // shares shift legitimately with any modeled change, so they stay
-    // informational — only the eq_acct_* conservation columns above
-    // gate. Checked before the latency tokens because the names also
-    // contain "cycles"/"stall".
-    if (has_token(toks, {"acct"}))
-        return ColumnClass::kInformational;
-    // Steering and NUMA placement counters ("steer_handoffs",
-    // "numa_remote_fills"): absolute volumes set by the placement
-    // policy under test, not quality signals — a rebalance that helps
-    // p99 legitimately moves every one of them. Checked before the
-    // latency tokens because the names also contain "drops"/"fills";
-    // eq_-prefixed variants still gate exactly above.
-    if (has_token(toks, {"steer", "numa"}))
-        return ColumnClass::kInformational;
-    // Payload-park plumbing counters ("park_fills", "park_gathers"):
-    // absolute volumes fixed by the split point and traffic mix, not
-    // quality signals. Checked before the latency tokens so a
-    // park_*_miss breakdown never gates twice; the eq_park_* variants
-    // still gate exactly above, and "Parking" (the model-named
-    // throughput column) is a different token that gates higher-better
-    // below.
-    if (has_token(toks, {"park"}))
-        return ColumnClass::kInformational;
-    if (has_token(toks, {"latency", "p50", "p99", "p999", "us", "ns",
-                         "miss", "misses", "drop", "drops", "cycles",
-                         "cpp", "stall", "stalls"}))
-        return ColumnClass::kLowerBetter;
-    if (has_token(toks, {"gbps", "mpps", "pps", "thr", "throughput",
-                         "goodput", "ipc", "ops",
-                         // Model-comparison tables (fig04/fig05) name
-                         // throughput columns after the metadata model.
-                         "copying", "overlaying", "xchange", "x",
-                         "parking", "vanilla", "packetmill"}))
-        return ColumnClass::kHigherBetter;
-    return ColumnClass::kInformational;
 }
 
 bool
@@ -296,28 +220,18 @@ list_bench_artifacts(const std::string &dir)
     return names;
 }
 
-namespace {
-
-/** Gated direction of a kHostWall column: true = higher is better. */
-bool
-host_wall_higher_better(const std::string &column)
-{
-    return has_token(tokens_of(column),
-                     {"mpps", "kpps", "pps", "gbps", "ops", "rate",
-                      "speedup"});
-}
-
-} // namespace
-
 BenchDiffResult
-diff_bench_dirs(const std::string &base_dir, const std::string &cur_dir,
-                double threshold_pct, double host_threshold_pct)
+diff_bench_dirs(const std::string &base_dir, const std::string &cur_dir)
 {
     BenchDiffResult res;
-    res.threshold_pct = threshold_pct;
-    res.host_threshold_pct = host_threshold_pct;
+    const std::vector<std::string> golden = list_bench_artifacts(base_dir);
+    if (golden.empty())
+        res.errors.push_back(base_dir + ": no golden artifacts");
+    for (const std::string &name : list_bench_artifacts(cur_dir))
+        if (!std::binary_search(golden.begin(), golden.end(), name))
+            res.errors.push_back(name + ": no golden artifact");
 
-    for (const std::string &name : list_bench_artifacts(base_dir)) {
+    for (const std::string &name : golden) {
         BenchTable base, cur;
         std::string err;
         if (!load_bench_table(base_dir + "/" + name + ".json", &base,
@@ -334,55 +248,44 @@ diff_bench_dirs(const std::string &base_dir, const std::string &cur_dir,
             res.errors.push_back(err);
             continue;
         }
+        if (base.columns != cur.columns) {
+            auto join = [](const std::vector<std::string> &cols) {
+                std::string s;
+                for (std::size_t i = 0; i < cols.size(); ++i)
+                    s += (i ? ", " : "") + cols[i];
+                return s;
+            };
+            res.errors.push_back(name + ": column list changed (golden: " +
+                                 join(base.columns) +
+                                 "; current: " + join(cur.columns) + ")");
+            continue;
+        }
         if (base.rows.size() != cur.rows.size()) {
             res.errors.push_back(strprintf(
-                "%s: row count changed (%zu baseline, %zu current)",
+                "%s: row count changed (%zu golden, %zu current)",
                 name.c_str(), base.rows.size(), cur.rows.size()));
             continue;
         }
 
         for (const std::string &col : base.columns) {
-            const ColumnClass cls = classify_column(col);
-            if (cls == ColumnClass::kInformational)
-                continue;
+            const bool host = is_host_column(col);
             for (std::size_t r = 0; r < base.rows.size(); ++r) {
-                const auto bv = base.rows[r].find(col);
-                const auto cv = cur.rows[r].find(col);
-                if (bv == base.rows[r].end() || cv == cur.rows[r].end())
-                    continue;
-                if (!json_is_numeric(bv->second) ||
-                    !json_is_numeric(cv->second))
-                    continue;
-                BenchDiffResult::Delta d;
-                d.bench = name;
-                d.column = col;
-                d.row = r;
-                d.base = std::atof(bv->second.c_str());
-                d.cur = std::atof(cv->second.c_str());
-                d.cls = cls;
-                const double denom = std::max(std::fabs(d.base), 1e-12);
-                d.pct = (d.cur - d.base) / denom * 100.0;
-                switch (cls) {
-                  case ColumnClass::kExact:
-                    d.regression = d.cur != d.base;
-                    break;
-                  case ColumnClass::kHostWall:
-                    d.regression =
-                        host_threshold_pct >= 0 &&
-                        (host_wall_higher_better(col)
-                             ? d.pct < -host_threshold_pct
-                             : d.pct > host_threshold_pct);
-                    break;
-                  case ColumnClass::kHigherBetter:
-                    d.regression = d.pct < -threshold_pct;
-                    break;
-                  default:
-                    d.regression = d.pct > threshold_pct;
-                    break;
-                }
-                if (d.regression)
-                    ++res.num_regressions;
-                res.deltas.push_back(std::move(d));
+                BenchDiffResult::Cell c;
+                c.bench = name;
+                c.column = col;
+                c.row = r;
+                c.host = host;
+                if (const auto it = base.rows[r].find(col);
+                    it != base.rows[r].end())
+                    c.base = it->second;
+                if (const auto it = cur.rows[r].find(col);
+                    it != cur.rows[r].end())
+                    c.cur = it->second;
+                if (!host)
+                    ++res.num_exact;
+                if (c.mismatch())
+                    ++res.num_mismatches;
+                res.cells.push_back(std::move(c));
             }
         }
     }
@@ -393,39 +296,39 @@ std::string
 BenchDiffResult::to_string(bool verbose) const
 {
     std::string out = strprintf(
-        "bench diff: %zu comparisons, %zu regression(s) beyond %.1f%%\n",
-        deltas.size(), num_regressions, threshold_pct);
+        "bench diff: %zu exact cell(s), %zu mismatch(es); "
+        "%zu host cell(s), informational\n",
+        num_exact, num_mismatches, cells.size() - num_exact);
     for (const std::string &m : missing)
-        out += "  MISSING: " + m + " (in baseline, not in current run)\n";
+        out += "  MISSING: " + m + " (golden, not in current run)\n";
     for (const std::string &e : errors)
         out += "  ERROR: " + e + "\n";
 
     TablePrinter t;
-    t.header({"bench", "column", "row", "baseline", "current", "change",
+    t.header({"bench", "column", "row", "golden", "current", "change",
               "verdict"});
-    // Regressions always shown; with verbose, every comparison.
-    std::vector<const Delta *> shown;
-    for (const Delta &d : deltas)
-        if (verbose || d.regression)
-            shown.push_back(&d);
-    std::stable_sort(shown.begin(), shown.end(),
-                     [](const Delta *a, const Delta *b) {
-                         if (a->regression != b->regression)
-                             return a->regression;
-                         return std::fabs(a->pct) > std::fabs(b->pct);
-                     });
-    for (const Delta *d : shown) {
-        const char *verdict = d->regression ? "REGRESSION" : "ok";
-        if (d->cls == ColumnClass::kHostWall && host_threshold_pct < 0)
-            verdict = "info";  // wall-clock column, gate not armed
-        t.row({d->bench, d->column, strprintf("%zu", d->row),
-               strprintf("%.4g", d->base), strprintf("%.4g", d->cur),
-               strprintf("%+.2f%%", d->pct), verdict});
+    // Mismatches first, then host cells; verbose adds every match.
+    std::vector<const Cell *> shown;
+    for (const Cell &c : cells)
+        if (verbose || c.host || c.mismatch())
+            shown.push_back(&c);
+    std::stable_partition(shown.begin(), shown.end(),
+                          [](const Cell *c) { return c->mismatch(); });
+    for (const Cell *c : shown) {
+        std::string change = "-";
+        if (c->host && json_is_numeric(c->base) &&
+            json_is_numeric(c->cur)) {
+            const double b = std::strtod(c->base.c_str(), nullptr);
+            const double v = std::strtod(c->cur.c_str(), nullptr);
+            change = strprintf("%+.2f%%",
+                               (v - b) / std::max(std::fabs(b), 1e-12) * 100);
+        }
+        t.row({c->bench, c->column, strprintf("%zu", c->row), c->base,
+               c->cur, change,
+               c->host ? "info" : c->mismatch() ? "MISMATCH" : "ok"});
     }
     if (t.num_rows())
         out += t.to_string();
-    else if (!deltas.empty())
-        out += "  all tracked metrics within threshold\n";
     return out;
 }
 

@@ -5,14 +5,14 @@
  * BenchReport leaves one `<name>.json` JSON-Lines artifact per bench
  * in $PMILL_BENCH_DIR. This module loads two such directories (a
  * checked-in golden baseline and a fresh run), matches tables by file
- * name and rows by index, classifies columns by name into
- * higher-is-better / lower-is-better / informational, and reports
- * every tracked metric that moved beyond a percent threshold — the
+ * name and rows by index, and compares them cell by cell — the
  * library behind the `pmill_bench_diff` CI gate.
  *
- * The simulation is deterministic, so golden artifacts are exactly
- * reproducible on the same build; the threshold absorbs legitimate
- * model retuning and compiler floating-point variation.
+ * The simulation is deterministic, so every simulated cell must
+ * reproduce its golden value exactly. Columns measured on the host
+ * (a "wall" or "host" name token) are the one exception: they are
+ * reported with their percent change and never gate. A model change
+ * that moves a simulated cell re-records the golden on purpose.
  */
 
 #ifndef PMILL_TELEMETRY_BENCH_DIFF_HH
@@ -24,20 +24,9 @@
 
 namespace pmill {
 
-/** Regression direction of a bench column, derived from its name. */
-enum class ColumnClass {
-    kHigherBetter,    ///< throughput-like: a drop is a regression
-    kLowerBetter,     ///< latency/miss-like: a rise is a regression
-    kInformational,   ///< axes, labels, ratios — never gated
-    kExact,           ///< "eq"-prefixed: ANY numeric change regresses
-                      ///< (simulated-equivalence columns in host_perf)
-    kHostWall,        ///< "wall"/"host" wall-clock measurements: noisy
-                      ///< on shared runners, informational unless a
-                      ///< host threshold is explicitly given
-};
-
-/** Classify @p column by name tokens ("Thr(Gbps)" -> higher-better). */
-ColumnClass classify_column(const std::string &column);
+/** True when @p column was measured on the host: a "wall" or "host"
+ * token in its name ("wall_ms", "host_Mpps"). */
+bool is_host_column(const std::string &column);
 
 /**
  * Parse one flat JSON object line (string/number values, no nesting)
@@ -65,51 +54,44 @@ std::vector<std::string> list_bench_artifacts(const std::string &dir);
 
 /** Result of diffing two artifact directories. */
 struct BenchDiffResult {
-    /** One compared (bench, row, column) numeric cell. */
-    struct Delta {
+    /** One compared (bench, row, column) cell, as raw value strings. */
+    struct Cell {
         std::string bench;
         std::string column;
         std::size_t row = 0;
-        double base = 0;
-        double cur = 0;
-        double pct = 0;  ///< signed percent change vs. base
-        ColumnClass cls = ColumnClass::kInformational;
-        bool regression = false;  ///< moved the bad way past threshold
+        std::string base;  ///< golden value ("" when the row lacks it)
+        std::string cur;   ///< current value ("" when the row lacks it)
+        bool host = false;  ///< host-measured: reported, never gated
+
+        bool mismatch() const { return !host && base != cur; }
     };
 
-    double threshold_pct = 5.0;
-    /// Threshold for kHostWall columns; negative = informational only.
-    double host_threshold_pct = -1.0;
-    std::vector<Delta> deltas;          ///< every gated comparison
-    std::vector<std::string> missing;   ///< in base dir, not in current
+    std::vector<Cell> cells;            ///< every compared cell
+    std::vector<std::string> missing;   ///< golden, not in current
     std::vector<std::string> errors;    ///< unreadable/mismatched tables
-    std::size_t num_regressions = 0;
+    std::size_t num_exact = 0;          ///< exact cells compared
+    std::size_t num_mismatches = 0;     ///< exact cells that differ
 
-    /** Gate verdict: no regressions, no missing benches, no errors. */
+    /** Gate verdict: no mismatch, no missing bench, no errors. */
     bool ok() const
     {
-        return num_regressions == 0 && missing.empty() && errors.empty();
+        return num_mismatches == 0 && missing.empty() && errors.empty();
     }
 
-    /** Human summary (regressions first, then the largest moves). */
+    /** Human summary: mismatches and host cells; @p verbose adds
+     * every matching exact cell. */
     std::string to_string(bool verbose = false) const;
 };
 
 /**
- * Compare every artifact of @p base_dir against @p cur_dir. A tracked
- * metric regressing by more than @p threshold_pct percent, an exact
- * ("eq") column changing at all, a bench missing from @p cur_dir, or
- * a malformed artifact makes ok() false.
- *
- * Wall-clock ("wall"/"host") columns are compared but informational
- * by default — bench runners are noisy hosts. Pass a non-negative
- * @p host_threshold_pct to gate them (lower-is-better direction for
- * time-like names, higher-is-better for rate-like names).
+ * Compare every artifact of @p base_dir against @p cur_dir. Every
+ * cell of a non-host column must equal its golden raw value exactly.
+ * A mismatched cell, a changed column list or row count, a bench
+ * missing from @p cur_dir, a `.json` artifact in @p cur_dir with no
+ * golden, or a malformed artifact makes ok() false.
  */
 BenchDiffResult diff_bench_dirs(const std::string &base_dir,
-                                const std::string &cur_dir,
-                                double threshold_pct,
-                                double host_threshold_pct = -1.0);
+                                const std::string &cur_dir);
 
 } // namespace pmill
 

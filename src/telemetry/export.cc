@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "src/common/log.hh"
-#include "src/common/table_printer.hh"
 
 namespace pmill {
 
@@ -120,36 +119,6 @@ export_csv(const Timeline &tl, std::ostream &os)
         for (double v : r.values)
             cells.push_back(json_number(v));
         write_csv_record(os, cells);
-    }
-}
-
-void
-timeline_to_table(const Timeline &tl, TablePrinter &t,
-                  const std::vector<std::string> &columns)
-{
-    std::vector<int> idx;
-    std::vector<std::string> header = {"t(us)"};
-    if (columns.empty()) {
-        for (std::size_t c = 0; c < tl.columns.size(); ++c) {
-            idx.push_back(static_cast<int>(c));
-            header.push_back(tl.columns[c]);
-        }
-    } else {
-        for (const std::string &name : columns) {
-            const int c = tl.column(name);
-            if (c >= 0) {
-                idx.push_back(c);
-                header.push_back(name);
-            }
-        }
-    }
-    t.header(header);
-    for (const TimelineRow &r : tl.rows) {
-        std::vector<std::string> cells = {strprintf("%.0f", r.t_us)};
-        for (int c : idx)
-            cells.push_back(
-                strprintf("%.4g", r.values[static_cast<std::size_t>(c)]));
-        t.row(cells);
     }
 }
 

@@ -17,8 +17,6 @@
 
 namespace pmill {
 
-class TablePrinter;
-
 /** Escape @p s for inclusion in a JSON string literal (no quotes). */
 std::string json_escape(const std::string &s);
 
@@ -51,14 +49,6 @@ void export_jsonl(const Timeline &tl, std::ostream &os);
 
 /** Write the timeline as CSV (`t_us,dt_us,<columns...>` header). */
 void export_csv(const Timeline &tl, std::ostream &os);
-
-/**
- * Render the timeline into @p t (header + one row per interval,
- * values restricted to @p columns when non-empty) for the human
- * table printer.
- */
-void timeline_to_table(const Timeline &tl, TablePrinter &t,
-                       const std::vector<std::string> &columns = {});
 
 } // namespace pmill
 

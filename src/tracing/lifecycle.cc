@@ -158,29 +158,6 @@ attribute_tail(const Tracer &tracer, double threshold_us)
     return att;
 }
 
-std::vector<SpanCost>
-aggregate_span_costs(const Tracer &tracer)
-{
-    std::map<std::uint16_t, SpanCost> by_span;
-    const std::size_t n = tracer.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = tracer.at(i);
-        if (r.kind != TraceEventKind::kPacketElement)
-            continue;
-        SpanCost &c = by_span[r.span];
-        c.packets += 1;
-        c.cycles += r.cycles;
-        c.dur_ns += r.dur_ns;
-    }
-    std::vector<SpanCost> out;
-    out.reserve(by_span.size());
-    for (auto &[span, c] : by_span) {
-        c.span = tracer.span_name(span);
-        out.push_back(std::move(c));
-    }
-    return out;
-}
-
 std::vector<std::uint64_t>
 burst_occupancy_histogram(const Tracer &tracer, std::uint32_t max_burst)
 {

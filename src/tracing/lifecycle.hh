@@ -92,28 +92,6 @@ struct TailAttribution {
  */
 TailAttribution attribute_tail(const Tracer &tracer, double threshold_us);
 
-/** Aggregate per-span cost of the sampled packets in the ring. */
-struct SpanCost {
-    std::string span;            ///< element instance name
-    std::uint64_t packets = 0;   ///< sampled packets that visited it
-    double cycles = 0;           ///< summed per-packet cycle shares
-    double dur_ns = 0;           ///< summed elapsed-ns shares (w/ stalls)
-
-    /** Memory-stall ns implied by cycles at @p freq_ghz. */
-    double
-    stall_ns(double freq_ghz) const
-    {
-        return dur_ns - cycles / freq_ghz;
-    }
-};
-
-/**
- * Sum every kPacketElement record in @p tracer's ring by span,
- * returned in span-id order (deterministic). This is the raw material
- * the mill's Profile distills element heat from.
- */
-std::vector<SpanCost> aggregate_span_costs(const Tracer &tracer);
-
 /**
  * Histogram of RX burst occupancy from the ring's kRxBurst records:
  * slot b counts polls that returned exactly b packets, b in

@@ -96,17 +96,20 @@ TEST(AcctScopeGuard, NestsAndRestores)
     EXPECT_EQ(sink.acct_scope(), kAcctFramework);
     {
         AcctScope rx(sink, kAcctDriverRx);
-        if (CycleAccount::kCompiledIn)
+        if (CycleAccount::kCompiledIn) {
             EXPECT_EQ(sink.acct_scope(), kAcctDriverRx);
+        }
         {
             // Nested retag (mempool refill inside an RX burst) must
             // land in the innermost scope and restore the outer one.
             AcctScope pool(&sink, kAcctMempool);
-            if (CycleAccount::kCompiledIn)
+            if (CycleAccount::kCompiledIn) {
                 EXPECT_EQ(sink.acct_scope(), kAcctMempool);
+            }
         }
-        if (CycleAccount::kCompiledIn)
+        if (CycleAccount::kCompiledIn) {
             EXPECT_EQ(sink.acct_scope(), kAcctDriverRx);
+        }
     }
     EXPECT_EQ(sink.acct_scope(), kAcctFramework);
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Bench-regression gating tests: the flat JSON-line parser, column
- * direction classification, artifact loading, and directory diffing
- * (pass, regression, improvement, missing bench, malformed input).
+ * Bench-regression gating tests: the flat JSON-line parser, the host
+ * column rule, artifact loading, and directory diffing (exact cells,
+ * free-moving host cells, dropped columns, missing and extra
+ * artifacts, malformed input).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/telemetry/bench_diff.hh"
 
@@ -82,118 +84,33 @@ TEST(BenchDiffParser, FlatObjects)
     EXPECT_FALSE(parse_json_object_line("[1,2]", &o));
 }
 
-TEST(BenchDiffClassify, DirectionFromName)
+TEST(BenchDiffClassify, HostTokensMarkHostColumnsEverythingElseIsExact)
 {
-    EXPECT_EQ(classify_column("Thr(Gbps)"), ColumnClass::kHigherBetter);
-    EXPECT_EQ(classify_column("Throughput"), ColumnClass::kHigherBetter);
-    EXPECT_EQ(classify_column("Mpps"), ColumnClass::kHigherBetter);
-    EXPECT_EQ(classify_column("IPC"), ColumnClass::kHigherBetter);
-    EXPECT_EQ(classify_column("Copying"), ColumnClass::kHigherBetter);
-    EXPECT_EQ(classify_column("X-Change"), ColumnClass::kHigherBetter);
+    // Host-measured: a "wall" or "host" token, in any case.
+    EXPECT_TRUE(is_host_column("wall_ms"));
+    EXPECT_TRUE(is_host_column("host_Mpps"));
+    EXPECT_TRUE(is_host_column("host_sim_rate"));
+    EXPECT_TRUE(is_host_column("host_speedup"));
+    EXPECT_TRUE(is_host_column("Wall time(ms)"));
 
-    EXPECT_EQ(classify_column("p99(us)"), ColumnClass::kLowerBetter);
-    EXPECT_EQ(classify_column("Median lat(us)"),
-              ColumnClass::kLowerBetter);
-    EXPECT_EQ(classify_column("LLC misses"), ColumnClass::kLowerBetter);
-    EXPECT_EQ(classify_column("Cycles/pkt"), ColumnClass::kLowerBetter);
-    EXPECT_EQ(classify_column("Drops"), ColumnClass::kLowerBetter);
-
-    // Input axes and derived ratios are never gated, even when the
-    // token also names a unit ("Offered(Gbps)" is an axis, not a
-    // measurement).
-    EXPECT_EQ(classify_column("Offered(Gbps)"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("Pkt size"), ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("Freq(GHz)"), ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("Improvement"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("Configuration"),
-              ColumnClass::kInformational);
+    // Everything else is simulated and compared exactly, whatever
+    // its name says about units, direction or feature.
+    for (const char *col :
+         {"Thr(Gbps)", "p99(us)", "Offered(Gbps)", "Improvement",
+          "speedup", "Threads", "eq_frames", "acct_idle_pct",
+          "steer_handoffs", "numa_remote_fills", "park_fills", "To",
+          "Why", "hostname", "walls"})
+        EXPECT_FALSE(is_host_column(col)) << col;
 }
 
-TEST(BenchDiffClassify, AcctColumnsAreInformationalUnlessEqGated)
+/** kGoldenTable with the cell text @p from replaced by @p to. */
+std::string
+golden_with(const std::string &from, const std::string &to)
 {
-    // Cycle-accounting shares move with any legitimate model change;
-    // they never gate on their own, even though the names carry
-    // otherwise-gating tokens like "cycles" and "stall".
-    EXPECT_EQ(classify_column("acct_idle_pct"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("acct_llc_stall_cycles"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("acct_el_nat_cycles"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("Acct busy(%)"),
-              ColumnClass::kInformational);
-
-    // ...but the conservation invariants are hard-gated: the eq token
-    // wins over acct, so ANY numeric change fails the diff.
-    EXPECT_EQ(classify_column("eq_acct_sum"), ColumnClass::kExact);
-    EXPECT_EQ(classify_column("eq_acct_residual"), ColumnClass::kExact);
-}
-
-TEST(BenchDiffClassify, SteerAndNumaColumnsAreInformational)
-{
-    // Steering / NUMA volumes are placement-policy outputs: a
-    // rebalance that improves p99 legitimately moves every handoff
-    // and remote-fill count, so they never gate on their own even
-    // though the names carry "drops"/"fills"-style tokens.
-    EXPECT_EQ(classify_column("steer_handoffs"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("steer_ring_drops"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("steer_stage_drops"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("numa_remote_fills"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("Numa remote(ns)"),
-              ColumnClass::kInformational);
-
-    // The eq token still wins: bit-exactness columns derived from
-    // steering counters hard-gate like any other eq_ column.
-    EXPECT_EQ(classify_column("eq_steer_handoffs"), ColumnClass::kExact);
-    EXPECT_EQ(classify_column("eq_numa_remote_fills"),
-              ColumnClass::kExact);
-}
-
-TEST(BenchDiffClassify, ParkColumns)
-{
-    // Payload-park plumbing volumes are fixed by the split point and
-    // traffic mix, not quality signals — informational even though
-    // "fills"/"gathers" sit next to miss-like tokens.
-    EXPECT_EQ(classify_column("park_fills"), ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("park_gathers"),
-              ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("park_dropped"),
-              ColumnClass::kInformational);
-
-    // The eq token still wins: the payload_parking bench's gated
-    // columns hard-gate bit-for-bit.
-    EXPECT_EQ(classify_column("eq_park_frames"), ColumnClass::kExact);
-    EXPECT_EQ(classify_column("eq_park_llc_miss"), ColumnClass::kExact);
-
-    // "Parking" as a model-named throughput column (fig05a's fourth
-    // model) gates higher-better like its siblings.
-    EXPECT_EQ(classify_column("Parking"), ColumnClass::kHigherBetter);
-    EXPECT_EQ(classify_column("Parking(Gbps)"),
-              ColumnClass::kHigherBetter);
-}
-
-TEST(BenchDiffClassify, HostParallelColumns)
-{
-    // The host_parallel bench reports wall-clock scaling next to
-    // simulated-equivalence columns. The thread axis and the derived
-    // speedup ratio never gate; raw wall-clock cells are kHostWall
-    // (informational unless a host threshold is explicitly armed —
-    // shared runners and 1-CPU containers make them meaningless as a
-    // default gate); only the eq_ columns are exact-gated.
-    EXPECT_EQ(classify_column("Threads"), ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("speedup"), ColumnClass::kInformational);
-    EXPECT_EQ(classify_column("wall_ms"), ColumnClass::kHostWall);
-    EXPECT_EQ(classify_column("host_Mpps"), ColumnClass::kHostWall);
-    EXPECT_EQ(classify_column("eq_frames"), ColumnClass::kExact);
-    EXPECT_EQ(classify_column("eq_p99_us"), ColumnClass::kExact);
-    EXPECT_EQ(classify_column("eq_llc_misses"), ColumnClass::kExact);
-    EXPECT_EQ(classify_column("eq_drops"), ColumnClass::kExact);
+    std::string s = kGoldenTable;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
 }
 
 TEST(BenchDiffDirs, HostParallelWallMovesFreelyEqGatesExactly)
@@ -201,11 +118,11 @@ TEST(BenchDiffDirs, HostParallelWallMovesFreelyEqGatesExactly)
     const char kBase[] =
         "{\"type\":\"meta\",\"bench\":\"host_parallel\","
         "\"title\":\"H\",\"columns\":[\"Threads\",\"wall_ms\","
-        "\"speedup\",\"eq_frames\"]}\n"
+        "\"host_speedup\",\"eq_frames\"]}\n"
         "{\"type\":\"row\",\"Threads\":1,\"wall_ms\":900.0,"
-        "\"speedup\":1.0,\"eq_frames\":12345}\n"
+        "\"host_speedup\":1.0,\"eq_frames\":12345}\n"
         "{\"type\":\"row\",\"Threads\":4,\"wall_ms\":260.0,"
-        "\"speedup\":3.46,\"eq_frames\":12345}\n";
+        "\"host_speedup\":3.46,\"eq_frames\":12345}\n";
 
     // Wall-clock 3x slower, speedup collapsed: still ok, those are
     // host-side measurements on an arbitrary runner.
@@ -214,26 +131,30 @@ TEST(BenchDiffDirs, HostParallelWallMovesFreelyEqGatesExactly)
     cur.write("host_parallel.json",
               "{\"type\":\"meta\",\"bench\":\"host_parallel\","
               "\"title\":\"H\",\"columns\":[\"Threads\",\"wall_ms\","
-              "\"speedup\",\"eq_frames\"]}\n"
+              "\"host_speedup\",\"eq_frames\"]}\n"
               "{\"type\":\"row\",\"Threads\":1,\"wall_ms\":2700.0,"
-              "\"speedup\":1.0,\"eq_frames\":12345}\n"
+              "\"host_speedup\":1.0,\"eq_frames\":12345}\n"
               "{\"type\":\"row\",\"Threads\":4,\"wall_ms\":2650.0,"
-              "\"speedup\":1.02,\"eq_frames\":12345}\n");
-    EXPECT_TRUE(diff_bench_dirs(base.path(), cur.path(), 5.0).ok());
+              "\"host_speedup\":1.02,\"eq_frames\":12345}\n");
+    BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_TRUE(res.ok()) << res.to_string();
+    EXPECT_EQ(res.num_exact, 4u);  // Threads and eq_frames, two rows
+    EXPECT_EQ(res.cells.size(), 8u);
+    // Host cells are reported with their percent change.
+    EXPECT_NE(res.to_string().find("+200.00%"), std::string::npos);
 
     // One frame of drift in an eq_ column fails the gate outright.
     cur.write("host_parallel.json",
               "{\"type\":\"meta\",\"bench\":\"host_parallel\","
               "\"title\":\"H\",\"columns\":[\"Threads\",\"wall_ms\","
-              "\"speedup\",\"eq_frames\"]}\n"
+              "\"host_speedup\",\"eq_frames\"]}\n"
               "{\"type\":\"row\",\"Threads\":1,\"wall_ms\":900.0,"
-              "\"speedup\":1.0,\"eq_frames\":12345}\n"
+              "\"host_speedup\":1.0,\"eq_frames\":12345}\n"
               "{\"type\":\"row\",\"Threads\":4,\"wall_ms\":260.0,"
-              "\"speedup\":3.46,\"eq_frames\":12346}\n");
-    const BenchDiffResult res =
-        diff_bench_dirs(base.path(), cur.path(), 5.0);
+              "\"host_speedup\":3.46,\"eq_frames\":12346}\n");
+    res = diff_bench_dirs(base.path(), cur.path());
     EXPECT_FALSE(res.ok());
-    EXPECT_EQ(res.num_regressions, 1u);
+    EXPECT_EQ(res.num_mismatches, 1u);
 }
 
 TEST(BenchDiffLoad, TableRoundTrip)
@@ -258,34 +179,36 @@ TEST(BenchDiffLoad, TableRoundTrip)
         << "a table without a meta line is malformed";
 }
 
-TEST(BenchDiffDirs, PassWithinThreshold)
+TEST(BenchDiffDirs, SmallMovesFailTheGate)
 {
+    // 2% more throughput, 3% more p99: each is a changed simulated
+    // cell, and the gate has no tolerance for either.
     ScratchDir base("base"), cur("cur");
     base.write("t.json", kGoldenTable);
-    // Thr +2%, p99 +3%: inside a 5% gate.
     cur.write("t.json",
-              "{\"type\":\"meta\",\"bench\":\"t\",\"title\":\"T\","
-              "\"columns\":[\"Offered(Gbps)\",\"Thr(Gbps)\","
-              "\"p99(us)\"]}\n"
-              "{\"type\":\"row\",\"Offered(Gbps)\":50,\"Thr(Gbps)\":49.9,"
-              "\"p99(us)\":3.05}\n"
-              "{\"type\":\"row\",\"Offered(Gbps)\":100,"
-              "\"Thr(Gbps)\":83.5,\"p99(us)\":9.7}\n");
+              golden_with("\"Thr(Gbps)\":49.5", "\"Thr(Gbps)\":50.49"));
+    BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.num_mismatches, 1u);
 
-    const BenchDiffResult res =
-        diff_bench_dirs(base.path(), cur.path(), 5.0);
-    EXPECT_TRUE(res.ok());
-    EXPECT_EQ(res.num_regressions, 0u);
-    // 2 rows x 2 gated columns; the Offered axis is not compared.
-    EXPECT_EQ(res.deltas.size(), 4u);
+    cur.write("t.json",
+              golden_with("\"p99(us)\":9.5", "\"p99(us)\":9.785"));
+    res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok());
+    ASSERT_EQ(res.num_mismatches, 1u);
+    // Every cell of the table is compared, input axes included.
+    EXPECT_EQ(res.num_exact, 6u);
+    const std::string report = res.to_string();
+    EXPECT_NE(report.find("MISMATCH"), std::string::npos) << report;
+    EXPECT_NE(report.find("9.785"), std::string::npos) << report;
 }
 
-TEST(BenchDiffDirs, DirectionalGating)
+TEST(BenchDiffDirs, MovesInEitherDirectionFailTheGate)
 {
     ScratchDir base("base"), cur("cur");
     base.write("t.json", kGoldenTable);
-    // Row 0: throughput collapsed (regression). Row 1: p99 doubled
-    // (regression) while throughput improved (not a regression).
+    // Row 0: throughput collapsed. Row 1: throughput improved and p99
+    // doubled. All three cells mismatch; none is an "improvement".
     cur.write("t.json",
               "{\"type\":\"meta\",\"bench\":\"t\",\"title\":\"T\","
               "\"columns\":[\"Offered(Gbps)\",\"Thr(Gbps)\","
@@ -295,19 +218,99 @@ TEST(BenchDiffDirs, DirectionalGating)
               "{\"type\":\"row\",\"Offered(Gbps)\":100,"
               "\"Thr(Gbps)\":95.0,\"p99(us)\":19.0}\n");
 
-    const BenchDiffResult res =
-        diff_bench_dirs(base.path(), cur.path(), 5.0);
+    const BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
     EXPECT_FALSE(res.ok());
-    EXPECT_EQ(res.num_regressions, 2u);
-    for (const auto &d : res.deltas) {
-        if (d.regression) {
-            EXPECT_TRUE((d.column == "Thr(Gbps)" && d.row == 0) ||
-                        (d.column == "p99(us)" && d.row == 1))
-                << d.column << " row " << d.row;
-        }
-    }
-    const std::string report = res.to_string();
-    EXPECT_NE(report.find("REGRESSION"), std::string::npos);
+    std::vector<std::string> bad;
+    for (const auto &c : res.cells)
+        if (c.mismatch())
+            bad.push_back(c.column + "@" + std::to_string(c.row));
+    EXPECT_EQ(bad, (std::vector<std::string>{"Thr(Gbps)@0", "Thr(Gbps)@1",
+                                             "p99(us)@1"}));
+}
+
+// The four tests below are edits to a fresh artifact that the
+// name-token classifier with a percent threshold let through.
+
+TEST(BenchDiffDirs, DroppedColumnFailsTheGate)
+{
+    // fig10_multicore without its "PacketMill Gbps" column.
+    ScratchDir base("base"), cur("cur");
+    base.write("fig10.json",
+               "{\"type\":\"meta\",\"bench\":\"fig10\",\"title\":\"F\","
+               "\"columns\":[\"Cores\",\"Vanilla Gbps\","
+               "\"PacketMill Gbps\"]}\n"
+               "{\"type\":\"row\",\"Cores\":1,\"Vanilla Gbps\":30.5,"
+               "\"PacketMill Gbps\":45.2}\n");
+    cur.write("fig10.json",
+              "{\"type\":\"meta\",\"bench\":\"fig10\",\"title\":\"F\","
+              "\"columns\":[\"Cores\",\"Vanilla Gbps\"]}\n"
+              "{\"type\":\"row\",\"Cores\":1,\"Vanilla Gbps\":30.5}\n");
+    const BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok());
+    ASSERT_EQ(res.errors.size(), 1u);
+    EXPECT_NE(res.errors[0].find("column list changed"), std::string::npos)
+        << res.errors[0];
+    EXPECT_NE(res.errors[0].find("current: Cores, Vanilla Gbps)"),
+              std::string::npos)
+        << res.errors[0];
+}
+
+TEST(BenchDiffDirs, RaisedThroughputFailsTheGate)
+{
+    // Fig 5a's X-Change column raised 40%, past a 100 G link.
+    ScratchDir base("base"), cur("cur");
+    base.write("t.json", kGoldenTable);
+    cur.write("t.json",
+              golden_with("\"Thr(Gbps)\":82.0", "\"Thr(Gbps)\":114.8"));
+    const BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.num_mismatches, 1u);
+}
+
+TEST(BenchDiffDirs, EditedDecisionFailsTheGate)
+{
+    // adaptive_control_decisions: one controller decision, with a
+    // numeric knob value and a string rationale.
+    const std::string meta =
+        "{\"type\":\"meta\",\"bench\":\"d\",\"title\":\"D\","
+        "\"columns\":[\"Knob\",\"From\",\"To\",\"Why\"]}\n";
+    auto row = [](const char *to, const char *why) {
+        return std::string("{\"type\":\"row\",\"Knob\":\"burst\","
+                           "\"From\":32,\"To\":") +
+               to + ",\"Why\":\"" + why + "\"}\n";
+    };
+    ScratchDir base("base"), cur("cur");
+    base.write("d.json", meta + row("16", "p99 above target"));
+
+    cur.write("d.json", meta + row("8", "p99 above target"));
+    BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok()) << "numeric decision edited";
+    EXPECT_EQ(res.num_mismatches, 1u);
+
+    cur.write("d.json", meta + row("16", "p99 below target"));
+    res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok()) << "string decision edited";
+    EXPECT_EQ(res.num_mismatches, 1u);
+
+    // Raw values are compared as written: "16.0" is not "16".
+    cur.write("d.json", meta + row("16.0", "p99 above target"));
+    EXPECT_FALSE(diff_bench_dirs(base.path(), cur.path()).ok());
+}
+
+TEST(BenchDiffDirs, FreshArtifactWithoutGoldenFailsTheGate)
+{
+    ScratchDir base("base"), cur("cur");
+    base.write("t.json", kGoldenTable);
+    cur.write("t.json", kGoldenTable);
+    cur.write("u.json", kGoldenTable);
+    // Only .json artifacts count: the CSV twin and acct JSONL do not.
+    cur.write("t.csv", "a,b\n");
+    cur.write("t_acct.jsonl", "{}\n");
+    const BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok());
+    ASSERT_EQ(res.errors.size(), 1u);
+    EXPECT_NE(res.errors[0].find("u: no golden"), std::string::npos)
+        << res.errors[0];
 }
 
 TEST(BenchDiffDirs, MissingAndMalformedFailTheGate)
@@ -315,7 +318,7 @@ TEST(BenchDiffDirs, MissingAndMalformedFailTheGate)
     ScratchDir base("base"), cur("cur");
     base.write("t.json", kGoldenTable);
     // Current run produced no artifact at all.
-    BenchDiffResult res = diff_bench_dirs(base.path(), cur.path(), 5.0);
+    BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
     EXPECT_FALSE(res.ok());
     ASSERT_EQ(res.missing.size(), 1u);
     EXPECT_EQ(res.missing[0], "t");
@@ -327,10 +330,20 @@ TEST(BenchDiffDirs, MissingAndMalformedFailTheGate)
               "\"p99(us)\"]}\n"
               "{\"type\":\"row\",\"Offered(Gbps)\":50,\"Thr(Gbps)\":49.5,"
               "\"p99(us)\":3.0}\n");
-    res = diff_bench_dirs(base.path(), cur.path(), 5.0);
+    res = diff_bench_dirs(base.path(), cur.path());
     EXPECT_FALSE(res.ok());
     ASSERT_EQ(res.errors.size(), 1u);
     EXPECT_NE(res.errors[0].find("row count"), std::string::npos);
+
+    // A malformed current artifact is an error too.
+    cur.write("t.json", "{\"type\":\"row\"\n");
+    res = diff_bench_dirs(base.path(), cur.path());
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.errors.size(), 1u);
+
+    // An empty golden directory is an error, not a vacuous pass.
+    ScratchDir empty("empty");
+    EXPECT_FALSE(diff_bench_dirs(empty.path(), empty.path()).ok());
 }
 
 TEST(BenchDiffDirs, IdenticalDirsAlwaysPass)
@@ -338,9 +351,10 @@ TEST(BenchDiffDirs, IdenticalDirsAlwaysPass)
     ScratchDir base("base"), cur("cur");
     base.write("t.json", kGoldenTable);
     cur.write("t.json", kGoldenTable);
-    const BenchDiffResult res =
-        diff_bench_dirs(base.path(), cur.path(), 0.0001);
+    const BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());
     EXPECT_TRUE(res.ok()) << res.to_string(true);
+    EXPECT_EQ(res.num_exact, 6u);
+    EXPECT_EQ(res.num_mismatches, 0u);
 }
 
 } // namespace

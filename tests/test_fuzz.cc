@@ -110,11 +110,13 @@ TEST(FuzzFrameParser, TruncationSweepOnValidFrame)
     for (std::uint32_t len = 0; len <= frame.size(); ++len) {
         FrameView v = parse_frame(frame.data(), len);
         // Layer pointers are only set when the layer fully fits.
-        if (v.ip)
+        if (v.ip) {
             ASSERT_GE(len, kEtherHeaderLen + kIpv4HeaderLen);
-        if (v.tcp)
+        }
+        if (v.tcp) {
             ASSERT_GE(len,
                       kEtherHeaderLen + kIpv4HeaderLen + sizeof(TcpHeader));
+        }
     }
 }
 

@@ -256,8 +256,9 @@ TEST(TracingEngine, TailAttributionCoversLatency)
     // excess sum to ~100.
     double share = 0;
     for (std::size_t i = 0; i < ta.rows.size(); ++i) {
-        if (i)
+        if (i) {
             EXPECT_LE(ta.rows[i].excess_us, ta.rows[i - 1].excess_us);
+        }
         if (ta.rows[i].excess_us > 0)
             share += ta.rows[i].share_pct;
     }

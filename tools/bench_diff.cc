@@ -3,20 +3,16 @@
  * pmill_bench_diff: CI gate comparing two bench-artifact directories.
  *
  * Usage:
- *   pmill_bench_diff <baseline_dir> <current_dir>
- *                    [--threshold PCT] [--host-threshold PCT] [--verbose]
+ *   pmill_bench_diff <golden_dir> <current_dir> [--verbose]
  *
- * Exits 0 when every tracked metric (throughput-like up, latency-like
- * down, "eq" columns unchanged bit-for-bit) of every baseline artifact
- * is within the threshold; exits 1 on any regression, missing bench,
- * or malformed artifact. Wall-clock ("wall"/"host") columns are
- * informational unless --host-threshold arms a wide gate for them —
- * shared CI runners make tight wall-clock gates flaky.
+ * Exits 0 when every cell of every golden artifact reproduces exactly
+ * in the current run; exits 1 on any mismatched cell, changed column
+ * list or row count, missing bench, current artifact without a golden,
+ * or malformed artifact. Host-measured ("wall"/"host") columns are
+ * printed with their percent change and never gate.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/telemetry/bench_diff.hh"
@@ -27,8 +23,7 @@ void
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s <baseline_dir> <current_dir> "
-                 "[--threshold PCT] [--host-threshold PCT] [--verbose]\n",
+                 "usage: %s <golden_dir> <current_dir> [--verbose]\n",
                  argv0);
 }
 
@@ -38,23 +33,12 @@ int
 main(int argc, char **argv)
 {
     std::string base_dir, cur_dir;
-    double threshold = 5.0;
-    double host_threshold = -1.0;  // informational by default
     bool verbose = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--verbose" || arg == "-v") {
             verbose = true;
-        } else if (arg == "--threshold" && i + 1 < argc) {
-            threshold = std::atof(argv[++i]);
-        } else if (arg.rfind("--threshold=", 0) == 0) {
-            threshold = std::atof(arg.c_str() + std::strlen("--threshold="));
-        } else if (arg == "--host-threshold" && i + 1 < argc) {
-            host_threshold = std::atof(argv[++i]);
-        } else if (arg.rfind("--host-threshold=", 0) == 0) {
-            host_threshold =
-                std::atof(arg.c_str() + std::strlen("--host-threshold="));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -67,13 +51,13 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (base_dir.empty() || cur_dir.empty() || threshold <= 0) {
+    if (base_dir.empty() || cur_dir.empty()) {
         usage(argv[0]);
         return 2;
     }
 
     const pmill::BenchDiffResult res =
-        pmill::diff_bench_dirs(base_dir, cur_dir, threshold, host_threshold);
+        pmill::diff_bench_dirs(base_dir, cur_dir);
     std::fputs(res.to_string(verbose).c_str(), stdout);
     if (res.ok()) {
         std::printf("PASS\n");
