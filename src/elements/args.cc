@@ -1,6 +1,8 @@
 #include "src/elements/args.hh"
 
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 namespace pmill {
@@ -14,7 +16,10 @@ parse_uint(const std::string &s, std::uint64_t *out)
     for (char c : s) {
         if (!std::isdigit(static_cast<unsigned char>(c)))
             return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (UINT64_MAX - digit) / 10)
+            return false;  // would wrap
+        v = v * 10 + digit;
     }
     *out = v;
     return true;
@@ -27,7 +32,7 @@ parse_double(const std::string &s, double *out)
         return false;
     char *end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || v < 0)
+    if (end != s.c_str() + s.size() || !std::isfinite(v) || v < 0)
         return false;
     *out = v;
     return true;

@@ -15,10 +15,10 @@
 
 namespace pmill {
 
-/** Parse an unsigned integer; false on garbage. */
+/** Parse an unsigned integer; false on garbage or above 2^64 - 1. */
 bool parse_uint(const std::string &s, std::uint64_t *out);
 
-/** Parse a non-negative decimal number; false on garbage. */
+/** Parse a finite, non-negative decimal number; false on garbage. */
 bool parse_double(const std::string &s, double *out);
 
 /** Parse dotted-quad IPv4. */

@@ -62,10 +62,9 @@ NicDevice::bind_queue_park(std::uint32_t queue, PayloadPark *park,
 }
 
 std::uint32_t
-NicDevice::rss_queue(const std::uint8_t *frame, std::uint32_t len) const
+NicDevice::rss_queue(const FiveTuple &t) const
 {
     if (!rss_table_.empty()) {
-        const FiveTuple t = extract_tuple(frame, len);
         const std::uint32_t idx =
             rss_hash(t) &
             (static_cast<std::uint32_t>(rss_table_.size()) - 1);
@@ -79,17 +78,15 @@ NicDevice::rss_queue(const std::uint8_t *frame, std::uint32_t len) const
     // fixes when opted into.
     if (cfg_.num_queues == 1)
         return 0;
-    FiveTuple t = extract_tuple(frame, len);
     return rss_hash(t) % cfg_.num_queues;
 }
 
 bool
-NicDevice::deliver(std::uint32_t queue, const std::uint8_t *frame,
-                   std::uint32_t len, TimeNs now)
+NicDevice::admit(std::uint32_t queue, TimeNs now)
 {
     PMILL_ASSERT(queue < queues_.size(), "bad queue");
     Queue &q = queues_[queue];
-    // Every path below bumps some counter; invalidate the summed
+    // Every path from here bumps some counter; invalidate the summed
     // snapshot (relaxed: recomputation happens at serial points only).
     snap_dirty_.store(true, std::memory_order_relaxed);
 
@@ -105,9 +102,16 @@ NicDevice::deliver(std::uint32_t queue, const std::uint8_t *frame,
                     kDropPcie);
         return false;
     }
+    return true;
+}
 
+void
+NicDevice::accept(std::uint32_t queue, const std::uint8_t *frame,
+                  std::uint32_t len, TimeNs now)
+{
+    Queue &q = queues_[queue];
     // PCIe DMA of the frame (the queue's RX direction pipe
-    // serializes). A refused frame above used no PCIe time.
+    // serializes). A refused frame used no PCIe time.
     const double pcie_ns =
         static_cast<double>(len + cfg_.pcie_pkt_overhead_bytes) /
         cfg_.pcie_bytes_per_sec * 1e9;
@@ -117,7 +121,6 @@ NicDevice::deliver(std::uint32_t queue, const std::uint8_t *frame,
     land(queue, frame, len, dma_done);
     ++q.rx_stats.rx_frames;
     q.rx_stats.rx_bytes += len;
-    return true;
 }
 
 void

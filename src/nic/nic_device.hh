@@ -232,15 +232,26 @@ class NicDevice {
     }
 
     /**
-     * A frame finished arriving on the wire at @p now; the caller has
-     * RSS-routed it to @p queue (rss_queue()). The NIC DMAs it through
-     * the queue's RX PCIe pipe into a posted buffer and writes a CQE,
+     * A frame of @p len bytes finished arriving on the wire at @p now;
+     * the caller has RSS-routed it to @p queue (rss_queue()). With no
+     * free descriptor or a full completion ring the frame is refused
+     * and counted, and @p write is never called. Otherwise write()
+     * returns the frame's bytes, which the NIC DMAs through the
+     * queue's RX PCIe pipe into a posted buffer before writing a CQE,
      * both as device writes through the queue-bound cache hierarchy.
      * Touches only @p queue 's state.
      * @return false when dropped (no descriptor or CQ full).
      */
-    bool deliver(std::uint32_t queue, const std::uint8_t *frame,
-                 std::uint32_t len, TimeNs now);
+    template <typename WriteFn>
+    bool
+    deliver(std::uint32_t queue, std::uint32_t len, TimeNs now,
+            WriteFn &&write)
+    {
+        if (!admit(queue, now))
+            return false;
+        accept(queue, write(), len, now);
+        return true;
+    }
 
     /**
      * Driver-side: pop up to @p max completed CQEs (arrival time
@@ -293,9 +304,9 @@ class NicDevice {
     bool deliver_handoff(std::uint32_t queue, const std::uint8_t *frame,
                          std::uint32_t len, TimeNs orig_arrival_ns);
 
-    /** RSS queue that would be selected for @p frame. */
-    std::uint32_t rss_queue(const std::uint8_t *frame,
-                            std::uint32_t len) const;
+    /** RSS queue that would be selected for a frame of tuple @p t
+     * (extract_tuple(); zeroed for non-IP frames). */
+    std::uint32_t rss_queue(const FiveTuple &t) const;
 
     /// @name RSS indirection table (enabled by NicConfig::rss_table_size).
     /// @{
@@ -402,6 +413,16 @@ class NicDevice {
             : rx_free(rx_size), completions(rx_size), tx_pending(tx_size)
         {}
     };
+
+    /**
+     * deliver()'s refusal check: false, with the drop counted, when
+     * @p queue has no free descriptor or its completion ring is full.
+     */
+    bool admit(std::uint32_t queue, TimeNs now);
+
+    /** deliver() of an admitted frame: RX PCIe pipe, land, counters. */
+    void accept(std::uint32_t queue, const std::uint8_t *frame,
+                std::uint32_t len, TimeNs now);
 
     /**
      * Land an accepted frame on queue @p qi (the caller checked for a

@@ -73,16 +73,14 @@ arrival_key(TimeNs t)
 }
 
 /**
- * One pre-generated wire arrival, RSS-routed to its core's list by the
- * conductor and consumed by the owning core's worker thread. The frame
- * bytes sit in the epoch's frame arena at @p off.
+ * One drawn wire arrival, RSS-routed to its core's list by the
+ * conductor and consumed by the owning core's worker thread, which
+ * writes the frame's bytes only if its NIC queue accepts it.
  */
 struct PendingArrival {
-    TimeNs start = 0;  ///< generator emission time (event order key)
-    TimeNs done = 0;   ///< wire completion (NicDevice::deliver's now)
-    std::uint32_t len = 0;
+    TimeNs start = 0;       ///< generator emission time (event order key)
+    FrameDraw draw;         ///< length, tuple and what write() needs
     std::uint32_t nic = 0;  ///< ingress device
-    std::size_t off = 0;    ///< frame offset in the epoch's arena
 };
 
 /** One epoch's arrivals for one core, in emission order. */
@@ -1097,21 +1095,15 @@ Engine::run(const RunConfig &rc)
     std::vector<std::vector<PendingFx>> pending_tx(cores_.size());
     std::vector<TxCompletion> drained;
 
-    // The epoch's frame bytes: pregen writes every frame here, the
-    // cores read them back when they deliver. Every core delivers all
-    // of its arrivals before its epoch ends, so the arena is reused
-    // from offset 0 each epoch and grows only to the largest epoch.
-    std::vector<std::uint8_t> arena;
-    std::size_t arena_used = 0;
-
-    // Pre-generate every arrival in [gen.next_start, hi), merging the
-    // per-NIC generators by emission time (ties resolve to the lower
-    // NIC index). Exact: the generators' pacing (next_start advance,
-    // load-step switch, burst gap scale) never depends on delivery
-    // outcomes, so synthesizing ahead of the cores yields the same
-    // frame/time sequence as generating one arrival at a time.
+    // Draw every arrival in [gen.next_start, hi), merging the per-NIC
+    // generators by emission time (ties resolve to the lower NIC
+    // index), and route each by its drawn tuple. Exact: the
+    // generators' pacing (next_start advance, load-step switch, burst
+    // gap scale) never depends on delivery outcomes, so drawing ahead
+    // of the cores yields the same frame/time sequence as generating
+    // one arrival at a time. The bytes are written later, by the
+    // owning core, and only for frames its queue accepts.
     auto pregen = [&](TimeNs hi) {
-        arena_used = 0;
         for (ArrivalList &al : arrivals) {
             PMILL_ASSERT(al.next == al.list.size(),
                          "arrival left undelivered across an epoch edge");
@@ -1131,29 +1123,17 @@ Engine::run(const RunConfig &rc)
             if (!(best < hi) || best >= gen_stop)
                 break;
             Generator &gen = gens_[gi];
-            NicDevice &nic = *nics_[gi];
-            if (arena.size() < arena_used + kMaxFrameLen)
-                arena.resize(
-                    std::max(2 * arena.size(), arena_used + kMaxFrameLen));
-            std::uint8_t *frame = arena.data() + arena_used;
             double gap_scale = 1.0;
-            const std::uint32_t len =
-                gen.source->next_frame(frame, kMaxFrameLen, &gap_scale);
+            const PendingArrival pa{gen.next_start,
+                                    gen.source->draw(&gap_scale), gi};
             ++gen.frames;
-            PendingArrival pa;
-            pa.start = gen.next_start;
-            pa.done = gen.next_start + nic.wire_time_ns(len);
-            pa.len = len;
-            pa.nic = gi;
-            pa.off = arena_used;
-            arena_used += len;
-            arrivals[nic.rss_queue(frame, len)].list.push_back(pa);
+            arrivals[nics_[gi]->rss_queue(pa.draw.tuple)].list.push_back(pa);
             const double offered =
                 (load_step_gbps_ > 0 && gen.next_start >= load_step_at_)
                     ? load_step_gbps_
                     : offered_gbps_;
             const double wire_bits =
-                static_cast<double>((len + kWireOverheadBytes) * 8);
+                static_cast<double>((pa.draw.len + kWireOverheadBytes) * 8);
             gen.next_start += wire_bits / offered * gap_scale;
         }
     };
@@ -1190,14 +1170,19 @@ Engine::run(const RunConfig &rc)
         apply_tx_effects(ci);
         ArrivalList &al = arrivals[ci];
         const bool tron = PMILL_TRACE_ON(tracer_.get());
+        std::uint8_t frame_buf[kMaxFrameLen];
         for (;;) {
-            // Deliver every arrival the core has reached. Arrival
-            // wins ties with the poll at the same instant.
+            // Deliver every arrival the core has reached, writing its
+            // bytes only once the queue accepts it. Arrival wins ties
+            // with the poll at the same instant.
             while (al.next < al.list.size() &&
                    al.list[al.next].start <= core.clock) {
                 const PendingArrival &pa = al.list[al.next++];
-                nics_[pa.nic]->deliver(ci, arena.data() + pa.off, pa.len,
-                                       pa.done);
+                NicDevice &nic = *nics_[pa.nic];
+                const FrameSource &src = *gens_[pa.nic].source;
+                nic.deliver(ci, pa.draw.len,
+                            pa.start + nic.wire_time_ns(pa.draw.len),
+                            [&] { return src.write(pa.draw, frame_buf); });
             }
             if (core.clock >= t1)
                 break;

@@ -19,23 +19,46 @@ Trace::add(const std::uint8_t *data, std::uint32_t len)
     total_bytes_ += len;
 }
 
+std::uint32_t
+FrameSource::next_frame(std::uint8_t *buf, std::uint32_t cap,
+                        double *gap_scale)
+{
+    double gap = 1.0;
+    const FrameDraw d = draw(&gap);
+    PMILL_ASSERT(d.len <= cap, "frame of %u bytes exceeds the %u-byte buffer",
+                 d.len, cap);
+    const std::uint8_t *bytes = write(d, buf);
+    if (bytes != buf)
+        std::memcpy(buf, bytes, d.len);
+    if (gap_scale)
+        *gap_scale = gap;
+    return d.len;
+}
+
 TraceReplay::TraceReplay(std::shared_ptr<const Trace> trace)
     : trace_(std::move(trace))
 {
     PMILL_ASSERT(!trace_->empty(), "replay needs a nonempty trace");
+    PMILL_ASSERT(trace_->size() <= UINT32_MAX,
+                 "replay indexes at most 2^32 frames");
 }
 
-std::uint32_t
-TraceReplay::next_frame(std::uint8_t *buf, std::uint32_t cap,
-                        double *gap_scale)
+FrameDraw
+TraceReplay::draw(double *gap_scale)
 {
-    const std::uint32_t len = trace_->len(cursor_);
-    PMILL_ASSERT(len <= cap, "frame of %u bytes exceeds the %u-byte buffer",
-                 len, cap);
-    std::memcpy(buf, trace_->data(cursor_), len);
+    FrameDraw d;
+    d.index = static_cast<std::uint32_t>(cursor_);
+    d.len = trace_->len(cursor_);
+    d.tuple = extract_tuple(trace_->data(cursor_), d.len);
     cursor_ = (cursor_ + 1) % trace_->size();
     *gap_scale = 1.0;
-    return len;
+    return d;
+}
+
+const std::uint8_t *
+TraceReplay::write(const FrameDraw &d, std::uint8_t *) const
+{
+    return trace_->data(d.index);
 }
 
 namespace {

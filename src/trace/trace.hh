@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/flow.hh"
 #include "src/net/headers.hh"
 
 namespace pmill {
@@ -78,8 +79,29 @@ class Trace {
 };
 
 /**
- * A stream of wire frames feeding one NIC. The engine pulls frames in
- * emission order and paces them at the offered rate.
+ * One frame drawn from a FrameSource: the length and RSS tuple the
+ * engine paces and routes the arrival by, plus the few fields the
+ * source's write() rebuilds the bytes from. 28 bytes.
+ */
+struct FrameDraw {
+    FiveTuple tuple;          ///< equals extract_tuple() of the bytes
+    std::uint32_t len = 0;    ///< frame length (no FCS)
+    union {
+        std::uint32_t tcp_seq = 0;  ///< WorkloadSource: TCP sequence
+        std::uint32_t index;        ///< TraceReplay: frame in the Trace
+    };
+    std::uint8_t tcp_flags = 0;  ///< WorkloadSource: TCP flags
+};
+
+/**
+ * A stream of wire frames feeding one NIC, produced in two steps. The
+ * engine's conductor calls draw() for every frame in emission order;
+ * it advances the source (RNG, per-flow state, trace cursor) and
+ * yields what pacing and RSS routing need. The core that owns the
+ * frame's RX queue calls write() only if the queue accepts the frame,
+ * so a frame the NIC refuses is never built. write() is const and
+ * reads no state draw() changes, so one source's queues may write
+ * concurrently from their cores' threads.
  */
 class FrameSource {
   public:
@@ -87,13 +109,26 @@ class FrameSource {
     virtual ~FrameSource() = default;
 
     /**
-     * Write the next frame into @p buf (capacity @p cap, must hold
-     * kMaxFrameLen) and return its length. @p gap_scale receives the
-     * factor applied to the inter-arrival gap that precedes the
-     * *next* frame (1.0 = the offered rate's own gap).
+     * Draw the next frame. @p gap_scale receives the factor applied to
+     * the inter-arrival gap that precedes the *next* frame (1.0 = the
+     * offered rate's own gap).
      */
-    virtual std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
-                                     double *gap_scale) = 0;
+    virtual FrameDraw draw(double *gap_scale) = 0;
+
+    /**
+     * The bytes of drawn frame @p d: either built into @p buf (which
+     * holds at least d.len bytes) or a pointer into storage the source
+     * keeps immutable. Returns d.len bytes.
+     */
+    virtual const std::uint8_t *write(const FrameDraw &d,
+                                      std::uint8_t *buf) const = 0;
+
+    /**
+     * draw() then write(), with the frame copied into @p buf (capacity
+     * @p cap) and its length returned. @p gap_scale may be null.
+     */
+    std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
+                             double *gap_scale);
 
   protected:
     FrameSource(const FrameSource &) = default;
@@ -102,14 +137,18 @@ class FrameSource {
     FrameSource &operator=(FrameSource &&) = default;
 };
 
-/** Cyclic replay of a Trace, like the paper replays its trace. */
+/**
+ * Cyclic replay of a Trace, like the paper replays its trace. write()
+ * returns the trace's own bytes; nothing is copied.
+ */
 class TraceReplay : public FrameSource {
   public:
     /** @p trace may be shared by several replays (one per NIC). */
     explicit TraceReplay(std::shared_ptr<const Trace> trace);
 
-    std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
-                             double *gap_scale) override;
+    FrameDraw draw(double *gap_scale) override;
+    const std::uint8_t *write(const FrameDraw &d,
+                              std::uint8_t *buf) const override;
 
   private:
     std::shared_ptr<const Trace> trace_;

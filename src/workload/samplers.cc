@@ -70,7 +70,10 @@ BurstModulator::BurstModulator(double burst, double phase_pkts)
       mean_dwell_((phase_pkts < 2.0 ? 2.0 : phase_pkts) / 2.0),
       gap_on_(1.0 / burst_),
       gap_off_(2.0 - 1.0 / burst_)
-{}
+{
+    PMILL_ASSERT(phase_pkts <= kMaxPhasePkts,
+                 "burst phase must be at most 2^32 packets");
+}
 
 double
 BurstModulator::next_gap_scale(Xorshift64 &rng)

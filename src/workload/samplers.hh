@@ -62,9 +62,14 @@ class ZipfSampler {
  */
 class BurstModulator {
   public:
+    /// Largest phase_pkts: keeps every drawn dwell far inside
+    /// uint64_t (at most ~37 times the mean).
+    static constexpr double kMaxPhasePkts = 4294967296.0;  // 2^32
+
     /**
      * @param burst Peak-to-mean ratio (clamped to >= 1; 1 = off).
-     * @param phase_pkts Mean packets per full on+off cycle.
+     * @param phase_pkts Mean packets per full on+off cycle (clamped to
+     *        >= 2; at most kMaxPhasePkts).
      */
     BurstModulator(double burst, double phase_pkts);
 

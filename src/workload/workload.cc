@@ -1,7 +1,9 @@
 #include "src/workload/workload.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "src/common/log.hh"
@@ -58,6 +60,20 @@ apply_kind_defaults(WorkloadSpec *spec)
         spec->frame_len = 64;
         break;
     }
+}
+
+/// The shortest %g form of @p v (at least today's 6 digits) that
+/// reads back as exactly @p v, so to_string() round-trips.
+std::string
+exact_g(double v)
+{
+    char buf[32];
+    for (int prec = 6; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
 }
 
 } // namespace
@@ -150,8 +166,9 @@ WorkloadSpec::parse(const std::string &text, std::string *error)
                 return fail("burst must be in [1, 1000]");
             burst = d;
         } else if (key == "phase") {
-            if (!parse_double(val, &d) || d < 2.0)
-                return fail("phase must be >= 2 packets");
+            if (!parse_double(val, &d) || d < 2.0 ||
+                d > BurstModulator::kMaxPhasePkts)
+                return fail("phase must be in [2, 2^32] packets");
             phase_pkts = d;
         } else if (key == "seed") {
             if (!parse_uint(val, &u))
@@ -174,14 +191,16 @@ WorkloadSpec::parse(const std::string &text, std::string *error)
 std::string
 WorkloadSpec::to_string() const
 {
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof(buf),
-                  "%s:flows=%llu,skew=%g,pkts=%llu,len=%u,udp=%g,"
-                  "burst=%g,phase=%g,seed=%llu,victim=%s,vport=%u",
+                  "%s:flows=%llu,skew=%s,pkts=%llu,len=%u,udp=%s,"
+                  "burst=%s,phase=%s,seed=%llu,victim=%s,vport=%u",
                   kind_name(kind),
-                  static_cast<unsigned long long>(flows), skew,
+                  static_cast<unsigned long long>(flows),
+                  exact_g(skew).c_str(),
                   static_cast<unsigned long long>(flow_pkts), frame_len,
-                  udp_frac, burst, phase_pkts,
+                  exact_g(udp_frac).c_str(), exact_g(burst).c_str(),
+                  exact_g(phase_pkts).c_str(),
                   static_cast<unsigned long long>(seed),
                   victim.to_string().c_str(), victim_port);
     return buf;
@@ -260,8 +279,8 @@ WorkloadSource::data_frame_len()
     return 1350 + static_cast<std::uint32_t>(rng_.next_below(165));
 }
 
-std::uint32_t
-WorkloadSource::normal_frame(std::uint8_t *buf, std::uint32_t cap)
+void
+WorkloadSource::normal_draw(FrameDraw &d)
 {
     const std::uint64_t slot = zipf_.sample(rng_);
     Slot &sl = slots_[slot];
@@ -273,15 +292,15 @@ WorkloadSource::normal_frame(std::uint8_t *buf, std::uint32_t cap)
         if (spec_.flow_pkts == 0) {
             sl.remaining = kImmortal;
         } else {
-            // Geometric flow length with the configured mean.
+            // Geometric flow length with the configured mean, capped
+            // at kImmortal - 1 (clamped before the cast, which a huge
+            // pkts would overflow).
             const double u = rng_.next_double();
-            std::uint64_t life =
-                1 + static_cast<std::uint64_t>(
-                        -std::log1p(-u) *
-                        static_cast<double>(spec_.flow_pkts - 1));
-            if (life >= kImmortal)
-                life = kImmortal - 1;
-            sl.remaining = static_cast<std::uint16_t>(life);
+            const double extra = std::min(
+                -std::log1p(-u) * static_cast<double>(spec_.flow_pkts - 1),
+                static_cast<double>(kImmortal - 2));
+            sl.remaining = static_cast<std::uint16_t>(
+                1 + static_cast<std::uint64_t>(extra));
         }
     }
 
@@ -292,29 +311,28 @@ WorkloadSource::normal_frame(std::uint8_t *buf, std::uint32_t cap)
         static_cast<double>(mix64(id ^ 0xC0FFEEull) >> 11) * 0x1.0p-53 <
             spec_.udp_frac;
 
-    FrameSpec fs;
-    fs.flow.proto = udp ? kIpProtoUdp : kIpProtoTcp;
-    fs.flow.src_ip =
+    d.tuple.proto = udp ? kIpProtoUdp : kIpProtoTcp;
+    d.tuple.src_ip =
         Ipv4Addr{(10u << 24) | static_cast<std::uint32_t>(id & 0xFFFFFF)};
     const std::uint32_t site = static_cast<std::uint32_t>(slot & 3);
-    fs.flow.dst_ip = Ipv4Addr{((20u + site) << 24) |
+    d.tuple.dst_ip = Ipv4Addr{((20u + site) << 24) |
                               static_cast<std::uint32_t>((id >> 24) & 0xFFF)};
-    fs.flow.src_port =
+    d.tuple.src_port =
         static_cast<std::uint16_t>(1024 + (id >> 36) % 60000);
-    fs.flow.dst_port = (slot % 7 == 0) ? 443 : 80;
-    fs.tcp_seq = static_cast<std::uint32_t>(id);
+    d.tuple.dst_port = (slot % 7 == 0) ? 443 : 80;
+    d.tcp_seq = static_cast<std::uint32_t>(id);
 
     if (!udp && birth) {
-        fs.tcp_flags = kTcpFlagSyn;
-        fs.frame_len = kMinFrameLen;
+        d.tcp_flags = kTcpFlagSyn;
+        d.len = kMinFrameLen;
         ++stats_.syn_frames;
     } else if (!udp && sl.remaining == 1) {
-        fs.tcp_flags = kTcpFlagFin | kTcpFlagAck;
-        fs.frame_len = kMinFrameLen;
+        d.tcp_flags = kTcpFlagFin | kTcpFlagAck;
+        d.len = kMinFrameLen;
         ++stats_.fin_frames;
     } else {
-        fs.tcp_flags = kTcpFlagAck;
-        fs.frame_len = data_frame_len();
+        d.tcp_flags = kTcpFlagAck;
+        d.len = data_frame_len();
     }
 
     if (sl.remaining != kImmortal) {
@@ -322,11 +340,10 @@ WorkloadSource::normal_frame(std::uint8_t *buf, std::uint32_t cap)
         if (sl.remaining == 0)
             ++stats_.flows_died;
     }
-    return build_frame_into(fs, buf, cap);
 }
 
-std::uint32_t
-WorkloadSource::synflood_frame(std::uint8_t *buf, std::uint32_t cap)
+void
+WorkloadSource::synflood_draw(FrameDraw &d)
 {
     const std::uint64_t idx = probe_idx_++;
     const std::uint64_t id = mix64(idx * kGolden ^ tuple_salt_);
@@ -337,68 +354,77 @@ WorkloadSource::synflood_frame(std::uint8_t *buf, std::uint32_t cap)
     const std::uint64_t sid =
         mix64(src_idx * kGolden ^ tuple_salt_ ^ 0xF100Dull);
 
-    FrameSpec fs;
-    fs.flow.proto = kIpProtoTcp;
-    fs.flow.src_ip =
+    d.tuple.proto = kIpProtoTcp;
+    d.tuple.src_ip =
         Ipv4Addr{(10u << 24) | static_cast<std::uint32_t>(sid & 0xFFFFFF)};
-    fs.flow.src_port =
+    d.tuple.src_port =
         static_cast<std::uint16_t>(1024 + (sid >> 24) % 60000);
-    fs.flow.dst_ip = spec_.victim;
-    fs.flow.dst_port = spec_.victim_port;
-    fs.tcp_flags = kTcpFlagSyn;
-    fs.tcp_seq = static_cast<std::uint32_t>(id);
-    fs.frame_len = spec_.frame_len ? spec_.frame_len : kMinFrameLen;
+    d.tuple.dst_ip = spec_.victim;
+    d.tuple.dst_port = spec_.victim_port;
+    d.tcp_flags = kTcpFlagSyn;
+    d.tcp_seq = static_cast<std::uint32_t>(id);
+    d.len = spec_.frame_len ? spec_.frame_len : kMinFrameLen;
     ++stats_.flows_born;
     ++stats_.syn_frames;
-    return build_frame_into(fs, buf, cap);
 }
 
-std::uint32_t
-WorkloadSource::portscan_frame(std::uint8_t *buf, std::uint32_t cap)
+void
+WorkloadSource::portscan_draw(FrameDraw &d)
 {
     const std::uint64_t idx = probe_idx_++;
     const std::uint64_t id = mix64(idx * kGolden ^ tuple_salt_ ^ 0x5CA7ull);
 
-    FrameSpec fs;
-    fs.flow.proto = kIpProtoTcp;
+    d.tuple.proto = kIpProtoTcp;
     // One attacker host sweeping every port of hosts near the victim.
-    fs.flow.src_ip = Ipv4Addr::make(10, 66, 66, 66);
-    fs.flow.src_port = static_cast<std::uint16_t>(1024 + (id >> 20) % 60000);
-    fs.flow.dst_ip =
+    d.tuple.src_ip = Ipv4Addr::make(10, 66, 66, 66);
+    d.tuple.src_port = static_cast<std::uint16_t>(1024 + (id >> 20) % 60000);
+    d.tuple.dst_ip =
         Ipv4Addr{(spec_.victim.value & 0xFFFFFF00u) |
                  static_cast<std::uint32_t>((idx / 65535) & 0xFF)};
-    fs.flow.dst_port = static_cast<std::uint16_t>(1 + idx % 65535);
-    fs.tcp_flags = kTcpFlagSyn;
-    fs.tcp_seq = static_cast<std::uint32_t>(id);
-    fs.frame_len = spec_.frame_len ? spec_.frame_len : kMinFrameLen;
+    d.tuple.dst_port = static_cast<std::uint16_t>(1 + idx % 65535);
+    d.tcp_flags = kTcpFlagSyn;
+    d.tcp_seq = static_cast<std::uint32_t>(id);
+    d.len = spec_.frame_len ? spec_.frame_len : kMinFrameLen;
     ++stats_.flows_born;
     ++stats_.syn_frames;
-    return build_frame_into(fs, buf, cap);
 }
 
-std::uint32_t
-WorkloadSource::next_frame(std::uint8_t *buf, std::uint32_t cap,
-                           double *gap_scale)
+FrameDraw
+WorkloadSource::draw(double *gap_scale)
 {
-    std::uint32_t len = 0;
+    FrameDraw d;
     switch (spec_.kind) {
     case WorkloadSpec::kUniform:
     case WorkloadSpec::kZipf:
     case WorkloadSpec::kChurn:
-        len = normal_frame(buf, cap);
+        normal_draw(d);
         break;
     case WorkloadSpec::kSynFlood:
-        len = synflood_frame(buf, cap);
+        synflood_draw(d);
         break;
     case WorkloadSpec::kPortScan:
-        len = portscan_frame(buf, cap);
+        portscan_draw(d);
         break;
     }
     ++stats_.frames;
-    stats_.bytes += len;
-    if (gap_scale)
-        *gap_scale = bursts_.next_gap_scale(rng_);
-    return len;
+    stats_.bytes += d.len;
+    *gap_scale = bursts_.next_gap_scale(rng_);
+    return d;
+}
+
+const std::uint8_t *
+WorkloadSource::write(const FrameDraw &d, std::uint8_t *buf) const
+{
+    // Every FrameSpec field the draw does not carry is at its default.
+    // d.len is at least kMinFrameLen, above any TCP/UDP stack's
+    // minimum, so the frame is exactly d.len bytes (the cap checks).
+    FrameSpec fs;
+    fs.flow = d.tuple;
+    fs.frame_len = d.len;
+    fs.tcp_seq = d.tcp_seq;
+    fs.tcp_flags = d.tcp_flags;
+    build_frame_into(fs, buf, d.len);
+    return buf;
 }
 
 } // namespace pmill

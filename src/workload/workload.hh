@@ -63,11 +63,12 @@ struct WorkloadSpec {
      * Parse "kind:key=value,key=value,..." (e.g.
      * "zipf:flows=1000000,skew=1.1,burst=8"). Keys: flows, skew,
      * pkts, len, udp, burst, phase, seed, victim, vport; "kind=X" is
-     * also accepted as a pair. Unknown keys / bad values fail.
+     * also accepted as a pair. Unknown keys, out-of-range values,
+     * integers above 2^64 - 1 and non-finite numbers fail.
      */
     bool parse(const std::string &text, std::string *error);
 
-    /** Canonical round-trippable description. */
+    /** Canonical description; parse() reads it back exactly. */
     std::string to_string() const;
 
     static const char *kind_name(Kind k);
@@ -96,19 +97,25 @@ struct WorkloadStats {
  * Streaming frame generator: the FrameSource that synthesizes traffic
  * from a WorkloadSpec. One instance per NIC; @p stream decorrelates
  * multiple instances sharing a spec.
+ *
+ * draw() makes every random choice (flow, birth and death, TCP flags,
+ * size, burst gap) and updates the per-flow state and the stats; the
+ * frame it returns is fully described by its tuple, length, TCP
+ * sequence number and flags. write() builds those into the bytes and
+ * checksums and touches nothing else, so a frame the NIC refuses costs
+ * only its draw.
  */
 class WorkloadSource : public FrameSource {
   public:
     WorkloadSource(const WorkloadSpec &spec, std::uint32_t stream = 0);
 
-    /**
-     * Synthesize the next frame into @p buf (capacity @p cap, must
-     * hold kMaxFrameLen) and return its length. @p gap_scale receives
-     * the burst-modulation factor for the inter-arrival gap that
-     * precedes the *next* frame (1.0 when bursts are off).
-     */
-    std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
-                             double *gap_scale) override;
+    /** @p gap_scale receives the burst-modulation factor for the gap
+     * before the *next* frame (1.0 when bursts are off). */
+    FrameDraw draw(double *gap_scale) override;
+
+    /** Build @p d 's frame into @p buf. */
+    const std::uint8_t *write(const FrameDraw &d,
+                              std::uint8_t *buf) const override;
 
     const WorkloadStats &stats() const { return stats_; }
     const WorkloadSpec &spec() const { return spec_; }
@@ -132,9 +139,10 @@ class WorkloadSource : public FrameSource {
 
     std::uint64_t flow_id(std::uint64_t slot, std::uint32_t epoch) const;
     std::uint32_t data_frame_len();
-    std::uint32_t normal_frame(std::uint8_t *buf, std::uint32_t cap);
-    std::uint32_t synflood_frame(std::uint8_t *buf, std::uint32_t cap);
-    std::uint32_t portscan_frame(std::uint8_t *buf, std::uint32_t cap);
+    /// Draw the next frame of each kind into @p d (all but the gap).
+    void normal_draw(FrameDraw &d);
+    void synflood_draw(FrameDraw &d);
+    void portscan_draw(FrameDraw &d);
 
     WorkloadSpec spec_;
     std::uint64_t tuple_salt_;  ///< folds seed + stream into flow ids

@@ -113,7 +113,7 @@ TEST_F(DriverFixture, RxBurstConvertsCqeToMbuf)
 {
     pmd.setup_rx(nullptr);
     auto f = frame(256);
-    ASSERT_TRUE(nic.deliver(0, f.data(), 256, 10.0));
+    ASSERT_TRUE(nic.deliver(0, 256, 10.0, [&] { return f.data(); }));
 
     MbufRef out[32];
     const std::uint32_t n = pmd.rx_burst(1e6, out, 32, nullptr);
@@ -131,7 +131,7 @@ TEST_F(DriverFixture, RxBurstRespectsCompletionTime)
 {
     pmd.setup_rx(nullptr);
     auto f = frame();
-    ASSERT_TRUE(nic.deliver(0, f.data(), 128, 1000.0));
+    ASSERT_TRUE(nic.deliver(0, 128, 1000.0, [&] { return f.data(); }));
     MbufRef out[32];
     // Poll before the DMA completes: nothing.
     EXPECT_EQ(pmd.rx_burst(1.0, out, 32, nullptr), 0u);
@@ -143,7 +143,7 @@ TEST_F(DriverFixture, RingReplenishedAfterRx)
     pmd.setup_rx(nullptr);
     const std::size_t before = nic.rx_free_descs(0);
     auto f = frame();
-    nic.deliver(0, f.data(), 128, 1.0);
+    nic.deliver(0, 128, 1.0, [&] { return f.data(); });
     MbufRef out[32];
     pmd.rx_burst(1e9, out, 32, nullptr);
     EXPECT_EQ(nic.rx_free_descs(0), before)
@@ -155,7 +155,7 @@ TEST_F(DriverFixture, TxRoundTripFreesBuffers)
     pmd.setup_rx(nullptr);
     const std::size_t free_before = pool.free_count();
     auto f = frame(200);
-    nic.deliver(0, f.data(), 200, 1.0);
+    nic.deliver(0, 200, 1.0, [&] { return f.data(); });
     MbufRef out[32];
     ASSERT_EQ(pmd.rx_burst(1e9, out, 32, nullptr), 1u);
     ASSERT_EQ(pmd.tx_burst(out, 1, 2000.0, nullptr), 1u);
@@ -176,8 +176,51 @@ TEST_F(DriverFixture, DropWhenNoDescriptors)
 {
     // No setup_rx: the RX ring is empty.
     auto f = frame();
-    EXPECT_FALSE(nic.deliver(0, f.data(), 128, 1.0));
+    EXPECT_FALSE(nic.deliver(0, 128, 1.0, [&] { return f.data(); }));
     EXPECT_EQ(nic.stats().rx_drops_no_desc, 1u);
+}
+
+// A refused frame is counted and never built: deliver() asks the
+// queue for a descriptor and a CQ slot before it calls the writer.
+TEST(SourceContract, RefusedFrameIsNeverWritten)
+{
+    SimMemory mem;
+    CacheHierarchy caches;
+    NicConfig nc;
+    nc.rx_ring_size = 4;
+    NicDevice nic(nc, caches, mem);
+    FrameSpec spec;
+    spec.frame_len = 128;
+    const auto f = build_frame(spec);
+    int writes = 0;
+    auto write = [&] {
+        ++writes;
+        return f.data();
+    };
+
+    // No descriptor posted.
+    EXPECT_FALSE(nic.deliver(0, 128, 1.0, write));
+    EXPECT_EQ(writes, 0);
+    EXPECT_EQ(nic.stats().rx_drops_no_desc, 1u);
+
+    // Each accepted frame is written exactly once.
+    const MemHandle bufs = mem.alloc(4 * 2048, 64, Region::kPacketData);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        ASSERT_TRUE(nic.replenish(
+            0, RxDescriptor{bufs.at(i * 2048), bufs.host + i * 2048}));
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(nic.deliver(0, 128, 10.0 + i, write));
+    EXPECT_EQ(writes, 4);
+
+    // Nothing polled, so the completion ring is full: a frame that
+    // finds a fresh descriptor is still refused, for the CQ.
+    ASSERT_TRUE(nic.replenish(0, RxDescriptor{bufs.addr, bufs.host}));
+    EXPECT_FALSE(nic.deliver(0, 128, 20.0, write));
+    EXPECT_EQ(writes, 4);
+    const NicStats s = nic.stats();
+    EXPECT_EQ(s.rx_drops_pcie, 1u);
+    EXPECT_EQ(s.rx_drops_no_desc, 1u);
+    EXPECT_EQ(s.rx_frames, 4u);
 }
 
 /** Minimal adapter for PmdXchg tests: a fixed array of slots. */
@@ -288,7 +331,7 @@ TEST(PmdXchg, ExchangesBuffersWithoutAPool)
     FrameSpec spec;
     spec.frame_len = 300;
     auto f = build_frame(spec);
-    ASSERT_TRUE(nic.deliver(0, f.data(), 300, 5.0));
+    ASSERT_TRUE(nic.deliver(0, 300, 5.0, [&] { return f.data(); }));
 
     void *pkts[32];
     ASSERT_EQ(pmd.rx_burst(1e9, pkts, 32, nullptr), 1u);
@@ -397,8 +440,8 @@ TEST(NicDevice, RssSpreadsFlowsAcrossQueues)
         FrameSpec spec;
         spec.flow.src_port = static_cast<std::uint16_t>(1000 + i);
         auto f = build_frame(spec);
-        queues.insert(nic.rss_queue(f.data(),
-                                    static_cast<std::uint32_t>(f.size())));
+        queues.insert(nic.rss_queue(
+            extract_tuple(f.data(), static_cast<std::uint32_t>(f.size()))));
     }
     EXPECT_EQ(queues.size(), 4u) << "64 flows should hit all 4 queues";
 }
@@ -423,7 +466,7 @@ TEST(RssMapping, LegacyModuloPinned)
         const auto f = build_frame(spec);
         const std::uint32_t len = static_cast<std::uint32_t>(f.size());
         const FiveTuple t = extract_tuple(f.data(), len);
-        EXPECT_EQ(nic.rss_queue(f.data(), len), rss_hash(t) % 3)
+        EXPECT_EQ(nic.rss_queue(t), rss_hash(t) % 3)
             << "flow " << i;
     }
 
@@ -432,8 +475,8 @@ TEST(RssMapping, LegacyModuloPinned)
     one.num_queues = 1;
     NicDevice nic1(one, caches, mem);
     const auto f = build_frame(FrameSpec{});
-    EXPECT_EQ(nic1.rss_queue(f.data(),
-                             static_cast<std::uint32_t>(f.size())),
+    EXPECT_EQ(nic1.rss_queue(extract_tuple(
+                  f.data(), static_cast<std::uint32_t>(f.size()))),
               0u);
 }
 
@@ -460,8 +503,8 @@ TEST(RssIndirection, DefaultTableMatchesLegacyModulo)
         spec.flow.src_port = static_cast<std::uint16_t>(3000 + i);
         const auto f = build_frame(spec);
         const std::uint32_t len = static_cast<std::uint32_t>(f.size());
-        EXPECT_EQ(nic_table.rss_queue(f.data(), len),
-                  nic_legacy.rss_queue(f.data(), len))
+        const FiveTuple t = extract_tuple(f.data(), len);
+        EXPECT_EQ(nic_table.rss_queue(t), nic_legacy.rss_queue(t))
             << "flow " << i;
     }
 }
@@ -479,15 +522,16 @@ TEST(RssIndirection, ReprogramRedirectsBucketAndCountsLoads)
     spec.flow.src_port = 4242;
     const auto f = build_frame(spec);
     const std::uint32_t len = static_cast<std::uint32_t>(f.size());
-    const std::uint32_t hash = rss_hash(extract_tuple(f.data(), len));
+    const FiveTuple t = extract_tuple(f.data(), len);
+    const std::uint32_t hash = rss_hash(t);
     const std::uint32_t bucket = hash & 63u;
 
-    EXPECT_EQ(nic.rss_queue(f.data(), len), nic.rss_table_entry(bucket));
+    EXPECT_EQ(nic.rss_queue(t), nic.rss_table_entry(bucket));
     EXPECT_EQ(nic.rss_entry_load(bucket), 1u);
 
     const std::uint32_t moved = (nic.rss_table_entry(bucket) + 1) % 4;
     nic.set_rss_table_entry(bucket, moved);
-    EXPECT_EQ(nic.rss_queue(f.data(), len), moved);
+    EXPECT_EQ(nic.rss_queue(t), moved);
     EXPECT_EQ(nic.rss_entry_load(bucket), 2u);
 
     nic.reset_rss_entry_loads();
@@ -512,8 +556,8 @@ TEST(NicDevice, StatsSnapshotMatchesFreshSum)
         spec.flow.src_port = static_cast<std::uint16_t>(5000 + i);
         const auto f = build_frame(spec);
         const auto len = static_cast<std::uint32_t>(f.size());
-        nic.deliver(nic.rss_queue(f.data(), len), f.data(), len,
-                    1000.0 * i);
+        nic.deliver(nic.rss_queue(extract_tuple(f.data(), len)), len,
+                    1000.0 * i, [&] { return f.data(); });
     }
 
     const NicStats fresh = nic.stats();

@@ -1,20 +1,51 @@
 /**
  * @file
- * Robustness fuzzing: the configuration parser, frame parser, and
- * pipeline builder must never crash on malformed input — they must
- * either succeed or fail cleanly with an error.
+ * Robustness fuzzing: the configuration parser, frame parser,
+ * pipeline builder and workload-spec parser must never crash on
+ * malformed input — they must either succeed or fail cleanly with an
+ * error.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "src/common/random.hh"
 #include "src/framework/config_parser.hh"
 #include "src/framework/pipeline.hh"
 #include "src/net/packet_builder.hh"
 #include "src/runtime/experiments.hh"
+#include "src/workload/workload.hh"
 
 namespace pmill {
 namespace {
+
+/// Replace, erase or insert 1..8 random printable characters.
+std::string
+mutate(std::string text, Xorshift64 &rng)
+{
+    const int flips = 1 + static_cast<int>(rng.next_below(8));
+    for (int f = 0; f < flips; ++f) {
+        const std::size_t pos = rng.next_below(text.size() + 1);
+        const char c = static_cast<char>(32 + rng.next_below(95));
+        switch (rng.next_below(3)) {
+          case 0:
+            if (pos < text.size())
+                text[pos] = c;
+            break;
+          case 1:
+            if (pos < text.size())
+                text.erase(pos, 1);
+            break;
+          default:
+            text.insert(pos, 1, c);
+        }
+    }
+    return text;
+}
 
 TEST(FuzzConfigParser, RandomBytesNeverCrash)
 {
@@ -39,26 +70,9 @@ TEST(FuzzConfigParser, MutatedValidConfigsNeverCrash)
     const std::string base = router_config();
     Xorshift64 rng(0xBEEF);
     for (int iter = 0; iter < 2000; ++iter) {
-        std::string mutated = base;
-        const int flips = 1 + static_cast<int>(rng.next_below(8));
-        for (int f = 0; f < flips; ++f) {
-            const std::size_t pos = rng.next_below(mutated.size());
-            switch (rng.next_below(3)) {
-              case 0:
-                mutated[pos] = static_cast<char>(
-                    32 + rng.next_below(95));
-                break;
-              case 1:
-                mutated.erase(pos, 1);
-                break;
-              default:
-                mutated.insert(pos, 1,
-                               static_cast<char>(32 + rng.next_below(95)));
-            }
-        }
         ParsedGraph g;
         std::string err;
-        (void)parse_click_config(mutated, &g, &err);
+        (void)parse_click_config(mutate(base, rng), &g, &err);
     }
     SUCCEED();
 }
@@ -118,6 +132,199 @@ TEST(FuzzFrameParser, TruncationSweepOnValidFrame)
                       kEtherHeaderLen + kIpv4HeaderLen + sizeof(TcpHeader));
         }
     }
+}
+
+// Workload specs whose numbers once aborted the run, wrapped silently
+// or cast an out-of-range double to an integer. Each is a parse error.
+const char *const kHostileSpecs[] = {
+    "zipf:skew=nan",
+    "uniform:burst=nan",
+    "uniform:udp=nan",
+    "uniform:phase=nan",
+    "uniform:flows=18446744073709551617",
+    "synflood:vport=18446744073709551617",
+    "uniform:burst=8,phase=1e300",
+    "zipf:skew=inf",
+    "uniform:seed=99999999999999999999",
+};
+
+/**
+ * What every fuzzed spec must satisfy once parsed: to_string() reads
+ * back to the same spec, and a spec with at most 2^16 flows builds a
+ * source whose draws and writes agree for 1000 frames.
+ */
+void
+expect_accepted_spec_works(const WorkloadSpec &spec)
+{
+    const std::string text = spec.to_string();
+    WorkloadSpec again;
+    std::string err;
+    ASSERT_TRUE(again.parse(text, &err)) << text << ": " << err;
+    ASSERT_EQ(again.to_string(), text);
+    if (spec.flows > (1u << 16))
+        return;
+    WorkloadSource src(spec);
+    std::uint8_t buf[kMaxFrameLen];
+    for (int i = 0; i < 1000; ++i) {
+        double gap = 0;
+        const FrameDraw d = src.draw(&gap);
+        ASSERT_TRUE(std::isfinite(gap) && gap > 0) << text;
+        ASSERT_GE(d.len, kMinFrameLen) << text;
+        ASSERT_LE(d.len, kMaxFrameLen) << text;
+        const std::uint8_t *bytes = src.write(d, buf);
+        ASSERT_TRUE(d.tuple == extract_tuple(bytes, d.len)) << text;
+    }
+}
+
+/**
+ * Parse @p text: it is accepted and works, or fails with a message.
+ * @return whether it was accepted.
+ */
+bool
+expect_spec_parses_or_fails(const std::string &text)
+{
+    WorkloadSpec spec;
+    std::string err;
+    if (!spec.parse(text, &err)) {
+        EXPECT_FALSE(err.empty()) << text;
+        return false;
+    }
+    expect_accepted_spec_works(spec);
+    return true;
+}
+
+/// A value for a spec key: a boundary or hostile token, a run of
+/// digits, or number-ish noise.
+std::string
+random_spec_value(Xorshift64 &rng)
+{
+    static const char *const kTokens[] = {
+        "0", "1", "2", "4", "8", "60", "64", "1514", "1515", "65535",
+        "65536", "67108864", "67108865", "4294967296", "4294967297",
+        "18446744073709551615", "18446744073709551616", "nan", "inf",
+        "-inf", "-1", "-0", "1e300", "1e-300", "4.9e-324", "0.5",
+        "0.999999999", "1.1", "3.9999999", "4.0000001", "999.99999",
+        "1000.0001", "2.0000001", "4294967295.9", "0x10", " 7", "",
+        "20.0.0.99", "256.0.0.1", "1.2.3"};
+    std::string v;
+    switch (rng.next_below(3)) {
+      case 0:
+        return kTokens[rng.next_below(std::size(kTokens))];
+      case 1:
+        for (std::uint64_t n = 1 + rng.next_below(25); n > 0; --n)
+            v += static_cast<char>('0' + rng.next_below(10));
+        return v;
+      default: {
+        const char noise[] = "0123456789.eE+-naif";
+        for (std::uint64_t n = rng.next_below(12); n > 0; --n)
+            v += noise[rng.next_below(sizeof(noise) - 1)];
+        return v;
+      }
+    }
+}
+
+/// "kind:key=value,..." from real and bogus kinds and keys.
+std::string
+random_spec(Xorshift64 &rng)
+{
+    static const char *const kKinds[] = {"uniform", "zipf",     "churn",
+                                         "synflood", "portscan", "bogus"};
+    static const char *const kKeys[] = {"flows", "skew",  "pkts",  "len",
+                                        "udp",   "burst", "phase", "seed",
+                                        "victim", "vport", "kind", "bogus"};
+    std::string s;
+    if (rng.next_below(4) != 0)
+        s = std::string(kKinds[rng.next_below(std::size(kKinds))]) + ":";
+    for (std::uint64_t n = rng.next_below(6); n > 0; --n) {
+        const std::string key = kKeys[rng.next_below(std::size(kKeys))];
+        s += key;
+        if (rng.next_below(16) != 0)
+            s += "=";
+        s += key == "kind" ? kKinds[rng.next_below(std::size(kKinds))]
+                           : random_spec_value(rng);
+        if (n > 1)
+            s += ",";
+    }
+    return s;
+}
+
+TEST(FuzzWorkloadSpec, HostileNumbersAreRejected)
+{
+    for (const char *text : kHostileSpecs) {
+        WorkloadSpec spec;
+        std::string err;
+        EXPECT_FALSE(spec.parse(text, &err)) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
+}
+
+TEST(FuzzWorkloadSpec, HugeChurnLifetimeIsClamped)
+{
+    // pkts at the top of uint64_t is a valid spec: the geometric
+    // lifetime is capped before its float-to-integer cast, so no flow
+    // dies within its first 65534 frames.
+    WorkloadSpec spec;
+    std::string err;
+    ASSERT_TRUE(spec.parse("churn:flows=64,pkts=18446744073709551615", &err))
+        << err;
+    expect_accepted_spec_works(spec);
+    WorkloadSource src(spec);
+    std::uint8_t buf[kMaxFrameLen];
+    for (int i = 0; i < 5000; ++i)
+        src.next_frame(buf, sizeof(buf), nullptr);
+    EXPECT_GT(src.stats().flows_born, 0u);
+    EXPECT_EQ(src.stats().flows_died, 0u);
+}
+
+TEST(FuzzWorkloadSpec, RandomSpecsParseOrFailCleanly)
+{
+    Xorshift64 rng(0x5BEC);
+    int accepted = 0;
+    for (int iter = 0; iter < 3000; ++iter)
+        accepted += expect_spec_parses_or_fails(random_spec(rng));
+    // The generator reaches the accepted space, not only errors.
+    EXPECT_GT(accepted, 300);
+    const char alphabet[] = "uniformzipchurnsyflodptca:,=.0123456789e-";
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::string input;
+        for (std::uint64_t n = rng.next_below(60); n > 0; --n)
+            input += alphabet[rng.next_below(sizeof(alphabet) - 1)];
+        expect_spec_parses_or_fails(input);
+    }
+}
+
+TEST(FuzzWorkloadSpec, MutatedSpecFilesLoadOrFailCleanly)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(PMILL_SOURCE_DIR) / "configs" / "workloads";
+    const std::string path = ::testing::TempDir() + "fuzz_spec.workload";
+    Xorshift64 rng(0xF11E);
+    int files = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        ++files;
+        for (int iter = 0; iter < 300; ++iter) {
+            const bool keep = iter == 0;  // the file as checked in
+            {
+                std::ofstream out(path, std::ios::trunc);
+                out << (keep ? text.str() : mutate(text.str(), rng));
+            }
+            WorkloadSpec spec;
+            std::string err;
+            const bool ok = load_workload_spec(path, &spec, &err);
+            if (keep) {
+                ASSERT_TRUE(ok) << entry.path() << ": " << err;
+            }
+            if (ok)
+                expect_accepted_spec_works(spec);
+            else
+                EXPECT_FALSE(err.empty()) << entry.path();
+        }
+    }
+    std::filesystem::remove(path);
+    EXPECT_GE(files, 6);
 }
 
 TEST(FuzzEngine, MalformedTrafficFlowsThroughTheRouter)

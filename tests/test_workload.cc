@@ -1,9 +1,9 @@
 /**
  * @file
  * Workload-synthesis tests: Zipf/burst sampler statistics, spec
- * parsing, stream determinism, churn and hostile-mode semantics,
- * timer-wheel aging, and an engine-level smoke of the aged NAT under
- * synthesized traffic.
+ * parsing, stream determinism, the two-step draw/write source
+ * contract, churn and hostile-mode semantics, timer-wheel aging, and
+ * an engine-level smoke of the aged NAT under synthesized traffic.
  */
 
 #include <gtest/gtest.h>
@@ -11,14 +11,17 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "src/common/random.hh"
+#include "src/net/flow.hh"
 #include "src/net/packet_builder.hh"
 #include "src/runtime/engine.hh"
 #include "src/runtime/experiments.hh"
 #include "src/table/timer_wheel.hh"
+#include "src/trace/trace.hh"
 #include "src/workload/samplers.hh"
 #include "src/workload/workload.hh"
 
@@ -287,6 +290,111 @@ TEST(WorkloadSource, PortScanSweepsPorts)
     // Every probe so far hit a distinct port (sweep wraps at 65535).
     EXPECT_EQ(ports.size(), 5000u);
     EXPECT_EQ(ports.count(0), 0u);  // port 0 never probed
+}
+
+// The two-step FrameSource contract the engine relies on: the
+// conductor routes and paces each arrival by its draw, and the owning
+// core writes the bytes later, only if its queue accepts the frame.
+// So the drawn length and tuple must be those of the written bytes,
+// and draw-then-write must reproduce next_frame's stream exactly.
+void
+expect_two_step_matches_next_frame(FrameSource &src, FrameSource &twin,
+                                   int frames)
+{
+    std::uint8_t buf[kMaxFrameLen];
+    std::uint8_t ref[kMaxFrameLen];
+    for (int i = 0; i < frames; ++i) {
+        double gap = 0, twin_gap = 0;
+        const FrameDraw d = src.draw(&gap);
+        std::memset(buf, 0xA5, sizeof(buf));
+        const std::uint8_t *bytes = src.write(d, buf);
+        const std::uint32_t ref_len =
+            twin.next_frame(ref, sizeof(ref), &twin_gap);
+
+        ASSERT_EQ(d.len, ref_len) << "frame " << i;
+        ASSERT_EQ(gap, twin_gap) << "frame " << i;
+        ASSERT_EQ(std::memcmp(bytes, ref, d.len), 0) << "frame " << i;
+
+        const FiveTuple t = extract_tuple(bytes, d.len);
+        ASSERT_TRUE(d.tuple == t) << "frame " << i;
+        ASSERT_EQ(rss_hash(d.tuple), rss_hash(t)) << "frame " << i;
+
+        // The written length: an IPv4 frame's headers span exactly
+        // d.len bytes, and a source that builds into buf writes
+        // nothing past them.
+        const FrameView v = parse_frame(ref, d.len);
+        if (v.ip) {
+            ASSERT_EQ(kEtherHeaderLen + v.ip->total_len(), d.len)
+                << "frame " << i;
+        }
+        if (bytes == buf) {
+            for (std::uint32_t j = d.len; j < kMaxFrameLen; ++j)
+                ASSERT_EQ(buf[j], 0xA5) << "frame " << i << " byte " << j;
+        }
+    }
+}
+
+TEST(SourceContract, WorkloadKindsDrawThenWrite)
+{
+    const char *specs[] = {
+        "uniform:flows=4096,seed=3",
+        "zipf:flows=100000,skew=1.1,seed=4",
+        "churn:flows=8192,pkts=16,udp=0.5,burst=4,seed=5",
+        "synflood:flows=1024,seed=6",
+        "portscan:seed=7",
+    };
+    for (const char *text : specs) {
+        SCOPED_TRACE(text);
+        WorkloadSpec spec;
+        std::string err;
+        ASSERT_TRUE(spec.parse(text, &err)) << err;
+        WorkloadSource src(spec, 1), twin(spec, 1);
+        expect_two_step_matches_next_frame(src, twin, 5000);
+        EXPECT_EQ(src.stats().frames, twin.stats().frames);
+        EXPECT_EQ(src.stats().bytes, twin.stats().bytes);
+        EXPECT_EQ(src.stats().flows_born, twin.stats().flows_born);
+        EXPECT_EQ(src.stats().syn_frames, twin.stats().syn_frames);
+        EXPECT_EQ(src.stats().fin_frames, twin.stats().fin_frames);
+    }
+}
+
+TEST(SourceContract, TraceReplaysDrawThenWrite)
+{
+    // The campus trace mixes in ARP (no IPv4 tuple) and ICMP (no
+    // ports); 3000 draws wrap the 2048-frame trace.
+    CampusTraceConfig cfg;
+    cfg.num_packets = 2048;
+    const auto campus = std::make_shared<const Trace>(make_campus_trace(cfg));
+    const auto fixed =
+        std::make_shared<const Trace>(make_fixed_size_trace(64, 512, 64));
+    for (const auto &trace : {campus, fixed}) {
+        TraceReplay src(trace), twin(trace);
+        expect_two_step_matches_next_frame(src, twin, 3000);
+    }
+}
+
+TEST(SourceContract, NullGapScaleKeepsTheStream)
+{
+    // The composed next_frame handles a null gap_scale for every
+    // source, and the burst modulator still advances: the frames
+    // match a twin that reads its gaps.
+    WorkloadSpec spec;
+    std::string err;
+    ASSERT_TRUE(spec.parse("churn:flows=4096,pkts=8,burst=16,phase=8,"
+                           "seed=9",
+                           &err))
+        << err;
+    WorkloadSource a(spec), b(spec);
+    TraceReplay r(std::make_shared<const Trace>(make_fixed_size_trace(128)));
+    std::uint8_t fa[kMaxFrameLen], fb[kMaxFrameLen];
+    for (int i = 0; i < 2000; ++i) {
+        double gap;
+        const std::uint32_t la = a.next_frame(fa, sizeof(fa), nullptr);
+        const std::uint32_t lb = b.next_frame(fb, sizeof(fb), &gap);
+        ASSERT_EQ(la, lb) << "frame " << i;
+        ASSERT_EQ(std::memcmp(fa, fb, la), 0) << "frame " << i;
+        ASSERT_EQ(r.next_frame(fa, sizeof(fa), nullptr), 128u);
+    }
 }
 
 TEST(TimerWheel, FiresAndRearms)
