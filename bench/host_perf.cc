@@ -14,7 +14,7 @@
  *
  * Run lengths are pinned so the eq_ columns are identical on every
  * machine and in every build flavor (RelWithDebInfo vs Release+LTO,
- * PMILL_TRACE on/off).
+ * PMILL_ACCT on/off).
  */
 
 #include <chrono>
@@ -22,7 +22,6 @@
 
 #include "src/runtime/experiments.hh"
 #include "src/telemetry/bench_report.hh"
-#include "src/tracing/tracer.hh"
 
 using namespace pmill;
 
@@ -84,7 +83,7 @@ main()
         const double sim_s = (q.warmup_us + q.duration_us) * 1e-6;
 
         rep.row({hr.name, strprintf("%u", hr.cores),
-                 hr.traced && Tracer::kCompiledIn ? "on" : "off",
+                 hr.traced ? "on" : "off",
                  strprintf("%.1f", wall_s * 1e3),
                  strprintf("%.3f", r.tx_pkts / wall_s / 1e6),
                  strprintf("%.5f", sim_s / wall_s),

@@ -116,6 +116,7 @@
 #include <string>
 #include <vector>
 
+#include "src/elements/args.hh"
 #include "src/pmill.hh"
 
 using namespace pmill;
@@ -153,19 +154,17 @@ flag_error(const char *flag, const char *expect, const char *got)
 }
 
 /**
- * Parse @p s as a double in [@p lo, @p hi] for @p flag; the whole
- * string must be numeric. @p lo_exclusive makes the lower bound
+ * Parse @p s as a finite double in [@p lo, @p hi] for @p flag; the
+ * whole string must be numeric. @p lo_exclusive makes the lower bound
  * strict (e.g.\ rates in (0, 1]).
  */
 double
 parse_double_arg(const char *flag, const char *s, double lo, double hi,
                  const char *expect, bool lo_exclusive = false)
 {
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0')
-        flag_error(flag, expect, s);
-    if (v < lo || v > hi || (lo_exclusive && v <= lo))
+    double v = 0;
+    if (!parse_double(s, &v) || v < lo || v > hi ||
+        (lo_exclusive && v <= lo))
         flag_error(flag, expect, s);
     return v;
 }
@@ -175,11 +174,8 @@ std::uint32_t
 parse_u32_arg(const char *flag, const char *s, std::uint32_t lo,
               std::uint32_t hi, const char *expect)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0')
-        flag_error(flag, expect, s);
-    if (v < lo || v > hi)
+    std::uint64_t v = 0;
+    if (!parse_uint(s, &v) || v < lo || v > hi)
         flag_error(flag, expect, s);
     return static_cast<std::uint32_t>(v);
 }

@@ -35,7 +35,6 @@
 #include "src/mem/sim_memory.hh"
 #include "src/mill/packet_mill.hh"
 #include "src/mill/profile.hh"
-#include "src/mill/source_gen.hh"
 #include "src/mill/verify.hh"
 #include "src/net/checksum.hh"
 #include "src/net/flow.hh"

@@ -19,6 +19,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Flow-steering fabric geometry, used only when the pipeline contains
+/// a FlowSteer element: power-of-two bucket count of the shared
+/// steering table, and the per-(src,dst) handoff staging bound.
+constexpr std::uint32_t kSteerTableSize = 256;
+constexpr std::uint32_t kSteerRingCapacity = 512;
+
+/// Range (us) of the per-run latency histogram.
+constexpr double kLatencyRangeUs = 4000.0;
+
 ExecCounters
 counters_delta(const ExecCounters &a, const ExecCounters &b)
 {
@@ -254,8 +263,8 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
         for (std::uint32_t c = 0; c < machine.num_cores; ++c)
             ring_sockets[c] = core_socket(c);
         steer_ = std::make_unique<SteerFabric>(
-            machine.num_cores, machine.steer_table_size,
-            machine.steer_ring_capacity, *mem_, &ring_sockets);
+            machine.num_cores, kSteerTableSize, kSteerRingCapacity, *mem_,
+            &ring_sockets);
         for (std::uint32_t c = 0; c < machine.num_cores; ++c)
             for (FlowSteer *fs : cores_[c]->steer_elems)
                 fs->bind(steer_.get(), c);
@@ -1009,7 +1018,7 @@ Engine::run(const RunConfig &rc)
         std::min(rc.offered_gbps, machine_.nic.link_gbps);
     PMILL_ASSERT(offered_gbps_ > 0, "offered load must be positive");
 
-    latency_ = std::make_unique<Histogram>(rc.latency_range_us, 262144);
+    latency_ = std::make_unique<Histogram>(kLatencyRangeUs, 262144);
     const TimeNs warm_end = rc.warmup_us * 1000.0;
     const TimeNs end = warm_end + rc.duration_us * 1000.0;
     const std::uint32_t ncores =

@@ -57,15 +57,6 @@ struct MachineConfig {
      * machine every legacy result was produced on.
      */
     std::uint32_t num_sockets = 1;
-    /**
-     * Software flow-steering fabric geometry, used only when the
-     * pipeline contains a FlowSteer element (no element, no fabric —
-     * legacy configurations are unaffected). Power-of-two bucket
-     * count of the shared steering table and per-(src,dst) handoff
-     * staging bound.
-     */
-    std::uint32_t steer_table_size = 256;
-    std::uint32_t steer_ring_capacity = 512;
 };
 
 /** Parameters of one measurement run. */
@@ -73,7 +64,6 @@ struct RunConfig {
     double offered_gbps = 100.0;  ///< offered load per NIC (wire rate)
     double warmup_us = 1500.0;    ///< cache/pool warm-up interval
     double duration_us = 4000.0;  ///< measured interval
-    double latency_range_us = 4000.0;  ///< histogram range
     /// Stop generating new arrivals this long after the warm-up ends
     /// (0 = never): lets the DUT drain completely so runs over the
     /// same trace emit exactly the same frames (verification mode).

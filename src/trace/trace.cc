@@ -1,6 +1,5 @@
 #include "src/trace/trace.hh"
 
-#include <cstdio>
 #include <cstring>
 
 #include "src/common/log.hh"
@@ -59,70 +58,6 @@ const std::uint8_t *
 TraceReplay::write(const FrameDraw &d, std::uint8_t *) const
 {
     return trace_->data(d.index);
-}
-
-namespace {
-constexpr std::uint32_t kTraceMagic = 0x504D5452;  // "PMTR"
-}
-
-bool
-Trace::save(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok = true;
-    const std::uint32_t magic = kTraceMagic;
-    const std::uint64_t count = index_.size();
-    const std::uint64_t blob = bytes_.size();
-    ok = ok && std::fwrite(&magic, sizeof(magic), 1, f) == 1;
-    ok = ok && std::fwrite(&count, sizeof(count), 1, f) == 1;
-    ok = ok && std::fwrite(&blob, sizeof(blob), 1, f) == 1;
-    for (const auto &idx : index_) {
-        ok = ok && std::fwrite(&idx.offset, sizeof(idx.offset), 1, f) == 1;
-        ok = ok && std::fwrite(&idx.len, sizeof(idx.len), 1, f) == 1;
-    }
-    if (blob)
-        ok = ok && std::fwrite(bytes_.data(), 1, blob, f) == blob;
-    std::fclose(f);
-    return ok;
-}
-
-bool
-Trace::load(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    bool ok = true;
-    std::uint32_t magic = 0;
-    std::uint64_t count = 0, blob = 0;
-    ok = ok && std::fread(&magic, sizeof(magic), 1, f) == 1;
-    ok = ok && magic == kTraceMagic;
-    ok = ok && std::fread(&count, sizeof(count), 1, f) == 1;
-    ok = ok && std::fread(&blob, sizeof(blob), 1, f) == 1;
-    if (!ok) {
-        std::fclose(f);
-        return false;
-    }
-    index_.resize(count);
-    bytes_.resize(blob);
-    total_bytes_ = 0;
-    for (auto &idx : index_) {
-        ok = ok && std::fread(&idx.offset, sizeof(idx.offset), 1, f) == 1;
-        ok = ok && std::fread(&idx.len, sizeof(idx.len), 1, f) == 1;
-        total_bytes_ += idx.len;
-        ok = ok && idx.offset + idx.len <= blob;
-    }
-    if (blob)
-        ok = ok && std::fread(bytes_.data(), 1, blob, f) == blob;
-    std::fclose(f);
-    if (!ok) {
-        index_.clear();
-        bytes_.clear();
-        total_bytes_ = 0;
-    }
-    return ok;
 }
 
 namespace {

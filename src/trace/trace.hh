@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/net/flow.hh"
@@ -61,12 +60,6 @@ class Trace {
                        : static_cast<double>(total_bytes_) /
                              static_cast<double>(size());
     }
-
-    /** Serialize to a compact binary file. @return false on I/O error. */
-    bool save(const std::string &path) const;
-
-    /** Load a trace written by save(). @return false on error. */
-    bool load(const std::string &path);
 
   private:
     struct Index {

@@ -10,9 +10,7 @@
  *
  * Design constraints, in order:
  *  1. Near-zero cost when off: every record site is guarded by one
- *     null/enabled check (`PMILL_TRACE_ON`); with
- *     `PMILL_TRACING_DISABLED` defined the check is constexpr-false
- *     and the whole site compiles to nothing.
+ *     null/enabled check (`PMILL_TRACE_ON`).
  *  2. Bounded memory at full rate: a fixed-capacity ring that
  *     overwrites the oldest record; per-packet lifecycle events are
  *     further thinned by deterministic probabilistic sampling
@@ -82,14 +80,10 @@ class Tracer {
   public:
     explicit Tracer(const TracerConfig &cfg);
 
-    /// True when this build carries trace instrumentation at all.
-#ifdef PMILL_TRACING_DISABLED
-    static constexpr bool kCompiledIn = false;
-    constexpr bool enabled() const { return false; }
-#else
+    /// Always true; kept only because perfbench/harness.cc reports it.
     static constexpr bool kCompiledIn = true;
+
     bool enabled() const { return enabled_; }
-#endif
 
     void set_enabled(bool on) { enabled_ = on; }
 
@@ -211,13 +205,8 @@ class Tracer {
     std::vector<std::string> spans_;
 };
 
-/**
- * Guard for every instrumentation site: one pointer + flag check,
- * constexpr-false (dead code) when PMILL_TRACING_DISABLED.
- */
-#define PMILL_TRACE_ON(tracer)                                            \
-    (::pmill::Tracer::kCompiledIn && (tracer) != nullptr &&               \
-     (tracer)->enabled())
+/** Guard for every instrumentation site: one pointer + flag check. */
+#define PMILL_TRACE_ON(tracer) ((tracer) != nullptr && (tracer)->enabled())
 
 /** Record an event iff tracing is on (single enabled check). */
 #define PMILL_TRACE(tracer, ...)                                          \

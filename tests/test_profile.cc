@@ -15,7 +15,6 @@
 #include "src/mill/profile.hh"
 #include "src/mill/verify.hh"
 #include "src/runtime/experiments.hh"
-#include "src/tracing/tracer.hh"
 
 namespace pmill {
 namespace {
@@ -91,18 +90,11 @@ TEST(ProfileCapture, PopulatesMeasuredFields)
         rt->rule_hits.begin(), rt->rule_hits.end(), std::uint64_t{0});
     EXPECT_GT(total, 0u);
 
-    // Non-empty polls were observed, so the histogram has mass. The
-    // occupancy histogram is distilled from trace events, so a
-    // PMILL_TRACING_DISABLED build legitimately captures none (rule
-    // hits and element counters above still work there).
+    // Non-empty polls were observed, so the histogram has mass.
     const std::uint64_t polls = std::accumulate(
         p.burst_hist.begin(), p.burst_hist.end(), std::uint64_t{0});
-    if (Tracer::kCompiledIn) {
-        EXPECT_GT(polls, 0u);
-        EXPECT_GT(p.occupancy_percentile(99.0), 0u);
-    } else {
-        EXPECT_EQ(polls, 0u);  // bins exist, but no events fed them
-    }
+    EXPECT_GT(polls, 0u);
+    EXPECT_GT(p.occupancy_percentile(99.0), 0u);
 }
 
 TEST(ProfileCapture, DeterministicAcrossRuns)

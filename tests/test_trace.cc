@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the traffic generators and trace file I/O.
+ * Tests for the traffic generators and the Trace container.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <set>
 
@@ -28,37 +27,6 @@ TEST(Trace, AddAndAccess)
     EXPECT_EQ(t.data(1)[0], 0xBB);
     EXPECT_EQ(t.total_bytes(), 192u);
     EXPECT_DOUBLE_EQ(t.mean_len(), 96.0);
-}
-
-TEST(Trace, SaveLoadRoundTrip)
-{
-    Trace t = make_fixed_size_trace(200, 50);
-    const std::string path = "/tmp/pmill_trace_test.bin";
-    ASSERT_TRUE(t.save(path));
-
-    Trace loaded;
-    ASSERT_TRUE(loaded.load(path));
-    ASSERT_EQ(loaded.size(), t.size());
-    EXPECT_EQ(loaded.total_bytes(), t.total_bytes());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        ASSERT_EQ(loaded.len(i), t.len(i));
-        EXPECT_EQ(std::memcmp(loaded.data(i), t.data(i), t.len(i)), 0);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsGarbage)
-{
-    const std::string path = "/tmp/pmill_trace_garbage.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a trace file at all", f);
-    std::fclose(f);
-    Trace t;
-    EXPECT_FALSE(t.load(path));
-    EXPECT_TRUE(t.empty());
-    std::remove(path.c_str());
-    EXPECT_FALSE(t.load("/nonexistent/path/file.bin"));
 }
 
 TEST(FixedTrace, SizesAndFlows)

@@ -150,18 +150,8 @@ TEST(Tracer, DisabledTracerRecordsNothingThroughMacro)
 
     t.set_enabled(true);
     PMILL_TRACE(tp, TraceEventKind::kTx, 1.0, 1, 1, 0, 0);
-    // Under PMILL_TRACING_DISABLED the macro is dead code even when
-    // the tracer object itself is enabled.
-    EXPECT_EQ(t.size(), Tracer::kCompiledIn ? 1u : 0u);
+    EXPECT_EQ(t.size(), 1u);
 }
-
-// The engine-level tests below need instrumentation compiled in; in a
-// PMILL_TRACING_DISABLED build they skip.
-#define PMILL_REQUIRE_TRACING()                                           \
-    do {                                                                  \
-        if (!Tracer::kCompiledIn)                                         \
-            GTEST_SKIP() << "built with PMILL_TRACING_DISABLED";          \
-    } while (0)
 
 /** Short traced router run shared by the engine-level tests. */
 RunResult
@@ -179,7 +169,6 @@ traced_router_run(Engine *engine, double sample_rate = 1.0)
 
 TEST(TracingEngine, LifecyclesSpanTheWholePipeline)
 {
-    PMILL_REQUIRE_TRACING();
     Trace t = make_fixed_size_trace(512, 256, 32);
     MachineConfig m;
     Engine engine(m, router_config(), PipelineOpts::vanilla(), t);
@@ -216,7 +205,6 @@ TEST(TracingEngine, LifecyclesSpanTheWholePipeline)
 
 TEST(TracingEngine, SamplingThinsLifecyclesDeterministically)
 {
-    PMILL_REQUIRE_TRACING();
     Trace t = make_fixed_size_trace(512, 256, 32);
     MachineConfig m;
 
@@ -237,7 +225,6 @@ TEST(TracingEngine, SamplingThinsLifecyclesDeterministically)
 
 TEST(TracingEngine, TailAttributionCoversLatency)
 {
-    PMILL_REQUIRE_TRACING();
     Trace t = make_fixed_size_trace(512, 256, 32);
     MachineConfig m;
     Engine engine(m, router_config(), PipelineOpts::vanilla(), t);
@@ -275,7 +262,6 @@ TEST(TracingEngine, TailAttributionCoversLatency)
 
 TEST(TracingEngine, ChromeTraceIsBalanced)
 {
-    PMILL_REQUIRE_TRACING();
     Trace t = make_fixed_size_trace(512, 256, 32);
     MachineConfig m;
     Engine engine(m, router_config(), PipelineOpts::vanilla(), t);
@@ -311,7 +297,6 @@ TEST(TracingEngine, ChromeTraceIsBalanced)
 
 TEST(TracingEngine, JsonlExportsOneLinePerRecord)
 {
-    PMILL_REQUIRE_TRACING();
     Trace t = make_fixed_size_trace(512, 256, 32);
     MachineConfig m;
     Engine engine(m, router_config(), PipelineOpts::vanilla(), t);
@@ -344,7 +329,6 @@ TEST(TracingEngine, NoTracingByDefault)
 
 TEST(TracingEngine, RingHoldsOnlyMeasuredWindow)
 {
-    PMILL_REQUIRE_TRACING();
     // Warmup events are cleared at measurement start, so the oldest
     // surviving record cannot predate the warmup boundary.
     Trace t = make_fixed_size_trace(512, 256, 32);

@@ -15,8 +15,8 @@
  * -DPMILL_ACCT=OFF build), 2 on usage/IO errors.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -24,6 +24,7 @@
 #include <string>
 
 #include "src/accounting/acct_report.hh"
+#include "src/elements/args.hh"
 
 namespace {
 
@@ -43,11 +44,19 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--top" && i + 1 < argc) {
-            top_n = static_cast<std::size_t>(std::atoi(argv[++i]));
-        } else if (arg.rfind("--top=", 0) == 0) {
-            top_n = static_cast<std::size_t>(
-                std::atoi(arg.c_str() + std::strlen("--top=")));
+        const bool top_eq = arg.rfind("--top=", 0) == 0;
+        if ((arg == "--top" && i + 1 < argc) || top_eq) {
+            const std::string v =
+                top_eq ? arg.substr(std::strlen("--top=")) : argv[++i];
+            std::uint64_t n = 0;
+            if (!pmill::parse_uint(v, &n) || n == 0) {
+                std::fprintf(stderr,
+                             "pmill_explain: --top expects a positive "
+                             "integer, got '%s'\n",
+                             v.c_str());
+                return 2;
+            }
+            top_n = n;
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -58,7 +67,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (path.empty() || top_n == 0) {
+    if (path.empty()) {
         usage(argv[0]);
         return 2;
     }
