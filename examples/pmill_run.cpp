@@ -64,7 +64,8 @@
  *   --stats-json PATH   write the sampled telemetry time-series,
  *                       cycle-accounting breakdown ({"type":"acct"}
  *                       lines, pmill_explain's input), per-element
- *                       cost breakdown, and run summary as JSON Lines
+ *                       cost breakdown, run summary, and host cost
+ *                       (wall time, peak RSS) as JSON Lines
  *   --stats-csv PATH    write the sampled time-series as CSV
  *   --sample-interval-us N  telemetry snapshot period (default 100)
  *   --trace-out PATH    write a Chrome/Perfetto trace-event JSON of
@@ -105,6 +106,8 @@
  * the profile-guided plan against the unguided build of the same
  * configuration instead of the vanilla baseline.
  */
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -553,6 +556,10 @@ main(int argc, char **argv)
     const double host_pkts_per_s =
         host_wall_s > 0 ? r.tx_pkts / host_wall_s : 0.0;
     const double sim_per_wall = host_wall_s > 0 ? sim_s / host_wall_s : 0.0;
+    // The process's peak resident set so far; Linux reports KiB.
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
 
     if (!decision_log_path.empty()) {
         std::ofstream out(decision_log_path);
@@ -659,7 +666,8 @@ main(int argc, char **argv)
             << ",\"sim_s\":" << json_number(sim_s)
             << ",\"sim_per_wall\":" << json_number(sim_per_wall)
             << ",\"sim_pkts_per_s\":" << json_number(host_pkts_per_s)
-            << ",\"host_threads\":" << host_threads << "}\n";
+            << ",\"host_threads\":" << host_threads
+            << ",\"peak_rss_mb\":" << json_number(peak_rss_mb) << "}\n";
     }
 
     if (!stats_csv_path.empty()) {
@@ -783,10 +791,11 @@ main(int argc, char **argv)
                 "100 ms; IPC %.2f\n",
                 r.llc_kloads_per_100ms, r.llc_kmisses_per_100ms, r.ipc);
     std::printf("host:       %.0f ms wall (%u thread%s), "
-                "%.2f Msim-pkt/s, %.4f sim-s per wall-s\n",
+                "%.2f Msim-pkt/s, %.4f sim-s per wall-s, "
+                "%.1f MiB peak RSS\n",
                 host_wall_s * 1e3, host_threads,
                 host_threads == 1 ? "" : "s", host_pkts_per_s / 1e6,
-                sim_per_wall);
+                sim_per_wall, peak_rss_mb);
     if (controller) {
         std::printf("control:    %s policy, %zu decision(s)\n",
                     controller->policy().name(),

@@ -1,6 +1,7 @@
 #include "src/accounting/acct_report.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <map>
@@ -15,6 +16,9 @@
 namespace pmill {
 
 namespace {
+
+/// pmill_run's --cores bound: acct lines name cores 0..kMaxCores-1.
+constexpr int kMaxCores = 64;
 
 double
 pct(double part, double whole)
@@ -149,7 +153,9 @@ acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
 {
     AcctReport rep;
     std::string line;
+    std::size_t lineno = 0;
     while (std::getline(is, line)) {
+        ++lineno;
         std::map<std::string, std::string> obj;
         if (!parse_json_object_line(line, &obj))
             continue;
@@ -157,8 +163,19 @@ acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
         if (type == obj.end())
             continue;
         if (type->second == "acct") {
-            const int core =
-                static_cast<int>(field_num(obj, "core"));
+            // -1 is the aggregate; a core index is below pmill_run's
+            // --cores bound. Checked before the cast, which is
+            // undefined for NaN, infinities and out-of-range values.
+            const double core_num = field_num(obj, "core");
+            if (!(core_num >= -1 && core_num < kMaxCores) ||
+                core_num != std::floor(core_num)) {
+                if (err)
+                    *err = strprintf("acct line %zu: core is not an "
+                                     "integer in [-1, %d)",
+                                     lineno, kMaxCores);
+                return false;
+            }
+            const int core = static_cast<int>(core_num);
             AcctBucketRow row;
             auto scope = obj.find("scope");
             row.label = scope == obj.end() ? "?" : scope->second;
@@ -175,8 +192,16 @@ acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
                     std::move(row));
             }
         } else if (type->second == "acct_check") {
-            rep.sum_minus_total_fixed = static_cast<std::int64_t>(
-                field_num(obj, "sum_minus_total_fixed"));
+            const double fixed = field_num(obj, "sum_minus_total_fixed");
+            if (!(fixed >= -0x1p63 && fixed < 0x1p63)) {
+                if (err)
+                    *err = strprintf("acct_check line %zu: "
+                                     "sum_minus_total_fixed is not a "
+                                     "finite 64-bit integer",
+                                     lineno);
+                return false;
+            }
+            rep.sum_minus_total_fixed = static_cast<std::int64_t>(fixed);
             rep.residual_cycles = field_num(obj, "residual_cycles");
             rep.clock_cycles = field_num(obj, "clock_cycles");
         }

@@ -23,9 +23,8 @@
  * burst) lands in the innermost bucket.
  *
  * The whole subsystem compiles to nothing under -DPMILL_ACCT_DISABLED
- * (CMake -DPMILL_ACCT=OFF), mirroring the tracer's compile-out switch:
- * charge() and the guards become empty inline bodies and the ledger
- * holds no storage.
+ * (CMake -DPMILL_ACCT=OFF): charge() and the guards become empty
+ * inline bodies and the ledger holds no storage.
  */
 
 #ifndef PMILL_ACCOUNTING_CYCLE_ACCOUNT_HH

@@ -1,5 +1,7 @@
 #include "src/driver/mempool.hh"
 
+#include <algorithm>
+
 #include "src/accounting/cycle_account.hh"
 #include "src/common/log.hh"
 #include "src/telemetry/metrics.hh"
@@ -8,24 +10,29 @@
 namespace pmill {
 
 Mempool::Mempool(SimMemory &mem, std::uint32_t num_elements)
-    : num_elements_(num_elements)
+    : num_elements_(num_elements), unused_(num_elements)
 {
     PMILL_ASSERT(is_pow2(num_elements), "pool size must be a power of two");
-    storage_ = mem.alloc(std::uint64_t(num_elements) * kMbufElementBytes,
-                         kCacheLineBytes, Region::kMbufPool);
-    cache_mem_ = mem.alloc(kCacheLineBytes, kCacheLineBytes,
-                           Region::kMbufPool);
+    storage_ = mem.alloc_sparse(
+        std::uint64_t(num_elements) * kMbufElementBytes, kCacheLineBytes,
+        Region::kMbufPool);
+    cache_mem_ = mem.alloc_sparse(kCacheLineBytes, kCacheLineBytes,
+                                  Region::kMbufPool);
     free_stack_.reserve(num_elements);
-    for (std::uint32_t i = 0; i < num_elements; ++i) {
-        RteMbuf *m = elem_host(i);
-        *m = RteMbuf{};
-        m->buf_addr = elem_addr(i) + kMbufBufOffset;
-        m->buf_host = storage_.host + std::uint64_t(i) * kMbufElementBytes +
-                      kMbufBufOffset;
-        m->data_off = kMbufHeadroomBytes;
-        m->pool_elem = i;
+    for (std::uint32_t i = 0; i < num_elements; ++i)
         free_stack_.push_back(i);
-    }
+}
+
+void
+Mempool::init_header(std::uint32_t i) const
+{
+    RteMbuf *m = elem_host(i);
+    *m = RteMbuf{};
+    m->buf_addr = elem_addr(i) + kMbufBufOffset;
+    m->buf_host = storage_.host + std::uint64_t(i) * kMbufElementBytes +
+                  kMbufBufOffset;
+    m->data_off = kMbufHeadroomBytes;
+    m->pool_elem = i;
 }
 
 MbufRef
@@ -44,19 +51,20 @@ Mempool::alloc(AccessSink *sink)
     const std::uint32_t idx = free_stack_.back();
     free_stack_.pop_back();
 
-    RteMbuf *m = elem_host(idx);
+    const MbufRef r = ref(idx);
+    unused_ = std::min(unused_, idx);
     // Reset to a pristine RX-ready state (rte_pktmbuf_reset).
-    m->data_off = kMbufHeadroomBytes;
-    m->refcnt = 1;
-    m->nb_segs = 1;
-    m->ol_flags = 0;
-    m->pkt_len = 0;
-    m->data_len = 0;
-    sink_store(sink, elem_addr(idx), 32);
+    r.m->data_off = kMbufHeadroomBytes;
+    r.m->refcnt = 1;
+    r.m->nb_segs = 1;
+    r.m->ol_flags = 0;
+    r.m->pkt_len = 0;
+    r.m->data_len = 0;
+    sink_store(sink, r.addr, 32);
     PMILL_TRACE(tracer_, TraceEventKind::kMempoolGet, tracer_->now(), 0, 0,
                 trace_span_,
                 static_cast<std::uint32_t>(free_stack_.size()));
-    return ref(idx);
+    return r;
 }
 
 MbufRef

@@ -10,6 +10,11 @@
  * from the RX descriptor ring itself: a replenished buffer is not
  * written by the NIC until the ring wraps, so its metadata lines have
  * left the private caches by the time the PMD fills them again.
+ *
+ * The pool's host backing is sparse and each element's header is
+ * written the first time the pool hands that element out, so only
+ * the elements a run actually circulates get host pages (16384
+ * elements are 37 MiB; a one-core router circulates about 2k).
  */
 
 #ifndef PMILL_DRIVER_MEMPOOL_HH
@@ -33,6 +38,8 @@ class Tracer;
 class Mempool {
   public:
     /**
+     * Reserves the pool's simulated addresses and a sparse host
+     * backing; no element header is written until its first use.
      * @param mem Simulated memory to carve the pool from.
      * @param num_elements Power-of-two element count.
      */
@@ -69,10 +76,16 @@ class Mempool {
             storage_.host + std::uint64_t(i) * kMbufElementBytes);
     }
 
-    /** Ref for element @p i (does not change free/used state). */
+    /**
+     * Ref for element @p i (does not change free/used state). An
+     * element alloc() never handed out gets its pristine header
+     * written first.
+     */
     MbufRef
     ref(std::uint32_t i) const
     {
+        if (PMILL_UNLIKELY(i < unused_))
+            init_header(i);
         return MbufRef{elem_addr(i), elem_host(i)};
     }
 
@@ -101,10 +114,19 @@ class Mempool {
     }
 
   private:
+    /** Write element @p i 's header as the pool first hands it out. */
+    void init_header(std::uint32_t i) const;
+
     MemHandle storage_;
     MemHandle cache_mem_;  ///< hot per-lcore cache head line
     std::vector<std::uint32_t> free_stack_;
     std::uint32_t num_elements_;
+    /// Elements [0, unused_) were never handed out by alloc(). The
+    /// stack starts as 0..N-1 with N-1 on top, so they stay at its
+    /// bottom, in order. Knowing this, the pool writes a fresh header
+    /// without reading it first: a read of a never-written page would
+    /// map the zero page, and the write after it would fault again.
+    std::uint32_t unused_;
     Tracer *tracer_ = nullptr;
     std::uint16_t trace_span_ = 0;
 };

@@ -42,10 +42,13 @@ class CopyingDatapath : public Datapath {
     {
         const std::uint64_t obj =
             round_up(layout.total_bytes, kCacheLineBytes);
-        app_mem_ = mem.alloc(obj * kAppPoolSize, kCacheLineBytes,
-                             Region::kMetadataPool);
-        app_ring_mem_ = mem.alloc(kAppPoolSize * 4ull, kCacheLineBytes,
-                                  Region::kMetadataPool);
+        // LIFO reuse keeps the written objects to the burst in flight,
+        // a few pages of the pool; the freelist line is address-only.
+        app_mem_ = mem.alloc_sparse(obj * kAppPoolSize, kCacheLineBytes,
+                                    Region::kMetadataPool);
+        app_ring_mem_ = mem.alloc_sparse(kAppPoolSize * 4ull,
+                                         kCacheLineBytes,
+                                         Region::kMetadataPool);
         obj_stride_ = obj;
         app_stack_.reserve(kAppPoolSize);
         for (std::uint32_t i = 0; i < kAppPoolSize; ++i)
@@ -408,10 +411,13 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         const std::uint32_t nbufs =
             2 * nic.config().rx_ring_size + nic.config().tx_ring_size +
             4 * kXchgMetaSlots;
+        // The spares FIFO cycles through every buffer, so the arena is
+        // written in full; the spares line is address-only.
         buf_mem_ = mem.alloc(std::uint64_t(nbufs) * buf_stride_,
                              kCacheLineBytes, Region::kPacketData);
-        spares_mem_ = mem.alloc(spares_.capacity() * 8ull, kCacheLineBytes,
-                                Region::kMetadataPool);
+        spares_mem_ = mem.alloc_sparse(spares_.capacity() * 8ull,
+                                       kCacheLineBytes,
+                                       Region::kMetadataPool);
         for (std::uint32_t i = 0; i < nbufs; ++i) {
             // Post the address past the headroom, like the mbuf path.
             spares_.push(Spare{

@@ -12,6 +12,8 @@ namespace {
 
 /// Size of the fragmented-heap region the dynamic graph chases
 /// through (must exceed the LLC so the chase misses in steady state).
+/// The chase only loads simulated addresses, so the region has no
+/// host pages.
 constexpr std::uint64_t kFragRegionBytes = 30ull * 1024 * 1024;
 
 MetadataLayout
@@ -123,7 +125,8 @@ Pipeline::build(const std::string &config_text, SimMemory &mem,
     }
 
     if (!opts.static_graph)
-        p->frag_ = mem.alloc(kFragRegionBytes, kPageBytes, Region::kHeap);
+        p->frag_ =
+            mem.alloc_sparse(kFragRegionBytes, kPageBytes, Region::kHeap);
     p->elem_stats_.resize(p->instances_.size());
 
     // Resolve the executor's dispatch tables once: terminal flags

@@ -13,11 +13,12 @@ PayloadPark::PayloadPark(SimMemory &mem, std::uint32_t slots,
     PMILL_ASSERT(slots > 0, "payload park needs at least one slot");
     PMILL_ASSERT(slot_bytes % kCacheLineBytes == 0,
                  "park slots must be cache-line multiples");
-    arena_ = mem.alloc(std::uint64_t(slots) * slot_bytes, kCacheLineBytes,
-                       Region::kPayloadPark);
     // LIFO: ticket 1 on top, so the first park after construction (or
     // after a full drain) always reuses the lowest slots — simulated
-    // addresses are a pure function of the park/release sequence.
+    // addresses are a pure function of the park/release sequence. The
+    // slots never parked into need no host pages.
+    arena_ = mem.alloc_sparse(std::uint64_t(slots) * slot_bytes,
+                              kCacheLineBytes, Region::kPayloadPark);
     free_.reserve(slots);
     for (std::uint32_t t = slots; t >= 1; --t)
         free_.push_back(t);

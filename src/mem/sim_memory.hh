@@ -7,7 +7,10 @@
  * lookup tables — is allocated from a SimMemory instance. Each
  * allocation receives a *simulated* address (fed to the cache
  * hierarchy model) and host backing storage (so the packet-processing
- * logic operates on real bytes).
+ * logic operates on real bytes). Host pages go only to bytes the host
+ * writes: an allocation the host writes in full is committed up
+ * front, and one it writes in part, or only uses as an address range,
+ * gets a sparse backing (DESIGN.md §3, "Host backing").
  *
  * Two allocation disciplines model the paper's §3.2.1 distinction:
  *  - contiguous (static arena / pools): densely packed, naturally
@@ -78,10 +81,13 @@ class SimMemory {
     MemHandle alloc(std::uint64_t size, std::uint64_t align, Region r);
 
     /**
-     * alloc() for a large table that setup fills only in part (the LPM
-     * tbl24): the host backing reads as zeros and commits a page only
-     * when it is first written. The simulated address and accounting
-     * are exactly those of alloc().
+     * alloc() for memory the host writes only in part, or never: a
+     * simulated address range (the heap chase, NIC rings), a table
+     * setup fills in part (LPM), or a pool whose LIFO reuse touches a
+     * few elements (mbufs). The host backing reads as zeros and
+     * commits a page only when it is first written, so a first write
+     * during a run takes a page fault there. The simulated address
+     * and accounting are exactly those of alloc().
      */
     MemHandle alloc_sparse(std::uint64_t size, std::uint64_t align,
                            Region r);

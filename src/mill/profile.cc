@@ -225,7 +225,12 @@ Profile::parse(const std::string &text, Profile *out, std::string *err)
             out->throughput_gbps = f.d("throughput_gbps");
             out->mpps = f.d("mpps");
             out->stall_share = f.d("stall_share");
-            out->burst = static_cast<std::uint32_t>(f.u("burst"));
+            // A burst the engine cannot run would reach it through
+            // the plan; the capture never records one.
+            const std::uint64_t burst = f.u("burst");
+            if (burst > kMaxBurst && f.bad.empty())
+                f.bad = "burst";
+            out->burst = static_cast<std::uint32_t>(burst);
             out->model = f.s("model");
             out->dominant_element = f.s("dominant_element");
             have_meta = true;
@@ -242,7 +247,10 @@ Profile::parse(const std::string &text, Profile *out, std::string *err)
             e.rule_hits = f.u64s("rule_hits");
             out->elements.push_back(std::move(e));
         } else if (type == "profile_burst_hist") {
+            // Slots 0..kMaxBurst: the capture writes exactly these.
             out->burst_hist = f.u64s("hist");
+            if (out->burst_hist.size() > kMaxBurst + 1 && f.bad.empty())
+                f.bad = "hist";
         } else {
             if (err)
                 *err = strprintf("profile line %zu: unknown type '%s'",
@@ -383,7 +391,7 @@ build_profile(Engine &engine, const RunResult &rr)
     p.dominant_element = att.dominant_element;
 
     if (engine.tracer())
-        p.burst_hist = burst_occupancy_histogram(*engine.tracer(), 64);
+        p.burst_hist = burst_occupancy_histogram(*engine.tracer(), kMaxBurst);
     return p;
 }
 

@@ -88,7 +88,12 @@ struct Profile {
     /** Human summary (per-element table + headline numbers). */
     std::string to_string() const;
 
-    /** Parse to_json() output. @return false with @p err set. */
+    /**
+     * Parse to_json() output. A burst above kMaxBurst or a histogram
+     * longer than kMaxBurst + 1 slots is a malformed value: no capture
+     * records one, and the plan would hand it to the engine.
+     * @return false with @p err set.
+     */
     static bool parse(const std::string &text, Profile *out,
                       std::string *err);
 

@@ -26,9 +26,12 @@ SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
     for (std::uint32_t i = 0; i < table_size; ++i)
         table_[i] = i % num_cores;
 
+    // The table's and rings' simulated addresses feed the cache model;
+    // their contents live in table_ and the staging vectors, so
+    // neither gets host pages.
     const std::uint32_t old_home = mem.home_socket();
-    table_mem_ = mem.alloc(std::uint64_t(table_size) * 4, kCacheLineBytes,
-                           Region::kTable);
+    table_mem_ = mem.alloc_sparse(std::uint64_t(table_size) * 4,
+                                  kCacheLineBytes, Region::kTable);
     ring_mem_.reserve(num_cores);
     for (std::uint32_t c = 0; c < num_cores; ++c) {
         // Each destination's ring lives on that destination's socket:
@@ -37,8 +40,8 @@ SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
         if (ring_sockets)
             mem.set_home_socket((*ring_sockets)[c]);
         ring_mem_.push_back(
-            mem.alloc(std::uint64_t(ring_capacity) * kSlotBytes,
-                      kCacheLineBytes, Region::kDeviceRing));
+            mem.alloc_sparse(std::uint64_t(ring_capacity) * kSlotBytes,
+                             kCacheLineBytes, Region::kDeviceRing));
     }
     mem.set_home_socket(old_home);
 

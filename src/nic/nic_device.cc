@@ -34,12 +34,17 @@ NicDevice::NicDevice(const NicConfig &cfg, CacheHierarchy &caches,
     for (std::uint32_t q = 0; q < cfg.num_queues; ++q) {
         queues_.emplace_back(cfg.rx_ring_size, cfg.tx_ring_size);
         Queue &qu = queues_.back();
-        qu.cq_mem = mem.alloc(std::uint64_t(cfg.rx_ring_size) * kCqeBytes,
-                              kCacheLineBytes, Region::kDeviceRing);
-        qu.rxd_mem = mem.alloc(std::uint64_t(cfg.rx_ring_size) * kDescBytes,
-                               kCacheLineBytes, Region::kDeviceRing);
-        qu.txd_mem = mem.alloc(std::uint64_t(cfg.tx_ring_size) * kDescBytes,
-                               kCacheLineBytes, Region::kDeviceRing);
+        // The rings are simulated addresses only: descriptors and
+        // CQEs travel as host structs, so no ring gets host pages.
+        qu.cq_mem = mem.alloc_sparse(
+            std::uint64_t(cfg.rx_ring_size) * kCqeBytes, kCacheLineBytes,
+            Region::kDeviceRing);
+        qu.rxd_mem = mem.alloc_sparse(
+            std::uint64_t(cfg.rx_ring_size) * kDescBytes, kCacheLineBytes,
+            Region::kDeviceRing);
+        qu.txd_mem = mem.alloc_sparse(
+            std::uint64_t(cfg.tx_ring_size) * kDescBytes, kCacheLineBytes,
+            Region::kDeviceRing);
     }
 }
 

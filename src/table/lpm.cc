@@ -39,12 +39,14 @@ NaiveLpm::lookup(Ipv4Addr a, std::uint8_t *matched_depth) const
 Dir24_8::Dir24_8(SimMemory &mem, std::uint32_t max_tbl8_groups)
     : max_groups_(max_tbl8_groups)
 {
-    // Setup writes only the slots its routes cover, so tbl24 commits
-    // host pages in proportion to the routes, not to its 2^24 slots.
+    // Setup writes only the slots its routes cover and the tbl8 groups
+    // they claim, in order, so both tables commit host pages in
+    // proportion to the routes, not to their size.
     tbl24_ = mem.alloc_sparse((1u << 24) * sizeof(Entry), kPageBytes,
                               Region::kTable);
-    tbl8_ = mem.alloc(std::uint64_t(max_tbl8_groups) * 256 * sizeof(Entry),
-                      kPageBytes, Region::kTable);
+    tbl8_ = mem.alloc_sparse(
+        std::uint64_t(max_tbl8_groups) * 256 * sizeof(Entry), kPageBytes,
+        Region::kTable);
 }
 
 std::uint32_t

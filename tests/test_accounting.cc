@@ -197,6 +197,86 @@ TEST(AcctReport, JsonlRoundTripPreservesTotals)
     EXPECT_NE(text.find("conservation:"), std::string::npos);
 }
 
+/**
+ * Parses a stream of a meta line, an aggregate acct line, an acct line
+ * whose core is @p core (line 3), and an acct_check line whose
+ * sum_minus_total_fixed is @p fixed (line 4).
+ * @return the reader's error, or "" when it accepts the stream.
+ */
+std::string
+acct_stream_error(const std::string &core, const std::string &fixed = "0",
+                  AcctReport *rep = nullptr)
+{
+    std::istringstream is(
+        "{\"type\":\"meta\",\"config\":\"x\"}\n"
+        "{\"type\":\"acct\",\"core\":-1,\"scope\":\"framework\","
+        "\"element\":0,\"total_cycles\":10}\n"
+        "{\"type\":\"acct\",\"core\":" + core +
+        ",\"scope\":\"framework\",\"element\":0,"
+        "\"total_cycles\":10}\n"
+        "{\"type\":\"acct_check\",\"sum_minus_total_fixed\":" + fixed +
+        ",\"residual_cycles\":0,\"clock_cycles\":10}\n");
+    AcctReport local;
+    std::string err;
+    return acct_report_from_jsonl(is, rep ? rep : &local, &err) ? ""
+                                                               : err;
+}
+
+TEST(AcctReport, CoresFromAggregateToTheCoresBoundParse)
+{
+    for (const char *core : {"-1", "0", "63", "6.3e1"})
+        EXPECT_EQ(acct_stream_error(core), "") << core;
+    AcctReport rep;
+    ASSERT_EQ(acct_stream_error("63", "-7", &rep), "");
+    EXPECT_EQ(rep.cores.size(), 64u);
+    EXPECT_EQ(rep.sum_minus_total_fixed, -7);
+}
+
+// A NaN or infinite core would be cast to int: undefined behaviour.
+TEST(AcctReport, NonFiniteCoreIsRejected)
+{
+    for (const char *core : {"nan", "inf", "-inf"}) {
+        const std::string err = acct_stream_error(core);
+        EXPECT_NE(err.find("line 3"), std::string::npos) << core << err;
+        EXPECT_NE(err.find("core"), std::string::npos) << core << err;
+    }
+}
+
+// 1e300 overflows the cast; an in-range 1e9 would resize the per-core
+// table to a billion breakdowns.
+TEST(AcctReport, CoreOutsideTheCoresBoundIsRejected)
+{
+    for (const char *core : {"1e300", "1e9", "64", "-2", "-1e300"}) {
+        const std::string err = acct_stream_error(core);
+        EXPECT_NE(err.find("line 3"), std::string::npos) << core << err;
+    }
+}
+
+TEST(AcctReport, FractionalCoreIsRejected)
+{
+    EXPECT_NE(acct_stream_error("2.5").find("line 3"), std::string::npos);
+}
+
+TEST(AcctReport, NonFiniteFixedSumIsRejected)
+{
+    for (const char *fixed : {"nan", "inf", "-inf"}) {
+        const std::string err = acct_stream_error("-1", fixed);
+        EXPECT_NE(err.find("line 4"), std::string::npos) << fixed << err;
+        EXPECT_NE(err.find("sum_minus_total_fixed"), std::string::npos)
+            << fixed << err;
+    }
+}
+
+TEST(AcctReport, FixedSumOutsideInt64IsRejected)
+{
+    for (const char *fixed : {"1e300", "-1e300", "9223372036854775808",
+                              "-9.3e18"}) {
+        const std::string err = acct_stream_error("-1", fixed);
+        EXPECT_NE(err.find("line 4"), std::string::npos) << fixed << err;
+    }
+    EXPECT_EQ(acct_stream_error("-1", "-9223372036854775808"), "");
+}
+
 TEST(AcctReport, StreamWithoutAcctLinesFails)
 {
     std::stringstream ss;

@@ -17,6 +17,7 @@
 #include "src/mem/sim_memory.hh"
 #include "src/net/packet_builder.hh"
 #include "src/nic/nic_device.hh"
+#include "tests/residency.hh"
 
 namespace pmill {
 namespace {
@@ -71,8 +72,40 @@ TEST(Mempool, AllocFreeRoundTrip)
     EXPECT_EQ(pool.free_count(), 63u);
     EXPECT_EQ(a.m->data_off, kMbufHeadroomBytes);
     EXPECT_EQ(a.m->refcnt, 1);
+    // The first element handed out gets its full header on that use.
+    const std::uint32_t idx = static_cast<std::uint32_t>(a.m->pool_elem);
+    EXPECT_EQ(idx, 63u) << "LIFO hands out the top element first";
+    EXPECT_EQ(a.addr, pool.elem_addr(idx));
+    EXPECT_EQ(a.m->buf_addr, pool.elem_addr(idx) + kMbufBufOffset);
+    EXPECT_EQ(a.m->buf_host,
+              reinterpret_cast<std::uint8_t *>(pool.elem_host(idx)) +
+                  kMbufBufOffset);
     pool.free(a, nullptr);
     EXPECT_EQ(pool.free_count(), 64u);
+}
+
+TEST(Mempool, HostPagesOnlyForElementsHandedOut)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "residency is measured with Linux mincore";
+#else
+    SimMemory mem;
+    const std::uint32_t n = 16384;
+    Mempool pool(mem, n);
+    const auto *base = reinterpret_cast<const std::uint8_t *>(
+        pool.elem_host(0));
+    const std::uint64_t bytes = std::uint64_t(n) * kMbufElementBytes;
+    EXPECT_LT(resident_bytes(base, bytes), 64u << 10);
+
+    // LIFO: the first k allocations are the top k elements.
+    const std::uint32_t k = 100;
+    for (std::uint32_t i = 0; i < k; ++i)
+        ASSERT_TRUE(pool.alloc(nullptr));
+    const auto *top = reinterpret_cast<const std::uint8_t *>(
+        pool.elem_host(n - k));
+    EXPECT_LE(resident_bytes(base, bytes),
+              spanned_page_bytes(top, std::uint64_t(k) * kMbufElementBytes));
+#endif
 }
 
 TEST(Mempool, LifoRecycling)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Robustness fuzzing: the configuration parser, frame parser,
- * pipeline builder and workload-spec parser must never crash on
- * malformed input — they must either succeed or fail cleanly with an
- * error.
+ * pipeline builder, workload-spec parser and the artifact readers
+ * (profiles, acct JSONL, bench tables) must never crash on malformed
+ * input — they must either succeed or fail cleanly with an error.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +13,16 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/accounting/acct_report.hh"
+#include "src/accounting/cycle_account.hh"
 #include "src/common/random.hh"
 #include "src/framework/config_parser.hh"
 #include "src/framework/pipeline.hh"
+#include "src/mill/packet_mill.hh"
+#include "src/mill/profile.hh"
 #include "src/net/packet_builder.hh"
 #include "src/runtime/experiments.hh"
+#include "src/telemetry/bench_diff.hh"
 #include "src/workload/workload.hh"
 
 namespace pmill {
@@ -325,6 +330,106 @@ TEST(FuzzWorkloadSpec, MutatedSpecFilesLoadOrFailCleanly)
     }
     std::filesystem::remove(path);
     EXPECT_GE(files, 6);
+}
+
+TEST(FuzzArtifactReaders, MutatedProfilesPlanWithinTheBurstBound)
+{
+    // A captured router profile, the input of pmill_run --profile-in.
+    MachineConfig machine;
+    Engine engine(machine, router_config(), opts_source_all(),
+                  default_campus_trace());
+    PacketMill::grind(engine);
+    RunConfig rc;
+    rc.offered_gbps = 70.0;
+    rc.warmup_us = 100;
+    rc.duration_us = 300;
+    const std::string base = capture_profile(engine, rc).to_json();
+    ASSERT_FALSE(base.empty());
+
+    Xorshift64 rng(0x9F0F);
+    int accepted = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+        const std::string text = iter == 0 ? base : mutate(base, rng);
+        Profile p;
+        std::string err;
+        if (!Profile::parse(text, &p, &err)) {
+            EXPECT_FALSE(err.empty()) << text;
+            continue;
+        }
+        ++accepted;
+        for (const PipelineOpts &opts :
+             {opts_source_all(), PipelineOpts::vanilla()}) {
+            const Plan plan = PlanSearch::search(p, opts);
+            EXPECT_LE(plan.burst, kMaxBurst) << text;
+            const PipelineOpts next = plan.apply_to_opts(opts);
+            EXPECT_GE(next.burst, 1u) << text;
+            EXPECT_LE(next.burst, kMaxBurst) << text;
+        }
+    }
+    EXPECT_GT(accepted, 100);
+}
+
+TEST(FuzzArtifactReaders, MutatedAcctJsonlParsesOrFailsCleanly)
+{
+    if (!CycleAccount::kCompiledIn)
+        GTEST_SKIP() << "built with PMILL_ACCT=OFF: no acct lines to mutate";
+    // An acct JSONL in the format cycle_accounting and --stats-json
+    // write, the input of pmill_explain.
+    Trace t = make_fixed_size_trace(256, 128, 16);
+    MachineConfig m;
+    Engine engine(m, forwarder_config(), PipelineOpts::vanilla(), t);
+    RunConfig rc;
+    rc.offered_gbps = 10.0;
+    rc.warmup_us = 0;
+    rc.duration_us = 300;
+    engine.run(rc);
+    std::ostringstream os;
+    acct_write_jsonl(acct_report_from_engine(engine), os);
+    const std::string base = os.str();
+
+    Xorshift64 rng(0xACC7);
+    int accepted = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+        std::istringstream is(iter == 0 ? base : mutate(base, rng));
+        AcctReport rep;
+        std::string err;
+        if (!acct_report_from_jsonl(is, &rep, &err)) {
+            EXPECT_FALSE(err.empty());
+            continue;
+        }
+        ++accepted;
+        std::ostringstream report;
+        acct_render_report(rep, report);
+        EXPECT_FALSE(report.str().empty());
+    }
+    EXPECT_GT(accepted, 100);
+}
+
+TEST(FuzzArtifactReaders, MutatedGoldenBenchTablesLoadOrFailCleanly)
+{
+    std::ifstream in(std::filesystem::path(PMILL_SOURCE_DIR) / "bench" /
+                     "golden" / "fig05a_models.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string base = text.str();
+    ASSERT_FALSE(base.empty());
+    const std::string path = ::testing::TempDir() + "fuzz_bench.json";
+    Xorshift64 rng(0xBE7C);
+    int accepted = 0;
+    for (int iter = 0; iter < 2000; ++iter) {
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << (iter == 0 ? base : mutate(base, rng));
+        }
+        BenchTable table;
+        std::string err;
+        if (load_bench_table(path, &table, &err))
+            ++accepted;
+        else
+            EXPECT_FALSE(err.empty());
+    }
+    std::filesystem::remove(path);
+    EXPECT_GT(accepted, 100);
 }
 
 TEST(FuzzEngine, MalformedTrafficFlowsThroughTheRouter)

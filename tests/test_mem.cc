@@ -9,17 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
-#ifdef __linux__
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
-
+#include "src/framework/pipeline.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
+#include "src/runtime/experiments.hh"
 #include "src/table/lpm.hh"
+#include "tests/residency.hh"
 
 namespace pmill {
 namespace {
@@ -75,23 +74,6 @@ TEST(SimMemory, RegionAccounting)
     EXPECT_EQ(mem.allocated_bytes(Region::kMbufPool), 1024u);
     EXPECT_EQ(mem.allocated_bytes(Region::kTable), 0u);
 }
-
-#ifdef __linux__
-/** Host pages of [p, p + n) that are resident, per mincore(2). */
-std::uint64_t
-resident_bytes(const std::uint8_t *p, std::uint64_t n)
-{
-    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
-    const auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
-    const auto hi = reinterpret_cast<std::uintptr_t>(p) + n;
-    std::vector<unsigned char> vec((hi - lo + page - 1) / page);
-    EXPECT_EQ(mincore(reinterpret_cast<void *>(lo), hi - lo, vec.data()), 0);
-    std::uint64_t pages = 0;
-    for (unsigned char v : vec)
-        pages += v & 1;
-    return pages * page;
-}
-#endif
 
 // Guards sim_rate: a backing committed lazily would move its
 // first-touch page faults into the timed run.
@@ -155,6 +137,29 @@ TEST(SimMemory, RouterLpmKeepsTbl24Sparse)
         mem.host_ptr(round_up(before.addr + before.size, kPageBytes));
     ASSERT_NE(tbl24, nullptr);
     EXPECT_LT(resident_bytes(tbl24, 64ull << 20), 2u << 20);
+#endif
+}
+
+TEST(SimMemory, VanillaHeapChaseRegionHasNoHostPages)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "residency is measured with Linux mincore";
+#else
+    SimMemory mem;
+    std::string err;
+    auto p = Pipeline::build(router_config(), mem, PipelineOpts::vanilla(),
+                             &err);
+    ASSERT_NE(p, nullptr) << err;
+    // The 30 MiB chase region is build's last allocation, page aligned
+    // and a line multiple, so the next line-aligned one starts at its
+    // end.
+    const std::uint64_t n = 30ull << 20;
+    ASSERT_GE(mem.allocated_bytes(Region::kHeap), n);
+    const Addr end = mem.alloc(64, 64, Region::kScratch).addr;
+    const std::uint8_t *region = mem.host_ptr(end - n);
+    ASSERT_NE(region, nullptr);
+    ASSERT_EQ(mem.host_ptr(end - 1), region + n - 1) << "not one region";
+    EXPECT_LT(resident_bytes(region, n), 64u << 10);
 #endif
 }
 

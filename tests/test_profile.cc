@@ -172,6 +172,48 @@ TEST(ProfileJson, RejectsMalformedNumbers)
               (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
+// The capture records the configured burst (at most kMaxBurst) and
+// kMaxBurst + 1 histogram slots. Anything larger would reach the
+// engine through the plan's burst and abort it.
+TEST(ProfileJson, RejectsBurstTheEngineCannotRun)
+{
+    const Profile captured = capture_router_profile();
+    ASSERT_EQ(captured.burst_hist.size(), kMaxBurst + 1);
+    Profile p;
+    std::string err;
+    ASSERT_TRUE(Profile::parse(captured.to_json(), &p, &err)) << err;
+
+    Profile hostile = captured;
+    hostile.burst = kMaxBurst;
+    EXPECT_TRUE(Profile::parse(hostile.to_json(), &p, &err)) << err;
+    hostile.burst = 4096;
+    hostile.burst_hist.assign(1000, 0);
+    hostile.burst_hist.push_back(5);
+    err.clear();
+    EXPECT_FALSE(Profile::parse(hostile.to_json(), &p, &err));
+    EXPECT_NE(err.find("malformed value for 'burst'"), std::string::npos)
+        << err;
+    // Above 2^32, where a cast to the 32-bit field would wrap to 5.
+    err.clear();
+    EXPECT_FALSE(Profile::parse(
+        "{\"type\":\"profile_meta\",\"burst\":4294967301}\n", &p, &err));
+    EXPECT_NE(err.find("'burst'"), std::string::npos) << err;
+}
+
+TEST(ProfileJson, RejectsHistogramLongerThanAnyCapture)
+{
+    Profile hostile = capture_router_profile();
+    hostile.burst_hist.assign(kMaxBurst + 2, 1);
+    Profile p;
+    std::string err;
+    EXPECT_FALSE(Profile::parse(hostile.to_json(), &p, &err));
+    EXPECT_NE(err.find("malformed value for 'hist'"), std::string::npos)
+        << err;
+    hostile.burst_hist.pop_back();
+    err.clear();
+    EXPECT_TRUE(Profile::parse(hostile.to_json(), &p, &err)) << err;
+}
+
 TEST(PlanSearchPolicy, HotFirstRuleOrder)
 {
     Profile p = synthetic_profile();
