@@ -1,6 +1,7 @@
 #include "src/accounting/acct_report.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <istream>
@@ -16,9 +17,6 @@
 namespace pmill {
 
 namespace {
-
-/// pmill_run's --cores bound: acct lines name cores 0..kMaxCores-1.
-constexpr int kMaxCores = 64;
 
 double
 pct(double part, double whole)
@@ -156,9 +154,14 @@ acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
     std::size_t lineno = 0;
     while (std::getline(is, line)) {
         ++lineno;
-        std::map<std::string, std::string> obj;
-        if (!parse_json_object_line(line, &obj))
+        if (line.empty())
             continue;
+        std::map<std::string, std::string> obj;
+        if (!parse_json_object_line(line, &obj)) {
+            if (err)
+                *err = strprintf("line %zu is not a JSON object", lineno);
+            return false;
+        }
         auto type = obj.find("type");
         if (type == obj.end())
             continue;
@@ -171,7 +174,7 @@ acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
                 core_num != std::floor(core_num)) {
                 if (err)
                     *err = strprintf("acct line %zu: core is not an "
-                                     "integer in [-1, %d)",
+                                     "integer in [-1, %u)",
                                      lineno, kMaxCores);
                 return false;
             }
@@ -192,16 +195,20 @@ acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
                     std::move(row));
             }
         } else if (type->second == "acct_check") {
-            const double fixed = field_num(obj, "sum_minus_total_fixed");
-            if (!(fixed >= -0x1p63 && fixed < 0x1p63)) {
+            // Read as an integer: the writer prints it exactly, and a
+            // double would round anything above 2^53.
+            const std::string &fixed = obj["sum_minus_total_fixed"];
+            const char *end = fixed.data() + fixed.size();
+            const auto [at, ec] = std::from_chars(
+                fixed.data(), end, rep.sum_minus_total_fixed);
+            if (ec != std::errc() || at != end) {
                 if (err)
                     *err = strprintf("acct_check line %zu: "
                                      "sum_minus_total_fixed is not a "
-                                     "finite 64-bit integer",
+                                     "64-bit integer",
                                      lineno);
                 return false;
             }
-            rep.sum_minus_total_fixed = static_cast<std::int64_t>(fixed);
             rep.residual_cycles = field_num(obj, "residual_cycles");
             rep.clock_cycles = field_num(obj, "clock_cycles");
         }

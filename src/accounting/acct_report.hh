@@ -88,10 +88,10 @@ void acct_write_jsonl(const AcctReport &report, std::ostream &os);
 /**
  * Rebuild a report from a stats JSONL stream containing the lines
  * acct_write_jsonl() produced (other line types are skipped).
- * Returns false (with @p err set, naming the line) when no acct lines
- * are present, when an acct line's core is not an integer in
- * [-1, 64), or when sum_minus_total_fixed is not a finite 64-bit
- * integer.
+ * Returns false (with @p err set, naming the line) when a non-empty
+ * line is not a JSON object, when no acct lines are present, when an
+ * acct line's core is not an integer in [-1, kMaxCores), or when
+ * sum_minus_total_fixed is not a decimal 64-bit integer.
  */
 bool acct_report_from_jsonl(std::istream &is, AcctReport *out,
                             std::string *err);

@@ -19,30 +19,14 @@ namespace pmill {
 bool
 IdsCheck::configure(const std::vector<std::string> &args, std::string *err)
 {
-    for (const auto &[kw, val] : parse_keywords(args)) {
-        if (kw == "CONNTRACK" || kw.empty()) {
-            std::uint64_t v = 0;
-            if (!parse_uint(val, &v) || v == 0) {
-                if (err)
-                    *err = "IdsCheck: bad CONNTRACK '" + val + "'";
-                return false;
-            }
-            conntrack_capacity_ = static_cast<std::uint32_t>(v);
-        } else if (kw == "IDLE_TIMEOUT_MS") {
-            double t = 0;
-            if (!parse_double(val, &t) || t <= 0) {
-                if (err)
-                    *err = "IdsCheck: bad IDLE_TIMEOUT_MS '" + val + "'";
-                return false;
-            }
-            idle_timeout_ms_ = t;
-        } else {
-            if (err)
-                *err = "IdsCheck: unknown keyword " + kw;
-            return false;
-        }
-    }
-    return true;
+    const Param keywords[] = {
+        {"CONNTRACK", &conntrack_capacity_, 1, kMaxFlowTable,
+         "connection-table capacity"},
+        {"IDLE_TIMEOUT_MS", &idle_timeout_ms_, 0.0, kMaxIdleTimeoutMs,
+         "connection idle timeout in ms", true},
+    };
+    return configure_keywords(class_name(), args, keywords, err,
+                              "CONNTRACK");
 }
 
 bool
@@ -225,18 +209,11 @@ IdsCheck::access_profile(std::vector<Field> &reads,
 bool
 VlanEncap::configure(const std::vector<std::string> &args, std::string *err)
 {
-    for (const auto &[kw, val] : parse_keywords(args)) {
-        std::uint64_t v = 0;
-        if ((kw == "VLAN_ID" || kw == "VLAN_TCI" || kw.empty()) &&
-            parse_uint(val, &v) && v < 65536) {
-            tci_ = static_cast<std::uint16_t>(v);
-        } else {
-            if (err)
-                *err = "VLANEncap: bad argument '" + val + "'";
-            return false;
-        }
-    }
-    return true;
+    const Param keywords[] = {
+        {"VLAN_ID", &tci_, 0, UINT16_MAX, "tag control information"},
+        {"VLAN_TCI", &tci_, 0, UINT16_MAX, "same as VLAN_ID"},
+    };
+    return configure_keywords(class_name(), args, keywords, err, "VLAN_ID");
 }
 
 void
@@ -284,35 +261,14 @@ VlanEncap::access_profile(std::vector<Field> &reads,
 bool
 Napt::configure(const std::vector<std::string> &args, std::string *err)
 {
-    for (const auto &[kw, val] : parse_keywords(args)) {
-        if (kw == "SRCIP" || kw.empty()) {
-            if (!parse_ipv4(val, &nat_ip_)) {
-                if (err)
-                    *err = "Napt: bad SRCIP '" + val + "'";
-                return false;
-            }
-        } else if (kw == "CAPACITY") {
-            std::uint64_t v = 0;
-            if (!parse_uint(val, &v) || v == 0) {
-                if (err)
-                    *err = "Napt: bad CAPACITY";
-                return false;
-            }
-            capacity_ = static_cast<std::uint32_t>(v);
-        } else if (kw == "IDLE_TIMEOUT_MS") {
-            double t = 0;
-            if (!parse_double(val, &t)) {
-                if (err)
-                    *err = "Napt: bad IDLE_TIMEOUT_MS '" + val + "'";
-                return false;
-            }
-            idle_timeout_ms_ = t;
-        } else {
-            if (err)
-                *err = "Napt: unknown keyword " + kw;
-            return false;
-        }
-    }
+    const Param keywords[] = {
+        {"SRCIP", &nat_ip_, "address written into rewritten packets"},
+        {"CAPACITY", &capacity_, 1, kMaxFlowTable, "mapping-table capacity"},
+        {"IDLE_TIMEOUT_MS", &idle_timeout_ms_, 0.0, kMaxIdleTimeoutMs,
+         "mapping idle timeout in ms (0 = no aging)"},
+    };
+    if (!configure_keywords(class_name(), args, keywords, err, "SRCIP"))
+        return false;
     if (nat_ip_.value == 0) {
         if (err)
             *err = "Napt requires SRCIP";
@@ -469,26 +425,12 @@ bool
 WorkPackage::configure(const std::vector<std::string> &args,
                        std::string *err)
 {
-    for (const auto &[kw, val] : parse_keywords(args)) {
-        std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
-            if (err)
-                *err = "WorkPackage: bad value '" + val + "'";
-            return false;
-        }
-        if (kw == "S")
-            s_mb_ = static_cast<std::uint32_t>(v);
-        else if (kw == "N")
-            n_accesses_ = static_cast<std::uint32_t>(v);
-        else if (kw == "W")
-            w_rounds_ = static_cast<std::uint32_t>(v);
-        else {
-            if (err)
-                *err = "WorkPackage: expected S/N/W keywords";
-            return false;
-        }
-    }
-    return true;
+    const Param keywords[] = {
+        {"S", &s_mb_, 0, kMaxScratchMb, "scratch region in MiB (0 = 1)"},
+        {"N", &n_accesses_, 0, UINT32_MAX, "scratch reads per packet"},
+        {"W", &w_rounds_, 0, UINT32_MAX, "PRNG rounds per packet"},
+    };
+    return configure_keywords(class_name(), args, keywords, err);
 }
 
 bool

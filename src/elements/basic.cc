@@ -20,53 +20,23 @@ bool
 FromDPDKDevice::configure(const std::vector<std::string> &args,
                           std::string *err)
 {
-    for (const auto &[kw, val] : parse_keywords(args)) {
-        std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
-            if (err)
-                *err = "FromDPDKDevice: bad value '" + val + "'";
-            return false;
-        }
-        if (kw == "PORT") {
-            port_ = static_cast<std::uint32_t>(v);
-        } else if (kw == "BURST") {
-            if (v == 0 || v > kMaxBurst) {
-                if (err)
-                    *err = "FromDPDKDevice: BURST out of range";
-                return false;
-            }
-            burst_ = static_cast<std::uint32_t>(v);
-        } else if (kw == "N_QUEUES") {
-            n_queues_ = static_cast<std::uint32_t>(v);
-        } else if (err) {
-            *err = "FromDPDKDevice: unknown keyword " + kw;
-            return false;
-        }
-    }
-    return true;
+    const Param keywords[] = {
+        {"PORT", &port_, 0, UINT32_MAX, "NIC port"},
+        {"BURST", &burst_, 1, kMaxBurst, "RX burst size"},
+        {"N_QUEUES", &n_queues_, 0, UINT32_MAX, "RX queues"},
+    };
+    return configure_keywords(class_name(), args, keywords, err);
 }
 
 bool
 ToDPDKDevice::configure(const std::vector<std::string> &args,
                         std::string *err)
 {
-    for (const auto &[kw, val] : parse_keywords(args)) {
-        std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
-            if (err)
-                *err = "ToDPDKDevice: bad value '" + val + "'";
-            return false;
-        }
-        if (kw == "PORT")
-            port_ = static_cast<std::uint32_t>(v);
-        else if (kw == "BURST")
-            burst_ = static_cast<std::uint32_t>(v);
-        else if (err) {
-            *err = "ToDPDKDevice: unknown keyword " + kw;
-            return false;
-        }
-    }
-    return true;
+    const Param keywords[] = {
+        {"PORT", &port_, 0, UINT32_MAX, "NIC port"},
+        {"BURST", &burst_, 1, kMaxBurst, "TX burst size"},
+    };
+    return configure_keywords(class_name(), args, keywords, err);
 }
 
 void
@@ -104,23 +74,11 @@ bool
 EtherRewrite::configure(const std::vector<std::string> &args,
                         std::string *err)
 {
-    for (const auto &[kw, val] : parse_keywords(args)) {
-        MacAddr m;
-        if (!parse_mac(val, &m)) {
-            if (err)
-                *err = "EtherRewrite: bad MAC '" + val + "'";
-            return false;
-        }
-        if (kw == "SRC") {
-            src_ = m;
-        } else if (kw == "DST") {
-            dst_ = m;
-        } else if (err) {
-            *err = "EtherRewrite: expected SRC/DST";
-            return false;
-        }
-    }
-    return true;
+    const Param keywords[] = {
+        {"SRC", &src_, "source MAC"},
+        {"DST", &dst_, "destination MAC"},
+    };
+    return configure_keywords(class_name(), args, keywords, err);
 }
 
 void

@@ -31,6 +31,14 @@ namespace pmill {
 
 class SteerFabric;
 
+/// Keyword bounds that keep a configuration's host cost finite: Napt
+/// CAPACITY and IdsCheck CONNTRACK (64 MiB of table per core),
+/// IDLE_TIMEOUT_MS (longer than any run pmill_run accepts, and finite
+/// in ns) and WorkPackage S (MiB committed per core; the LLC is 24).
+inline constexpr std::uint32_t kMaxFlowTable = 1u << 19;
+inline constexpr double kMaxIdleTimeoutMs = 1e9;
+inline constexpr std::uint32_t kMaxScratchMb = 64;
+
 /** RX endpoint marker. Args: PORT n, N_QUEUES n, BURST n. */
 class FromDPDKDevice : public Element {
   public:
@@ -337,7 +345,7 @@ class Napt : public Element {
 /**
  * Synthetic memory-/compute-intensive element (§A.4): per packet,
  * N pseudo-random reads into an S-MiB scratch region and W rounds of
- * PRNG work. Args: S mb, N n, W w (keyword or positional S,N,W).
+ * PRNG work. Args: S mb, N n, W w.
  */
 class WorkPackage : public Element {
   public:

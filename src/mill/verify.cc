@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <vector>
+#include <string>
 
 #include "src/common/log.hh"
 #include "src/mill/packet_mill.hh"
@@ -14,7 +14,7 @@ namespace pmill {
 namespace {
 
 /** Multiset of emitted frames, keyed by exact bytes. */
-using FrameBag = std::map<std::vector<std::uint8_t>, std::uint64_t>;
+using FrameBag = std::map<std::string, std::uint64_t>;
 
 FrameBag
 collect(const std::string &config, const PipelineOpts &opts,
@@ -33,7 +33,7 @@ collect(const std::string &config, const PipelineOpts &opts,
     std::uint64_t n = 0;
     engine.set_tx_capture(
         [&](const std::uint8_t *data, std::uint32_t len) {
-            ++bag[std::vector<std::uint8_t>(data, data + len)];
+            ++bag[std::string(reinterpret_cast<const char *>(data), len)];
             ++n;
         });
 

@@ -682,8 +682,8 @@ Engine::set_queue_weight(std::uint32_t core, std::uint32_t q,
     PMILL_ASSERT(q < cores_[core]->weights.size(),
                  "queue index %u out of range (core polls %zu queues)", q,
                  cores_[core]->weights.size());
-    PMILL_ASSERT(weight >= 1 && weight <= 64,
-                 "queue weight %u outside [1, 64]", weight);
+    PMILL_ASSERT(weight >= 1 && weight <= kMaxQueueWeight,
+                 "queue weight %u outside [1, %u]", weight, kMaxQueueWeight);
     cores_[core]->weights[q] = weight;
 }
 

@@ -40,6 +40,13 @@
 
 namespace pmill {
 
+/// Most simulated cores pmill_run builds (--cores), and so the highest
+/// core index + 1 that an acct JSONL line may name.
+inline constexpr std::uint32_t kMaxCores = 64;
+
+/// Largest round-robin weight of a polled queue (set_queue_weight).
+inline constexpr std::uint32_t kMaxQueueWeight = 64;
+
 /** Static parameters of the simulated machine. */
 struct MachineConfig {
     double freq_ghz = 2.3;   ///< DUT core frequency (the paper sweeps it)

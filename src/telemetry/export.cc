@@ -59,7 +59,10 @@ json_cell(const std::string &s)
 {
     if (json_is_numeric(s))
         return s;
-    return "\"" + json_escape(s) + "\"";
+    std::string quoted = "\"";
+    quoted += json_escape(s);
+    quoted += '"';
+    return quoted;
 }
 
 void

@@ -1,9 +1,8 @@
 #include "src/workload/workload.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "src/common/log.hh"
@@ -18,22 +17,20 @@ namespace {
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 constexpr std::uint64_t kMaxFlows = 1ull << 26;
 
+/// WorkloadSpec::Kind's names, in declaration order.
+constexpr const char *kKindNames[] = {"uniform", "zipf", "churn", "synflood",
+                                      "portscan"};
+
 bool
 kind_from_name(const std::string &name, WorkloadSpec::Kind *out)
 {
-    if (name == "uniform")
-        *out = WorkloadSpec::kUniform;
-    else if (name == "zipf")
-        *out = WorkloadSpec::kZipf;
-    else if (name == "churn")
-        *out = WorkloadSpec::kChurn;
-    else if (name == "synflood")
-        *out = WorkloadSpec::kSynFlood;
-    else if (name == "portscan")
-        *out = WorkloadSpec::kPortScan;
-    else
-        return false;
-    return true;
+    for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
+        if (name == kKindNames[k]) {
+            *out = static_cast<WorkloadSpec::Kind>(k);
+            return true;
+        }
+    }
+    return false;
 }
 
 /// Defaults that make the bare kind name a sensible profile; explicit
@@ -62,18 +59,25 @@ apply_kind_defaults(WorkloadSpec *spec)
     }
 }
 
-/// The shortest %g form of @p v (at least today's 6 digits) that
-/// reads back as exactly @p v, so to_string() round-trips.
-std::string
-exact_g(double v)
+/// The keys after the kind, in to_string() order.
+std::array<Param, 10>
+spec_params(WorkloadSpec *s)
 {
-    char buf[32];
-    for (int prec = 6; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
+    return {{
+        {"flows", &s->flows, 1, kMaxFlows, "flow-universe size"},
+        {"skew", &s->skew, 0.0, 4.0, "Zipf exponent"},
+        {"pkts", &s->flow_pkts, 0, UINT64_MAX,
+         "mean packets per flow (0 = immortal)"},
+        {"len", &s->frame_len, kMinFrameLen, kMaxFrameLen,
+         "data-frame bytes (0 = campus mix)", true},
+        {"udp", &s->udp_frac, 0.0, 1.0, "fraction of UDP flows"},
+        {"burst", &s->burst, 1.0, 1000.0, "peak-to-mean arrival ratio"},
+        {"phase", &s->phase_pkts, 2.0, BurstModulator::kMaxPhasePkts,
+         "mean packets per burst cycle"},
+        {"seed", &s->seed, 0, UINT64_MAX, "master seed"},
+        {"victim", &s->victim, "flood/scan target"},
+        {"vport", &s->victim_port, 1, 65535, "flood target port"},
+    }};
 }
 
 } // namespace
@@ -81,19 +85,7 @@ exact_g(double v)
 const char *
 WorkloadSpec::kind_name(Kind k)
 {
-    switch (k) {
-    case kUniform:
-        return "uniform";
-    case kZipf:
-        return "zipf";
-    case kChurn:
-        return "churn";
-    case kSynFlood:
-        return "synflood";
-    case kPortScan:
-        return "portscan";
-    }
-    return "?";
+    return k < std::size(kKindNames) ? kKindNames[k] : "?";
 }
 
 bool
@@ -105,21 +97,24 @@ WorkloadSpec::parse(const std::string &text, std::string *error)
         return false;
     };
 
-    std::string body = text;
-    const std::size_t colon = body.find(':');
-    if (colon != std::string::npos) {
-        const std::string name = body.substr(0, colon);
+    auto set_kind = [&](const std::string &name) {
         if (!kind_from_name(name, &kind))
             return fail("unknown workload kind '" + name + "'");
         apply_kind_defaults(this);
-        body = body.substr(colon + 1);
-    } else if (body.find('=') == std::string::npos) {
-        if (!kind_from_name(body, &kind))
-            return fail("unknown workload kind '" + body + "'");
-        apply_kind_defaults(this);
-        body.clear();
+        return true;
+    };
+    // A "kind:" prefix, or a bare kind name.
+    std::string body = text;
+    std::size_t colon = body.find(':');
+    if (colon == std::string::npos && body.find('=') == std::string::npos)
+        colon = body.size();
+    if (colon != std::string::npos) {
+        if (!set_kind(body.substr(0, colon)))
+            return false;
+        body.erase(0, colon + 1);
     }
 
+    const std::array<Param, 10> params = spec_params(this);
     std::size_t pos = 0;
     while (pos < body.size()) {
         std::size_t comma = body.find(',', pos);
@@ -134,56 +129,9 @@ WorkloadSpec::parse(const std::string &text, std::string *error)
             return fail("expected key=value, got '" + pair + "'");
         const std::string key = pair.substr(0, eq);
         const std::string val = pair.substr(eq + 1);
-        std::uint64_t u = 0;
-        double d = 0;
-        if (key == "kind") {
-            if (!kind_from_name(val, &kind))
-                return fail("unknown workload kind '" + val + "'");
-            apply_kind_defaults(this);
-        } else if (key == "flows") {
-            if (!parse_uint(val, &u) || u < 1 || u > kMaxFlows)
-                return fail("flows must be in [1, 2^26]");
-            flows = u;
-        } else if (key == "skew") {
-            if (!parse_double(val, &d) || d > 4.0)
-                return fail("skew must be in [0, 4]");
-            skew = d;
-        } else if (key == "pkts") {
-            if (!parse_uint(val, &u))
-                return fail("bad pkts value '" + val + "'");
-            flow_pkts = u;
-        } else if (key == "len") {
-            if (!parse_uint(val, &u) ||
-                (u != 0 && (u < kMinFrameLen || u > kMaxFrameLen)))
-                return fail("len must be 0 or in [60, 1514]");
-            frame_len = static_cast<std::uint32_t>(u);
-        } else if (key == "udp") {
-            if (!parse_double(val, &d) || d > 1.0)
-                return fail("udp must be in [0, 1]");
-            udp_frac = d;
-        } else if (key == "burst") {
-            if (!parse_double(val, &d) || d < 1.0 || d > 1000.0)
-                return fail("burst must be in [1, 1000]");
-            burst = d;
-        } else if (key == "phase") {
-            if (!parse_double(val, &d) || d < 2.0 ||
-                d > BurstModulator::kMaxPhasePkts)
-                return fail("phase must be in [2, 2^32] packets");
-            phase_pkts = d;
-        } else if (key == "seed") {
-            if (!parse_uint(val, &u))
-                return fail("bad seed value '" + val + "'");
-            seed = u;
-        } else if (key == "victim") {
-            if (!parse_ipv4(val, &victim))
-                return fail("bad victim address '" + val + "'");
-        } else if (key == "vport") {
-            if (!parse_uint(val, &u) || u < 1 || u > 65535)
-                return fail("vport must be in [1, 65535]");
-            victim_port = static_cast<std::uint16_t>(u);
-        } else {
-            return fail("unknown workload key '" + key + "'");
-        }
+        if (!(key == "kind" ? set_kind(val)
+                            : set_param(params, key, val, error)))
+            return false;
     }
     return true;
 }
@@ -191,19 +139,9 @@ WorkloadSpec::parse(const std::string &text, std::string *error)
 std::string
 WorkloadSpec::to_string() const
 {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%s:flows=%llu,skew=%s,pkts=%llu,len=%u,udp=%s,"
-                  "burst=%s,phase=%s,seed=%llu,victim=%s,vport=%u",
-                  kind_name(kind),
-                  static_cast<unsigned long long>(flows),
-                  exact_g(skew).c_str(),
-                  static_cast<unsigned long long>(flow_pkts), frame_len,
-                  exact_g(udp_frac).c_str(), exact_g(burst).c_str(),
-                  exact_g(phase_pkts).c_str(),
-                  static_cast<unsigned long long>(seed),
-                  victim.to_string().c_str(), victim_port);
-    return buf;
+    WorkloadSpec s = *this;
+    return std::string(kind_name(kind)) + ":" +
+           render_params(spec_params(&s));
 }
 
 bool

@@ -277,6 +277,39 @@ TEST(AcctReport, FixedSumOutsideInt64IsRejected)
     EXPECT_EQ(acct_stream_error("-1", "-9223372036854775808"), "");
 }
 
+// A truncated line used to be skipped, so the report silently lost a
+// bucket (the idle row, say, making a run look 100% busy).
+TEST(AcctReport, MalformedLineIsALoadErrorNamingIt)
+{
+    EXPECT_EQ(acct_stream_error("0"), "");
+    std::istringstream is(
+        "{\"type\":\"meta\",\"config\":\"x\"}\n"
+        "\n"
+        "{\"type\":\"acct\",\"core\":-1,\"scope\":\"idle\","
+        "\"element\":0,\"total_cycles\":10\n"
+        "{\"type\":\"acct\",\"core\":-1,\"scope\":\"framework\","
+        "\"element\":0,\"total_cycles\":10}\n");
+    AcctReport rep;
+    std::string err;
+    EXPECT_FALSE(acct_report_from_jsonl(is, &rep, &err));
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+}
+
+// The writer prints the fixed-point sum exactly; a double would round
+// anything above 2^53.
+TEST(AcctReport, FixedSumReadsBackExactly)
+{
+    AcctReport rep;
+    ASSERT_EQ(acct_stream_error("0", "9007199254740993", &rep), "");
+    EXPECT_EQ(rep.sum_minus_total_fixed, 9007199254740993);
+    ASSERT_EQ(acct_stream_error("0", "9223372036854775807", &rep), "");
+    EXPECT_EQ(rep.sum_minus_total_fixed, INT64_MAX);
+    for (const char *fixed : {"1e3", "7.0", "+7", "--7", "", "0x10"})
+        EXPECT_NE(acct_stream_error("0", fixed).find("line 4"),
+                  std::string::npos)
+            << fixed;
+}
+
 TEST(AcctReport, StreamWithoutAcctLinesFails)
 {
     std::stringstream ss;

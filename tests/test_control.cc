@@ -470,7 +470,7 @@ TEST(EngineActuation, ControlledRunStaysWithinLimits)
 }
 
 /** Frame multiset: payload bytes -> count (order-independent). */
-using FrameBag = std::map<std::vector<std::uint8_t>, std::uint64_t>;
+using FrameBag = std::map<std::string, std::uint64_t>;
 
 FrameBag
 collect_frames(Controller *ctl)
@@ -484,7 +484,7 @@ collect_frames(Controller *ctl)
 
     FrameBag bag;
     engine.set_tx_capture([&](const std::uint8_t *p, std::uint32_t len) {
-        ++bag[std::vector<std::uint8_t>(p, p + len)];
+        ++bag[std::string(reinterpret_cast<const char *>(p), len)];
     });
 
     RunConfig rc;

@@ -150,6 +150,84 @@ TEST(ElementConfigure, RejectsBadArgs)
     EXPECT_TRUE(nat->configure({"SRCIP 10.0.0.1"}, &err)) << err;
 }
 
+// Values that once wrapped in a 32-bit cast, or asked the host for
+// terabytes, are configuration errors that name the keyword.
+TEST(ElementConfigure, KeywordsThatWrapOrExhaustTheHostAreRejected)
+{
+    register_standard_elements();
+    auto &r = ElementRegistry::instance();
+    struct Case {
+        const char *cls, *arg, *keyword;
+    };
+    const Case cases[] = {
+        {"Napt", "CAPACITY 4294967296", "CAPACITY"},
+        {"Napt", "CAPACITY 4000000000", "CAPACITY"},
+        {"IdsCheck", "CONNTRACK 4294967296", "CONNTRACK"},
+        {"IdsCheck", "4294967296", "CONNTRACK"},
+        {"IdsCheck", "IDLE_TIMEOUT_MS 1e303", "IDLE_TIMEOUT_MS"},
+        {"WorkPackage", "S 4000000", "S"},
+        {"VLANEncap", "65536", "VLAN_ID"},
+        {"FromDPDKDevice", "PORT 4294967296", "PORT"},
+    };
+    for (const Case &c : cases) {
+        std::string err;
+        EXPECT_FALSE(r.create(c.cls)->configure({c.arg}, &err))
+            << c.cls << " " << c.arg;
+        EXPECT_NE(err.find(std::string(c.keyword) + " expects"),
+                  std::string::npos)
+            << err;
+    }
+    // The largest values the bounds admit still configure.
+    std::string err;
+    EXPECT_TRUE(r.create("Napt")->configure(
+        {"SRCIP 10.0.0.1", "CAPACITY 524288"}, &err))
+        << err;
+    EXPECT_TRUE(r.create("WorkPackage")->configure({"S 64", "N 5", "W 20"},
+                                                   &err))
+        << err;
+}
+
+TEST(ElementConfigure, TxBurstZeroIsRejectedLikeRx)
+{
+    register_standard_elements();
+    auto &r = ElementRegistry::instance();
+    std::string err;
+    EXPECT_FALSE(r.create("ToDPDKDevice")->configure({"BURST 0"}, &err));
+    EXPECT_NE(err.find("BURST expects"), std::string::npos) << err;
+    EXPECT_FALSE(r.create("FromDPDKDevice")->configure({"BURST 0"}, &err));
+    EXPECT_TRUE(r.create("ToDPDKDevice")->configure({"BURST 64"}, &err))
+        << err;
+}
+
+TEST(ElementConfigure, UnknownKeywordFailsWithoutAnErrorString)
+{
+    register_standard_elements();
+    auto &r = ElementRegistry::instance();
+    for (const char *cls : {"FromDPDKDevice", "ToDPDKDevice", "EtherRewrite",
+                            "IdsCheck", "VLANEncap", "Napt", "WorkPackage"})
+        EXPECT_FALSE(r.create(cls)->configure({"BOGUS 1"}, nullptr)) << cls;
+}
+
+TEST(Pipeline, BuildRejectsKeywordsThatWouldExhaustTheHost)
+{
+    for (const auto &[elem, keyword] :
+         {std::pair{"WorkPackage(S 4000000)", "S"},
+          std::pair{"Napt(SRCIP 10.0.0.1, CAPACITY 4000000000)",
+                    "CAPACITY"}}) {
+        SimMemory mem;
+        std::string err;
+        const std::string config =
+            std::string("in :: FromDPDKDevice(PORT 0); in -> ") + elem +
+            " -> Discard;";
+        EXPECT_EQ(Pipeline::build(config, mem, PipelineOpts::vanilla(), &err),
+                  nullptr)
+            << elem;
+        EXPECT_NE(err.find(std::string(keyword) + " expects an integer"),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST(MetadataLayout, AllFieldsHaveDistinctOffsets)
 {
     for (const MetadataLayout &l :

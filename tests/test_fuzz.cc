@@ -17,11 +17,15 @@
 #include "src/accounting/cycle_account.hh"
 #include "src/common/random.hh"
 #include "src/framework/config_parser.hh"
+#include "src/control/policy.hh"
+#include "src/elements/args.hh"
+#include "src/elements/elements.hh"
 #include "src/framework/pipeline.hh"
 #include "src/mill/packet_mill.hh"
 #include "src/mill/profile.hh"
 #include "src/net/packet_builder.hh"
 #include "src/runtime/experiments.hh"
+#include "src/runtime/run_flags.hh"
 #include "src/telemetry/bench_diff.hh"
 #include "src/workload/workload.hh"
 
@@ -330,6 +334,189 @@ TEST(FuzzWorkloadSpec, MutatedSpecFilesLoadOrFailCleanly)
     }
     std::filesystem::remove(path);
     EXPECT_GE(files, 6);
+}
+
+/// A hostile value, or one at or next to @p p 's bounds.
+std::string
+random_param_value(const Param &p, Xorshift64 &rng)
+{
+    static const char *const kHostile[] = {
+        "nan", "inf", "-inf", "-1", "-0", "0", "1", "3", "1e300", "1e-300",
+        "4294967296", "18446744073709551616", "7x", "", " 4", "0x10",
+        "1.5", "parking", "02:00:00:00:00:01", "10.0.0.1"};
+    if (rng.next_below(2) == 0)
+        return kHostile[rng.next_below(std::size(kHostile))];
+    if (p.choices != nullptr) {
+        std::string all = p.choices;
+        std::vector<std::string> names;
+        for (std::size_t b = 0, e; b <= all.size(); b = e + 1) {
+            e = std::min(all.find('|', b), all.size());
+            names.push_back(all.substr(b, e - b));
+        }
+        return names[rng.next_below(names.size())];
+    }
+    const std::uint64_t u[] = {p.ulo, p.uhi, p.uhi + 1, p.ulo / 2 + p.uhi / 2};
+    const double d[] = {p.dlo, p.dhi, p.dhi * 1.0001, (p.dlo + p.dhi) / 2};
+    return std::visit(
+        [&](auto *t) -> std::string {
+            using T = std::remove_pointer_t<decltype(t)>;
+            if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>)
+                return std::to_string(u[rng.next_below(4)]);
+            else if constexpr (std::is_same_v<T, double>)
+                return strprintf("%.17g", d[rng.next_below(4)]);
+            else
+                return "out.jsonl";
+        },
+        p.target);
+}
+
+TEST(FuzzRunFlags, RandomFlagSetsParseOrFailNamingAFlag)
+{
+    RunFlags names;
+    const std::vector<Param> table = run_flag_table(&names);
+    Xorshift64 rng(0xF1A6);
+    int accepted = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        std::vector<std::string> args = {"pmill_run", "x.click"};
+        for (std::uint64_t n = rng.next_below(7); n > 0; --n) {
+            const Param &p = table[rng.next_below(table.size())];
+            const std::string v = random_param_value(p, rng);
+            if (p.is_flag() && rng.next_below(8) != 0) {
+                args.push_back(p.name);
+            } else if (rng.next_below(2) == 0) {
+                args.push_back(std::string(p.name) + "=" + v);
+            } else {
+                args.push_back(p.name);
+                args.push_back(v);
+            }
+        }
+        std::vector<const char *> argv;
+        for (const std::string &a : args)
+            argv.push_back(a.c_str());
+        RunFlags f;
+        std::string err;
+        if (!parse_run_flags(static_cast<int>(argv.size()), argv.data(), &f,
+                             &err)) {
+            bool named = false;
+            for (const Param &p : table)
+                named = named || err.find(p.name) != std::string::npos;
+            EXPECT_TRUE(named) << err;
+            continue;
+        }
+        ++accepted;
+        // Every bound the engine asserts, or that keeps a run finite.
+        EXPECT_TRUE(f.cores >= 1 && f.cores <= kMaxCores);
+        EXPECT_TRUE(f.host_threads >= 1 && f.host_threads <= f.cores);
+        EXPECT_TRUE(f.sockets >= 1 && f.sockets <= f.cores);
+        EXPECT_GE(f.nics, 1u);
+        EXPECT_TRUE(f.rss_table == 0 || is_pow2(f.rss_table));
+        EXPECT_TRUE(f.queue_weight >= 1 && f.queue_weight <= kMaxQueueWeight);
+        EXPECT_TRUE(f.size == 0 ||
+                    (f.size >= kMinFrameLen && f.size <= kMaxFrameLen));
+        for (double v : {f.freq, f.offered, f.duration_us, f.trace_rate})
+            EXPECT_TRUE(std::isfinite(v) && v > 0) << v;
+        for (double v : {f.sample_us, f.load_step_us, f.load_step_gbps})
+            EXPECT_TRUE(std::isfinite(v) && v >= 0) << v;
+        EXPECT_LE(f.trace_rate, 1.0);
+        EXPECT_EQ(f.load_step_us > 0, f.load_step_gbps > 0);
+        const PipelineOpts o = f.opts();
+        EXPECT_TRUE(o.burst >= 1 && o.burst <= kMaxBurst);
+        EXPECT_TRUE(f.park_split == 0 || o.model == MetadataModel::kParking);
+        if (!f.control.empty()) {
+            EXPECT_NE(make_policy(f.control, ActuationLimits{},
+                                  PolicyConfig{}),
+                      nullptr);
+        }
+        EXPECT_TRUE(f.decision_log.empty() || !f.control.empty());
+        EXPECT_TRUE(f.workload.empty() || (f.size == 0 && !f.verify));
+    }
+    EXPECT_GT(accepted, 400);
+}
+
+TEST(FuzzElementKeywords, RandomKeywordsBuildOrFailNamingThem)
+{
+    // Every element that declares keywords, each keyword as a slot.
+    const std::vector<std::pair<std::string, std::string>> slots = {
+        {"FromDPDKDevice", "PORT 0"},  {"FromDPDKDevice", "BURST 32"},
+        {"FromDPDKDevice", "N_QUEUES 1"}, {"ToDPDKDevice", "PORT 0"},
+        {"ToDPDKDevice", "BURST 32"},  {"IdsCheck", "CONNTRACK 4096"},
+        {"IdsCheck", "IDLE_TIMEOUT_MS 1"}, {"VLANEncap", "VLAN_ID 42"},
+        {"VLANEncap", "VLAN_TCI 42"}, {"Napt", "SRCIP 100.0.0.1"},
+        {"Napt", "CAPACITY 4096"},    {"Napt", "IDLE_TIMEOUT_MS 1"},
+        {"WorkPackage", "S 1"},       {"WorkPackage", "N 1"},
+        {"WorkPackage", "W 0"},
+        {"EtherRewrite", "SRC 02:00:00:00:00:10"},
+        {"EtherRewrite", "DST 02:00:00:00:00:20"},
+    };
+    static const char *const kValues[] = {
+        "0", "1", "2", "32", "64", "65", "65535", "65536", "524288",
+        "524289", "4294967295", "4294967296", "18446744073709551616",
+        "nan", "inf", "-1", "1e300", "1e-300", "0.5", "1e9", "1e10", "",
+        "7x", "02:00:00:00:00:01", "10.0.0.1", "256.1.1.1"};
+    Xorshift64 rng(0xE1E7);
+    int accepted = 0;
+    for (int iter = 0; iter < 600; ++iter) {
+        std::vector<std::string> args(slots.size());
+        std::string changed;
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            args[i] = slots[i].second;
+        for (std::uint64_t n = 1 + rng.next_below(2); n > 0; --n) {
+            const std::size_t i = rng.next_below(slots.size());
+            const std::string kw = args[i].substr(0, args[i].find(' '));
+            const std::string v = kValues[rng.next_below(std::size(kValues))];
+            switch (rng.next_below(8)) {
+              case 0:
+                args[i] = v;  // a bare value
+                break;
+              case 1:
+                args[i] = "BOGUS " + v;
+                break;
+              default:
+                args[i] = kw + " " + v;
+            }
+            changed += " " + slots[i].first + "(" + args[i] + ")";
+        }
+        auto of = [&](const char *cls) {
+            std::string joined;
+            for (std::size_t i = 0; i < slots.size(); ++i)
+                if (slots[i].first == cls)
+                    joined += (joined.empty() ? "" : ", ") + args[i];
+            return std::string(cls) + "(" + joined + ")";
+        };
+        const std::string config =
+            "in :: " + of("FromDPDKDevice") + "; out :: " +
+            of("ToDPDKDevice") + "; in -> " + of("IdsCheck") + " -> " +
+            of("VLANEncap") + " -> " + of("Napt") + " -> " +
+            of("WorkPackage") + " -> " + of("EtherRewrite") + " -> out;";
+        SimMemory mem;
+        std::string err;
+        auto p = Pipeline::build(config, mem, PipelineOpts::vanilla(), &err);
+        if (!p) {
+            bool named = false;
+            for (const auto &[cls, slot] : slots)
+                named = named ||
+                        err.find(cls + ": " + slot.substr(0, slot.find(' ')) +
+                                 " expects") != std::string::npos;
+            named = named || err.find("unknown key 'BOGUS'") !=
+                                 std::string::npos ||
+                    err.find("takes no bare value") != std::string::npos ||
+                    err.find("Napt requires SRCIP") != std::string::npos;
+            EXPECT_TRUE(named) << changed << ": " << err;
+            continue;
+        }
+        ++accepted;
+        EXPECT_TRUE(p->burst() >= 1 && p->burst() <= kMaxBurst) << changed;
+        for (Element *e : p->elements()) {
+            FlowTableStats st;
+            if (e->flow_table_stats(&st)) {
+                EXPECT_LE(st.memory_bytes, 64ull << 20) << changed;
+            }
+        }
+        EXPECT_LE(mem.allocated_bytes(Region::kScratch),
+                  std::uint64_t{kMaxScratchMb} << 20)
+            << changed;
+    }
+    EXPECT_GT(accepted, 50);
 }
 
 TEST(FuzzArtifactReaders, MutatedProfilesPlanWithinTheBurstBound)

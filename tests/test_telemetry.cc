@@ -55,8 +55,11 @@ TEST(MetricsRegistry, SlotPointersSurviveGrowth)
     MetricsRegistry reg;
     CounterHandle first = reg.add_counter("first");
     std::uint64_t *addr = first.slot;
-    for (int i = 0; i < 200; ++i)
-        reg.add_counter("c" + std::to_string(i)).inc();
+    for (int i = 0; i < 200; ++i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        reg.add_counter(name).inc();
+    }
     first.add(3);
     EXPECT_EQ(first.slot, addr) << "slot address must never move";
     EXPECT_DOUBLE_EQ(reg.read(0), 3.0);

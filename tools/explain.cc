@@ -40,7 +40,9 @@ int
 main(int argc, char **argv)
 {
     std::string path;
-    std::size_t top_n = 5;
+    std::uint64_t top_n = 5;
+    const pmill::Param top{"--top", &top_n, 1, UINT64_MAX,
+                           "rows of the ranked table"};
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -48,15 +50,11 @@ main(int argc, char **argv)
         if ((arg == "--top" && i + 1 < argc) || top_eq) {
             const std::string v =
                 top_eq ? arg.substr(std::strlen("--top=")) : argv[++i];
-            std::uint64_t n = 0;
-            if (!pmill::parse_uint(v, &n) || n == 0) {
-                std::fprintf(stderr,
-                             "pmill_explain: --top expects a positive "
-                             "integer, got '%s'\n",
-                             v.c_str());
+            std::string err;
+            if (!pmill::set_param(top, v, &err)) {
+                std::fprintf(stderr, "pmill_explain: %s\n", err.c_str());
                 return 2;
             }
-            top_n = n;
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
