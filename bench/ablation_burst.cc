@@ -27,8 +27,7 @@ main()
                 "PacketMill Gbps", "PacketMill p99(us)"});
     for (std::uint32_t burst : {4u, 8u, 16u, 32u, 64u}) {
         std::vector<std::string> row = {strprintf("%u", burst)};
-        for (PipelineOpts o : {opts_vanilla(), opts_packetmill()}) {
-            o.burst = burst;
+        for (const PipelineOpts &o : {opts_vanilla(), opts_packetmill()}) {
             ExperimentSpec spec;
             spec.config = router_config(burst);
             spec.opts = o;

@@ -76,10 +76,7 @@ run_one(const char *policy_name)
     MachineConfig machine;
     machine.freq_ghz = kFreqGhz;
 
-    PipelineOpts opts = opts_packetmill();
-    opts.burst = kStaticBurst;
-
-    Engine engine(machine, router_config(kStaticBurst), opts,
+    Engine engine(machine, router_config(kStaticBurst), opts_packetmill(),
                   default_campus_trace());
 
     std::unique_ptr<Controller> controller;

@@ -87,8 +87,8 @@ main()
         profile = capture_profile(engine, run_config());
     }
 
-    // 3. Guided: plan applied at build time and ground with the
-    //    profile.
+    // 3. Guided: model and placement applied at build time, burst and
+    //    rule orders by the grind with the profile.
     const Plan plan = PlanSearch::search(profile, base_opts);
     const PipelineOpts guided_opts = plan.apply_to_opts(base_opts);
     const Measured guided =

@@ -10,9 +10,9 @@
  *   example_pmill_run configs/router.click --opt all --verify
  *
  * The flags, their bounds and their help lines are declared in one
- * table (src/runtime/run_flags.cc); running without arguments prints
- * them. A malformed, out-of-range or contradictory value exits 2 with
- * a message naming the flag. Enabling any trace output prints the
+ * table (src/runtime/run_flags.cc); `--help` or `-h` prints them. A
+ * malformed, out-of-range or contradictory value exits 2 with a
+ * message naming the flag. Enabling any trace output prints the
  * tail-latency attribution table. `--verify` with `--profile-in`
  * checks the profile-guided plan against the unguided build of the
  * same configuration instead of the vanilla baseline.
@@ -36,6 +36,11 @@ using namespace pmill;
 int
 main(int argc, char **argv)
 {
+    if (argc == 2 && (std::string(argv[1]) == "--help" ||
+                      std::string(argv[1]) == "-h")) {
+        std::fputs(run_flags_usage(argv[0]).c_str(), stdout);
+        return 0;
+    }
     RunFlags f;
     std::string err;
     if (!parse_run_flags(argc, argv, &f, &err)) {
@@ -74,26 +79,22 @@ main(int argc, char **argv)
     machine.num_cores = f.cores;
     machine.num_nics = f.nics;
     machine.num_sockets = f.sockets;
-    machine.nic.rss_table_size = f.rss_table;
 
     // Profile-guided grind: load the capture artifact and fold the
-    // plan's build-time decisions (burst, model, state placement) into
-    // the options before the engine is built; the in-place decisions
-    // are applied by the guided grind below.
+    // plan's build-time decisions (model, state placement) into the
+    // options before the engine is built; the guided grind below
+    // applies the rest (burst, rule orders).
     Profile profile;
     const bool guided = !f.profile_in.empty();
     const PipelineOpts base_opts = opts;
-    ActuationLimits limits;
+    Plan plan;
     if (guided) {
         std::string perr;
         if (!Profile::load(f.profile_in, &profile, &perr)) {
             std::fprintf(stderr, "pmill_run: %s\n", perr.c_str());
             return 1;
         }
-        const Plan plan = PlanSearch::search(profile, opts);
-        // The plan's searched burst bounds the controller's actuation
-        // range (applied below only when --control is given).
-        limits = ActuationLimits::from_plan(plan, opts);
+        plan = PlanSearch::search(profile, opts);
         opts = plan.apply_to_opts(opts);
         if (!f.json)
             std::printf("%s", plan.to_string().c_str());
@@ -104,12 +105,11 @@ main(int argc, char **argv)
             ? std::make_unique<Engine>(machine, config, opts, wspec)
             : std::make_unique<Engine>(machine, config, opts, trace);
     Engine &engine = *engine_ptr;
-
-    if (f.queue_weight != 1)
-        for (std::uint32_t c = 0; c < engine.num_cores(); ++c)
-            for (std::uint32_t q = 0; q < engine.num_polled_queues(c);
-                 ++q)
-                engine.set_queue_weight(c, q, f.queue_weight);
+    // The plan's searched burst bounds the controller's actuation
+    // range (applied below only when --control is given).
+    const ActuationLimits limits =
+        guided ? ActuationLimits::from_plan(plan, engine.rx_burst(0))
+               : ActuationLimits{};
 
     std::unique_ptr<Controller> controller;
     if (!f.control.empty()) {

@@ -21,7 +21,7 @@ main()
     // A simple forwarder NF, written in the Click language.
     const char *config = R"(
         input  :: FromDPDKDevice(PORT 0, BURST 32);
-        output :: ToDPDKDevice(PORT 0, BURST 32);
+        output :: ToDPDKDevice(PORT 0);
         input -> EtherMirror -> output;
     )";
 

@@ -4,17 +4,15 @@
  *
  * The Controller never touches the engine's internals: everything it
  * may change mid-run goes through this narrow interface, and every
- * change is bounded by plan-validated ActuationLimits. Three knobs
- * are exposed, matching what a per-core software dataplane can
- * actually retune without a rebuild:
+ * change is bounded by plan-validated ActuationLimits. Two per-core
+ * knobs are exposed, matching what a per-core software dataplane can
+ * actually retune without a rebuild, plus the optional steering table:
  *
- *  - RX burst size (per core): how many completions one poll takes,
- *    within [burst_min, burst_max] ⊆ [1, kMaxBurst];
- *  - poll backoff (per core): Metronome-style sleep inserted when the
- *    core's queues are dry — trades wake-up latency for burned
- *    busy-poll cycles;
- *  - queue round-robin weight (per core x polled queue): how many
- *    consecutive bursts a queue gets per polling round.
+ *  - RX burst size: how many completions one poll takes, within
+ *    [burst_min, burst_max] ⊆ [1, kMaxBurst];
+ *  - poll backoff: Metronome-style sleep inserted when the core's
+ *    queues are dry — trades wake-up latency for burned busy-poll
+ *    cycles.
  */
 
 #ifndef PMILL_CONTROL_ACTUATOR_HH
@@ -28,7 +26,6 @@
 namespace pmill {
 
 struct Plan;
-struct PipelineOpts;
 
 /** Hard bounds on every mid-run actuation (validated up front). */
 struct ActuationLimits {
@@ -36,19 +33,19 @@ struct ActuationLimits {
     std::uint32_t burst_max = kMaxBurst;
     double backoff_min_ns = 0.0;
     double backoff_max_ns = 16000.0;
-    std::uint32_t weight_max = 8;  ///< RR weights stay in [1, weight_max]
 
     /** Check internal consistency; sets @p err when invalid. */
     bool validate(std::string *err) const;
 
     /**
-     * Limits derived from a profile-guided Plan: the searched burst
-     * (PlanSearch matched it to measured occupancy) becomes the upper
-     * bound and the controller may shrink down to a quarter of the
-     * configured burst, never past kMaxBurst or below 1.
+     * Limits derived from a profile-guided Plan: the wider of the
+     * searched burst (PlanSearch matched it to measured occupancy) and
+     * @p configured_burst (the config's FromDPDKDevice BURST) becomes
+     * the upper bound, and the controller may shrink down to a quarter
+     * of the narrower, never past kMaxBurst or below 1.
      */
     static ActuationLimits from_plan(const Plan &plan,
-                                     const PipelineOpts &opts);
+                                     std::uint32_t configured_burst);
 };
 
 /** The actuation surface the engine exposes to the controller. */
@@ -58,22 +55,14 @@ class Actuator {
 
     virtual std::uint32_t num_cores() const = 0;
 
-    /** Number of NIC queues @p core polls round-robin. */
-    virtual std::uint32_t num_polled_queues(std::uint32_t core) const = 0;
-
     virtual std::uint32_t rx_burst(std::uint32_t core) const = 0;
     virtual void set_rx_burst(std::uint32_t core, std::uint32_t burst) = 0;
 
     virtual double poll_backoff_ns(std::uint32_t core) const = 0;
     virtual void set_poll_backoff_ns(std::uint32_t core, double ns) = 0;
 
-    virtual std::uint32_t queue_weight(std::uint32_t core,
-                                       std::uint32_t q) const = 0;
-    virtual void set_queue_weight(std::uint32_t core, std::uint32_t q,
-                                  std::uint32_t weight) = 0;
-
     /**
-     * @name RSS/steering indirection table (optional capability).
+     * @name Steering indirection table (optional capability).
      * A flow-placement surface: buckets of the hash-indexed
      * indirection table can be rehomed onto other cores at run time,
      * and per-bucket load counters tell the controller where the hot

@@ -85,16 +85,6 @@ Controller::distill(const Timeline &tl, std::size_t row) const
     const double wait = tl.value(row, "poll_wait_cycles");
     const double busy = tl.value(row, "cycles");
     obs.idle_fraction = wait + busy > 0 ? wait / (wait + busy) : 0.0;
-    // Per-device occupancy (absent past the last NIC — expected).
-    for (std::uint32_t n = 0;; ++n) {
-        const auto v = tl.try_value(
-            row, strprintf("nic%u_rx_ring_occupancy", n));
-        if (!v)
-            break;
-        obs.queue_occupancy.push_back(*v);
-    }
-    if (obs.queue_occupancy.size() < 2)
-        obs.queue_occupancy.clear();
     return obs;
 }
 
@@ -142,21 +132,6 @@ Controller::apply(double t_us, const ControlAction &want, Actuator &act)
                     act.set_poll_backoff_ns(c, to);
                 log_change(t_us, "poll_backoff_ns", c, -1, from, to,
                            to != want.backoff_ns, want.reason);
-            }
-        }
-        if (!want.weights.empty() &&
-            want.weights.size() == act.num_polled_queues(c)) {
-            for (std::uint32_t q = 0; q < want.weights.size(); ++q) {
-                const std::uint32_t to =
-                    std::clamp(want.weights[q], 1u, lim.weight_max);
-                const std::uint32_t from = act.queue_weight(c, q);
-                if (to != from) {
-                    if (!cfg_.dry_run)
-                        act.set_queue_weight(c, q, to);
-                    log_change(t_us, "queue_weight", c,
-                               static_cast<std::int32_t>(q), from, to,
-                               to != want.weights[q], want.reason);
-                }
             }
         }
     }

@@ -29,9 +29,9 @@ namespace pmill {
 /** One applied (or dry-run) knob change. */
 struct Decision {
     double t_us = 0;   ///< sample-interval end that triggered it
-    std::string knob;  ///< "rx_burst" | "poll_backoff_ns" | "queue_weight"
+    std::string knob;  ///< "rx_burst" | "poll_backoff_ns" | "rss_table_entry"
     std::uint32_t core = 0;
-    std::int32_t queue = -1;  ///< -1 for per-core knobs
+    std::int32_t queue = -1;  ///< table bucket; -1 for per-core knobs
     double from = 0;
     double to = 0;
     bool clamped = false;  ///< policy asked past the limits

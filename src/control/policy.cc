@@ -1,7 +1,6 @@
 #include "src/control/policy.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/log.hh"
 #include "src/mill/profile.hh"
@@ -43,44 +42,18 @@ ActuationLimits::validate(std::string *err) const
                          backoff_min_ns, backoff_max_ns);
         return false;
     }
-    if (weight_max < 1 || weight_max > 64) {
-        *err = strprintf("weight_max %u outside [1, 64]", weight_max);
-        return false;
-    }
     return true;
 }
 
 ActuationLimits
-ActuationLimits::from_plan(const Plan &plan, const PipelineOpts &opts)
+ActuationLimits::from_plan(const Plan &plan, std::uint32_t configured_burst)
 {
     ActuationLimits l;
-    const std::uint32_t planned = plan.burst ? plan.burst : opts.burst;
-    l.burst_max = std::clamp(std::max(planned, opts.burst), 1u, kMaxBurst);
-    l.burst_min = std::max(1u, std::min(planned, opts.burst) / 4);
+    const std::uint32_t planned = plan.burst ? plan.burst : configured_burst;
+    l.burst_max =
+        std::clamp(std::max(planned, configured_burst), 1u, kMaxBurst);
+    l.burst_min = std::max(1u, std::min(planned, configured_burst) / 4);
     return l;
-}
-
-std::vector<std::uint32_t>
-proportional_weights(const std::vector<double> &queue_occupancy,
-                     std::uint32_t weight_max, double imbalance)
-{
-    if (queue_occupancy.size() < 2)
-        return {};
-    const double hi =
-        *std::max_element(queue_occupancy.begin(), queue_occupancy.end());
-    const double lo =
-        *std::min_element(queue_occupancy.begin(), queue_occupancy.end());
-    std::vector<std::uint32_t> w(queue_occupancy.size(), 1);
-    if (hi - lo < imbalance || hi <= 0)
-        return w;
-    for (std::size_t q = 0; q < w.size(); ++q) {
-        const double share = queue_occupancy[q] / hi;
-        w[q] = std::clamp<std::uint32_t>(
-            1 + static_cast<std::uint32_t>(
-                    std::lround(share * (weight_max - 1))),
-            1, weight_max);
-    }
-    return w;
 }
 
 void
@@ -128,11 +101,6 @@ HysteresisPolicy::decide(const ControlObservation &obs,
             "low-load regime",
             obs.ring_occupancy, obs.idle_fraction, lo_streak_);
     }
-    a.weights = proportional_weights(obs.queue_occupancy,
-                                     limits_.weight_max,
-                                     cfg_.weight_imbalance);
-    if (!a.weights.empty() && a.reason.empty())
-        a.reason = "rebalance queue weights to occupancy";
     return a;
 }
 
@@ -167,11 +135,6 @@ AimdPolicy::decide(const ControlObservation &obs, std::uint32_t cur_burst,
             obs.ring_occupancy, obs.idle_fraction,
             cfg_.backoff_add_ns);
     }
-    a.weights = proportional_weights(obs.queue_occupancy,
-                                     limits_.weight_max,
-                                     cfg_.weight_imbalance);
-    if (!a.weights.empty() && a.reason.empty())
-        a.reason = "rebalance queue weights to occupancy";
     return a;
 }
 
@@ -183,14 +146,9 @@ SteerPolicy::decide(const ControlObservation &obs, std::uint32_t cur_burst,
     (void)cur_backoff_ns;
     // Placement intent every interval; the controller's mechanics
     // hold still while the measured per-bucket loads are balanced, so
-    // this converges instead of flapping. RR weights ride along like
-    // the other policies' (they help when one queue runs deep even
-    // after placement).
+    // this converges instead of flapping.
     ControlAction a;
     a.rebalance_moves = cfg_.rebalance_moves;
-    a.weights = proportional_weights(obs.queue_occupancy,
-                                     limits_.weight_max,
-                                     cfg_.weight_imbalance);
     a.reason = strprintf(
         "steer rebalance (p99 %.1f us, ring %.2f): up to %u bucket "
         "moves hottest -> coldest",

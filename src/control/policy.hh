@@ -21,10 +21,6 @@
  *    a quiet interval additively grows the backoff and decays the
  *    burst by one. Converges to the regime's fixed point instead of
  *    jumping there.
- *
- * Both derive per-queue round-robin weights proportional to the
- * observed per-queue ring occupancy (when more than one queue is
- * polled and the imbalance is measurable).
  */
 
 #ifndef PMILL_CONTROL_POLICY_HH
@@ -33,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/control/actuator.hh"
 
@@ -55,17 +50,12 @@ struct ControlObservation {
     /// backoff sleeps) — the Metronome-style load signal: near 0 when
     /// the cores are saturated, near 1 when the queues are dry.
     double idle_fraction = 0;
-    /// Per-device RX ring occupancy (nic<i>_rx_ring_occupancy), for
-    /// queue weighting; empty when only one device is polled.
-    std::vector<double> queue_occupancy;
 };
 
 /** The knob state a policy wants after one interval. */
 struct ControlAction {
     std::uint32_t burst = 0;  ///< desired RX burst; 0 = no change
     double backoff_ns = -1;   ///< desired poll backoff; < 0 = no change
-    /// Desired per-queue RR weights; empty = no change.
-    std::vector<std::uint32_t> weights;
     /// Ask the controller to rebalance up to this many indirection-
     /// table buckets from the hottest core to the coldest (0 = none).
     /// The controller owns the mechanics: the policy only signals the
@@ -76,8 +66,7 @@ struct ControlAction {
     bool
     changes_nothing() const
     {
-        return burst == 0 && backoff_ns < 0 && weights.empty() &&
-               rebalance_moves == 0;
+        return burst == 0 && backoff_ns < 0 && rebalance_moves == 0;
     }
 };
 
@@ -95,8 +84,6 @@ struct PolicyConfig {
     std::uint32_t burst_add = 8;       ///< AIMD additive burst step
     double backoff_add_ns = 2000.0;    ///< AIMD additive backoff step
     double backoff_decrease = 0.5;     ///< AIMD multiplicative factor
-    /// Minimum per-queue occupancy spread before weights move off 1.
-    double weight_imbalance = 0.10;
     /// @name Steer policy (indirection-table rebalance).
     /// @{
     /// Max buckets moved per interval.
@@ -189,15 +176,6 @@ class SteerPolicy : public Policy {
     ActuationLimits limits_;
     PolicyConfig cfg_;
 };
-
-/**
- * Round-robin weights proportional to per-queue occupancy, in
- * [1, weight_max]; all 1 when the spread is below @p imbalance or
- * fewer than two queues are observed.
- */
-std::vector<std::uint32_t>
-proportional_weights(const std::vector<double> &queue_occupancy,
-                     std::uint32_t weight_max, double imbalance);
 
 /**
  * Factory for the shipped policies ("hysteresis" | "aimd" | "steer");

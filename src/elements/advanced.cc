@@ -22,8 +22,8 @@ IdsCheck::configure(const std::vector<std::string> &args, std::string *err)
     const Param keywords[] = {
         {"CONNTRACK", &conntrack_capacity_, 1, kMaxFlowTable,
          "connection-table capacity"},
-        {"IDLE_TIMEOUT_MS", &idle_timeout_ms_, 0.0, kMaxIdleTimeoutMs,
-         "connection idle timeout in ms", true},
+        {"IDLE_TIMEOUT_MS", &idle_timeout_ms_, kMinIdleTimeoutMs,
+         kMaxIdleTimeoutMs, "connection idle timeout in ms"},
     };
     return configure_keywords(class_name(), args, keywords, err,
                               "CONNTRACK");
@@ -264,8 +264,9 @@ Napt::configure(const std::vector<std::string> &args, std::string *err)
     const Param keywords[] = {
         {"SRCIP", &nat_ip_, "address written into rewritten packets"},
         {"CAPACITY", &capacity_, 1, kMaxFlowTable, "mapping-table capacity"},
-        {"IDLE_TIMEOUT_MS", &idle_timeout_ms_, 0.0, kMaxIdleTimeoutMs,
-         "mapping idle timeout in ms (0 = no aging)"},
+        {"IDLE_TIMEOUT_MS", &idle_timeout_ms_, kMinIdleTimeoutMs,
+         kMaxIdleTimeoutMs, "mapping idle timeout in ms (0 = no aging)",
+         /*open_below=*/false, /*or_zero=*/true},
     };
     if (!configure_keywords(class_name(), args, keywords, err, "SRCIP"))
         return false;
@@ -427,8 +428,8 @@ WorkPackage::configure(const std::vector<std::string> &args,
 {
     const Param keywords[] = {
         {"S", &s_mb_, 0, kMaxScratchMb, "scratch region in MiB (0 = 1)"},
-        {"N", &n_accesses_, 0, UINT32_MAX, "scratch reads per packet"},
-        {"W", &w_rounds_, 0, UINT32_MAX, "PRNG rounds per packet"},
+        {"N", &n_accesses_, 0, kMaxWorkPerPacket, "scratch reads per packet"},
+        {"W", &w_rounds_, 0, kMaxWorkPerPacket, "PRNG rounds per packet"},
     };
     return configure_keywords(class_name(), args, keywords, err);
 }

@@ -151,7 +151,8 @@ Param::expects() const
                                  static_cast<unsigned long long>(ulo),
                                  static_cast<unsigned long long>(uhi));
             else if constexpr (std::is_same_v<T, double>)
-                return strprintf("a number in %c%s, %s]",
+                return strprintf("%sa number in %c%s, %s]",
+                                 or_zero ? "0 or " : "",
                                  open_below ? '(' : '[', exact_g(dlo).c_str(),
                                  exact_g(dhi).c_str());
             else if constexpr (std::is_same_v<T, std::string>)
@@ -221,8 +222,11 @@ set_param(const Param &p, const std::string &text, std::string *err)
                 *t = static_cast<T>(v);
             } else if constexpr (std::is_same_v<T, double>) {
                 double v = 0;
-                if (!parse_double(text, &v) || v < p.dlo || v > p.dhi ||
-                    (p.open_below && v <= p.dlo))
+                if (!parse_double(text, &v))
+                    return false;
+                const bool in_bounds = v >= p.dlo && v <= p.dhi &&
+                                       !(p.open_below && v <= p.dlo);
+                if (!in_bounds && !(p.or_zero && v == 0))
                     return false;
                 *t = v;
             } else if constexpr (std::is_same_v<T, std::string>) {

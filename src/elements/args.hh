@@ -62,11 +62,14 @@ struct Param {
     {
     }
 
-    /** A finite number in [lo, hi], or in (lo, hi] if @p open_below. */
+    /**
+     * A finite number in [lo, hi], or in (lo, hi] if @p open_below;
+     * @p or_zero admits 0 as well.
+     */
     Param(const char *n, double *target, double lo, double hi,
-          const char *h, bool open_below = false)
-        : name(n), target(target), help(h), dlo(lo), dhi(hi),
-          open_below(open_below)
+          const char *h, bool open_below = false, bool or_zero = false)
+        : name(n), target(target), help(h), or_zero(or_zero), dlo(lo),
+          dhi(hi), open_below(open_below)
     {
     }
 

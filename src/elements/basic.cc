@@ -23,7 +23,6 @@ FromDPDKDevice::configure(const std::vector<std::string> &args,
     const Param keywords[] = {
         {"PORT", &port_, 0, UINT32_MAX, "NIC port"},
         {"BURST", &burst_, 1, kMaxBurst, "RX burst size"},
-        {"N_QUEUES", &n_queues_, 0, UINT32_MAX, "RX queues"},
     };
     return configure_keywords(class_name(), args, keywords, err);
 }
@@ -34,7 +33,6 @@ ToDPDKDevice::configure(const std::vector<std::string> &args,
 {
     const Param keywords[] = {
         {"PORT", &port_, 0, UINT32_MAX, "NIC port"},
-        {"BURST", &burst_, 1, kMaxBurst, "TX burst size"},
     };
     return configure_keywords(class_name(), args, keywords, err);
 }

@@ -34,12 +34,19 @@ class SteerFabric;
 /// Keyword bounds that keep a configuration's host cost finite: Napt
 /// CAPACITY and IdsCheck CONNTRACK (64 MiB of table per core),
 /// IDLE_TIMEOUT_MS (longer than any run pmill_run accepts, and finite
-/// in ns) and WorkPackage S (MiB committed per core; the LLC is 24).
+/// in ns; at least 1 us, since the aging wheel steps timeout / 8 at a
+/// time), WorkPackage S (MiB committed per core; the LLC is 24) and
+/// WorkPackage N and W (scratch reads and PRNG rounds per packet).
 inline constexpr std::uint32_t kMaxFlowTable = 1u << 19;
+inline constexpr double kMinIdleTimeoutMs = 0.001;
 inline constexpr double kMaxIdleTimeoutMs = 1e9;
 inline constexpr std::uint32_t kMaxScratchMb = 64;
+inline constexpr std::uint32_t kMaxWorkPerPacket = 1024;
 
-/** RX endpoint marker. Args: PORT n, N_QUEUES n, BURST n. */
+/**
+ * RX endpoint marker. Args: PORT n, BURST n. BURST (default 32) is the
+ * RX burst every core of the engine polls with.
+ */
 class FromDPDKDevice : public Element {
   public:
     const char *class_name() const override { return "FromDPDKDevice"; }
@@ -49,15 +56,13 @@ class FromDPDKDevice : public Element {
 
     std::uint32_t port() const { return port_; }
     std::uint32_t burst() const { return burst_; }
-    std::uint32_t n_queues() const { return n_queues_; }
 
   private:
     std::uint32_t port_ = 0;
     std::uint32_t burst_ = 32;
-    std::uint32_t n_queues_ = 1;
 };
 
-/** TX endpoint marker. Args: PORT n, BURST n. */
+/** TX endpoint marker. Args: PORT n. */
 class ToDPDKDevice : public Element {
   public:
     const char *class_name() const override { return "ToDPDKDevice"; }
@@ -69,7 +74,6 @@ class ToDPDKDevice : public Element {
 
   private:
     std::uint32_t port_ = 0;
-    std::uint32_t burst_ = 32;
 };
 
 /** Swap source and destination Ethernet addresses. */

@@ -5,8 +5,8 @@
  * elements, port selectors, comments):
  *
  *   // a simple forwarder
- *   input  :: FromDPDKDevice(PORT 0, N_QUEUES 1, BURST 32);
- *   output :: ToDPDKDevice(PORT 0, BURST 32);
+ *   input  :: FromDPDKDevice(PORT 0, BURST 32);
+ *   output :: ToDPDKDevice(PORT 0);
  *   input -> EtherMirror -> output;
  *
  *   class :: Classifier(...);

@@ -66,7 +66,7 @@ class CopyingDatapath : public Datapath {
     {
         MbufRef mbufs[kMaxBurst];
         const std::uint32_t n =
-            pmd_.rx_burst(now, mbufs, ctx.opts().burst, &ctx);
+            pmd_.rx_burst(now, mbufs, ctx.burst(), &ctx);
         batch.count = n;
         // Everything past the PMD is the Copying model's conversion
         // work: Packet allocation, the mbuf->Packet field copy, and
@@ -243,7 +243,7 @@ class OverlayDatapath : public Datapath {
     {
         MbufRef mbufs[kMaxBurst];
         const std::uint32_t n =
-            pmd_.rx_burst(now, mbufs, ctx.opts().burst, &ctx);
+            pmd_.rx_burst(now, mbufs, ctx.burst(), &ctx);
         batch.count = n;
         // Overlaying's (small) conversion: annotation init and the
         // optional VPP-style field copy.
@@ -441,7 +441,7 @@ class XchgDatapath : public Datapath, public XchgAdapter {
     {
         void *pkts[kMaxBurst];
         const std::uint32_t n =
-            pmd_.rx_burst(now, pkts, ctx.opts().burst, &ctx);
+            pmd_.rx_burst(now, pkts, ctx.burst(), &ctx);
         batch.count = n;
         AcctScope acct_scope(ctx, kAcctMetadata);
         for (std::uint32_t i = 0; i < n; ++i) {

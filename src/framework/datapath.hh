@@ -54,7 +54,7 @@ class Datapath {
     virtual void setup() = 0;
 
     /**
-     * Receive up to opts.burst packets completed by @p now into
+     * Receive up to ctx.burst() packets completed by @p now into
      * @p batch (handles fully populated).
      */
     virtual std::uint32_t rx(TimeNs now, PacketBatch &batch,

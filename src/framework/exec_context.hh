@@ -48,7 +48,6 @@ struct PipelineOpts {
                                  ///< devirtualization (inlining)
     bool lto = false;            ///< link-time optimization
     bool reorder = false;        ///< metadata field reordering pass
-    std::uint32_t burst = 32;    ///< RX burst size
     /// Parking model: frames longer than this keep only the first
     /// park_split_bytes in the data buffer; the rest is parked. The
     /// default covers L2-L4 headers plus slack; frames at or under
@@ -245,10 +244,12 @@ class ExecContext final : public AccessSink {
     const PipelineOpts &opts() const { return opts_; }
 
     /**
-     * Retune the RX burst mid-run (closed-loop control actuation);
-     * the datapaths read opts().burst on every poll.
+     * The RX burst: FromDPDKDevice's BURST, set when the engine is
+     * built and retuned mid-run by the mill's plan or the controller.
+     * The datapaths read it on every poll.
      */
-    void set_burst(std::uint32_t burst) { opts_.burst = burst; }
+    std::uint32_t burst() const { return burst_; }
+    void set_burst(std::uint32_t burst) { burst_ = burst; }
 
     const CostModel &cost() const { return cost_; }
     CacheHierarchy &caches() { return caches_; }
@@ -281,6 +282,7 @@ class ExecContext final : public AccessSink {
     CostModel cost_;
     PipelineOpts opts_;
     double freq_ghz_;
+    std::uint32_t burst_ = 32;
     ExecCounters c_;
     CycleAccount acct_;
     double acct_tlb_cycles_ = 0;

@@ -177,6 +177,9 @@ PacketMill::grind(Engine &engine, const Profile *profile)
     Plan plan;
     if (profile)
         plan = PlanSearch::search(*profile, engine.pipeline(0).opts());
+    if (plan.burst != 0)
+        for (std::uint32_t c = 0; c < engine.num_cores(); ++c)
+            engine.set_rx_burst(c, plan.burst);
 
     // Core 0's pipeline is representative; apply to every core. An
     // element may refuse an order it cannot honour without changing

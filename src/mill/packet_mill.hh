@@ -107,11 +107,12 @@ class PacketMill {
      * PipelineOpts) and return the build report.
      *
      * With a @p profile from a capture run, the grind additionally
-     * consumes a PlanSearch plan: measured-hot-first rule orders are
-     * applied in place and the field-reordering scan is weighted by
-     * measured element heat. The plan's build-time decisions (burst,
-     * metadata model, state placement) are returned in the report's
-     * plan for the caller to fold into the next engine build via
+     * consumes a PlanSearch plan: the searched burst becomes every
+     * core's RX burst, measured-hot-first rule orders are applied in
+     * place and the field-reordering scan is weighted by measured
+     * element heat. The plan's build-time decisions (metadata model,
+     * state placement) are returned in the report's plan for the
+     * caller to fold into the next engine build via
      * Plan::apply_to_opts.
      */
     static MillReport grind(Engine &engine,

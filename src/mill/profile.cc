@@ -340,7 +340,7 @@ build_profile(Engine &engine, const RunResult &rr)
     const double total_cycles = rr.exec.total_cycles(p.freq_ghz);
     p.stall_share =
         total_cycles > 0 ? rr.exec.wall_ns * p.freq_ghz / total_cycles : 0;
-    p.burst = engine.pipeline(0).opts().burst;
+    p.burst = engine.rx_burst(0);
     p.model = metadata_model_name(engine.pipeline(0).opts().model);
 
     // Element rows: stats summed over cores (config order), rule hit
@@ -408,8 +408,6 @@ capture_profile(Engine &engine, const RunConfig &rc)
 PipelineOpts
 Plan::apply_to_opts(PipelineOpts base) const
 {
-    if (burst)
-        base.burst = burst;
     if (model == metadata_model_name(MetadataModel::kXchange))
         base.model = MetadataModel::kXchange;
     else if (model == metadata_model_name(MetadataModel::kOverlaying))

@@ -16,11 +16,11 @@
  *     a burst size matched to measured occupancy, a metadata-model
  *     upgrade when stalls dominate, and a hot-first element state
  *     placement order.
- *  3. PacketMill::grind(engine, &profile) applies the in-place parts
- *     (rule orders, profile-weighted field reordering);
- *     Plan::apply_to_opts carries the build-time parts (burst, model,
- *     state placement) into the next engine build — the classic
- *     compile/run/recompile PGO shape.
+ *  3. PacketMill::grind(engine, &profile) applies the parts an engine
+ *     can take after it is built (burst, rule orders, profile-weighted
+ *     field reordering); Plan::apply_to_opts carries the build-time
+ *     parts (model, state placement) into the next engine build — the
+ *     classic compile/run/recompile PGO shape.
  *
  * The simulation is deterministic, so the same trace yields a
  * byte-identical Profile artifact and identical Plan decisions.
@@ -145,9 +145,9 @@ struct Plan {
     }
 
     /**
-     * Fold the build-time decisions (burst, model, state placement)
-     * into @p base for the next engine construction. The in-place
-     * decisions (rule orders) are applied by PacketMill::grind.
+     * Fold the build-time decisions (model, state placement) into
+     * @p base for the next engine construction. The burst and the rule
+     * orders are applied by PacketMill::grind.
      */
     PipelineOpts apply_to_opts(PipelineOpts base) const;
 

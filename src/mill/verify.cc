@@ -120,8 +120,8 @@ verify_plan(const std::string &config, const PipelineOpts &base_opts,
     // Reference: the configuration ground by the default static mill.
     FrameBag a = collect(config, base_opts, trace, duration_us,
                          &r.frames_a);
-    // Candidate: the plan fully applied — build-time decisions folded
-    // into the options, in-place decisions via the guided grind.
+    // Candidate: the plan fully applied — model and placement folded
+    // into the options, burst and rule orders via the guided grind.
     const Plan plan = PlanSearch::search(profile, base_opts);
     const PipelineOpts plan_opts = plan.apply_to_opts(base_opts);
     FrameBag b = collect(config, plan_opts, trace, duration_us,

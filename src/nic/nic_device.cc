@@ -17,16 +17,6 @@ NicDevice::NicDevice(const NicConfig &cfg, CacheHierarchy &caches,
     : cfg_(cfg)
 {
     PMILL_ASSERT(cfg.num_queues >= 1, "NIC needs at least one queue");
-    if (cfg.rss_table_size != 0) {
-        PMILL_ASSERT(is_pow2(cfg.rss_table_size),
-                     "RSS indirection table size must be a power of two");
-        // Round-robin initial spread: every queue owns the same number
-        // of buckets (+-1), with no low-queue modulo bias.
-        rss_table_.resize(cfg.rss_table_size);
-        for (std::uint32_t i = 0; i < cfg.rss_table_size; ++i)
-            rss_table_[i] = i % cfg.num_queues;
-        rss_loads_.assign(cfg.rss_table_size, 0);
-    }
     queue_caches_.assign(cfg.num_queues, &caches);
     queue_parks_.assign(cfg.num_queues, nullptr);
     park_splits_.assign(cfg.num_queues, 0);
@@ -69,18 +59,10 @@ NicDevice::bind_queue_park(std::uint32_t queue, PayloadPark *park,
 std::uint32_t
 NicDevice::rss_queue(const FiveTuple &t) const
 {
-    if (!rss_table_.empty()) {
-        const std::uint32_t idx =
-            rss_hash(t) &
-            (static_cast<std::uint32_t>(rss_table_.size()) - 1);
-        ++rss_loads_[idx];
-        return rss_table_[idx];
-    }
-    // Legacy direct mapping. Its exact behaviour is pinned by
-    // regression test (RssMapping.LegacyModuloPinned): non-power-of-two
-    // queue counts bias low queues and any queue-count change remaps
-    // every flow, which is precisely what the indirection table above
-    // fixes when opted into.
+    // Direct mapping, pinned by RssMapping.LegacyModuloPinned:
+    // non-power-of-two queue counts bias low queues, and any
+    // queue-count change remaps every flow. Flow placement that moves
+    // at run time goes through FlowSteer's steering table instead.
     if (cfg_.num_queues == 1)
         return 0;
     return rss_hash(t) % cfg_.num_queues;

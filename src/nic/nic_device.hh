@@ -19,7 +19,6 @@
 #ifndef PMILL_NIC_NIC_DEVICE_HH
 #define PMILL_NIC_NIC_DEVICE_HH
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -120,14 +119,6 @@ struct NicConfig {
     double pcie_bytes_per_sec = 12.5e9;
     /// Per-packet PCIe cost: TLP headers + descriptor/doorbell DMA.
     std::uint32_t pcie_pkt_overhead_bytes = 30;
-    /// RSS indirection table size (power of two, like mlx5's 128/512
-    /// RETA). 0 (the default) keeps the legacy direct `hash % queues`
-    /// mapping — byte-identical to the pre-table device. Nonzero
-    /// routes `hash & (size-1)` through a reprogrammable table that
-    /// both spreads non-power-of-two queue counts evenly and lets the
-    /// control plane migrate individual buckets without churning
-    /// every flow.
-    std::uint32_t rss_table_size = 0;
 };
 
 /** Drop/packet counters per device. */
@@ -308,49 +299,6 @@ class NicDevice {
      * (extract_tuple(); zeroed for non-IP frames). */
     std::uint32_t rss_queue(const FiveTuple &t) const;
 
-    /// @name RSS indirection table (enabled by NicConfig::rss_table_size).
-    /// @{
-    bool rss_indirection_enabled() const { return !rss_table_.empty(); }
-
-    std::uint32_t
-    rss_table_size() const
-    {
-        return static_cast<std::uint32_t>(rss_table_.size());
-    }
-
-    std::uint32_t
-    rss_table_entry(std::uint32_t idx) const
-    {
-        PMILL_ASSERT(idx < rss_table_.size(), "bad RSS table index");
-        return rss_table_[idx];
-    }
-
-    /** Reprogram one bucket (control plane; flows hashing to @p idx
-     * migrate to @p queue on their next arrival). */
-    void
-    set_rss_table_entry(std::uint32_t idx, std::uint32_t queue)
-    {
-        PMILL_ASSERT(idx < rss_table_.size(), "bad RSS table index");
-        PMILL_ASSERT(queue < cfg_.num_queues, "bad RSS table queue");
-        rss_table_[idx] = queue;
-    }
-
-    /** Arrivals that selected bucket @p idx since the last reset —
-     * the controller's per-bucket heat signal. */
-    std::uint64_t
-    rss_entry_load(std::uint32_t idx) const
-    {
-        PMILL_ASSERT(idx < rss_loads_.size(), "bad RSS table index");
-        return rss_loads_[idx];
-    }
-
-    void
-    reset_rss_entry_loads()
-    {
-        std::fill(rss_loads_.begin(), rss_loads_.end(), 0);
-    }
-    /// @}
-
     /** Sim address of CQE slot @p slot of @p queue. */
     Addr
     cq_ring_addr(std::uint32_t queue, std::size_t slot) const
@@ -446,11 +394,6 @@ class NicDevice {
     std::vector<Queue> queues_;
     std::uint64_t tx_frames_ = 0;
     std::uint64_t tx_bytes_ = 0;
-    /// RSS indirection table + per-bucket arrival counters (empty =
-    /// legacy modulo mapping). Touched only at serial points (RSS
-    /// routing is conductor-side in the epoch scheduler).
-    std::vector<std::uint32_t> rss_table_;
-    mutable std::vector<std::uint64_t> rss_loads_;
     /// Shard-summed stats() cache behind a relaxed dirty flag (shards
     /// mutate on worker threads; the flag is atomic so those stores
     /// are race-free, and recomputation happens at serial points).

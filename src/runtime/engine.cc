@@ -200,6 +200,7 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
         core->pipe = Pipeline::build(config_text, *mem_, opts, &err);
         if (!core->pipe)
             fatal("pipeline build failed: %s", err.c_str());
+        core->ctx->set_burst(core->pipe->burst());
         for (Element *e : core->pipe->elements())
             if (std::strcmp(e->class_name(), "FlowSteer") == 0)
                 core->steer_elems.push_back(static_cast<FlowSteer *>(e));
@@ -240,11 +241,9 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
     }
     mem_->set_home_socket(0);
 
-    for (auto &core : cores_) {
-        core->weights.assign(core->dps.size(), 1);
+    for (auto &core : cores_)
         for (auto &bq : core->dps)
             bq.dp->setup();
-    }
 
     // Remote-fill detection: with multiple sockets each hierarchy
     // learns its own socket and asks the allocator where a line lives
@@ -369,7 +368,7 @@ Engine::register_telemetry()
     metrics_.add_gauge("rx_burst", [this] {
         double v = 0;
         for (const auto &core : cores_)
-            v += core->ctx->opts().burst;
+            v += core->ctx->burst();
         return v / static_cast<double>(cores_.size());
     });
     metrics_.add_gauge("poll_backoff_ns", [this] {
@@ -612,21 +611,12 @@ Engine::register_telemetry()
 Engine::~Engine() = default;
 
 std::uint32_t
-Engine::num_polled_queues(std::uint32_t core) const
-{
-    PMILL_ASSERT(core < cores_.size(),
-                 "core index %u out of range (engine has %zu cores)", core,
-                 cores_.size());
-    return static_cast<std::uint32_t>(cores_[core]->dps.size());
-}
-
-std::uint32_t
 Engine::rx_burst(std::uint32_t core) const
 {
     PMILL_ASSERT(core < cores_.size(),
                  "core index %u out of range (engine has %zu cores)", core,
                  cores_.size());
-    return cores_[core]->ctx->opts().burst;
+    return cores_[core]->ctx->burst();
 }
 
 void
@@ -661,45 +651,14 @@ Engine::set_poll_backoff_ns(std::uint32_t core, double ns)
 }
 
 std::uint32_t
-Engine::queue_weight(std::uint32_t core, std::uint32_t q) const
-{
-    PMILL_ASSERT(core < cores_.size(),
-                 "core index %u out of range (engine has %zu cores)", core,
-                 cores_.size());
-    PMILL_ASSERT(q < cores_[core]->weights.size(),
-                 "queue index %u out of range (core polls %zu queues)", q,
-                 cores_[core]->weights.size());
-    return cores_[core]->weights[q];
-}
-
-void
-Engine::set_queue_weight(std::uint32_t core, std::uint32_t q,
-                         std::uint32_t weight)
-{
-    PMILL_ASSERT(core < cores_.size(),
-                 "core index %u out of range (engine has %zu cores)", core,
-                 cores_.size());
-    PMILL_ASSERT(q < cores_[core]->weights.size(),
-                 "queue index %u out of range (core polls %zu queues)", q,
-                 cores_[core]->weights.size());
-    PMILL_ASSERT(weight >= 1 && weight <= kMaxQueueWeight,
-                 "queue weight %u outside [1, %u]", weight, kMaxQueueWeight);
-    cores_[core]->weights[q] = weight;
-}
-
-std::uint32_t
 Engine::rss_table_size() const
 {
-    if (nics_[0]->rss_indirection_enabled())
-        return nics_[0]->rss_table_size();
     return steer_ ? steer_->table_size() : 0;
 }
 
 std::uint32_t
 Engine::rss_table_entry(std::uint32_t idx) const
 {
-    if (nics_[0]->rss_indirection_enabled())
-        return nics_[0]->rss_table_entry(idx);
     PMILL_ASSERT(steer_ != nullptr,
                  "no indirection table (rss_table_size() is 0)");
     return steer_->entry(idx);
@@ -712,14 +671,6 @@ Engine::set_rss_table_entry(std::uint32_t idx, std::uint32_t queue)
                  "indirection target %u out of range (engine has %zu "
                  "cores)",
                  queue, cores_.size());
-    if (nics_[0]->rss_indirection_enabled()) {
-        // The devices run one shared table program: every NIC's
-        // bucket idx moves together, keeping queue q == core q
-        // consistent across the grid.
-        for (auto &nic : nics_)
-            nic->set_rss_table_entry(idx, queue);
-        return;
-    }
     PMILL_ASSERT(steer_ != nullptr,
                  "no indirection table (rss_table_size() is 0)");
     steer_->set_entry(idx, queue);
@@ -728,12 +679,6 @@ Engine::set_rss_table_entry(std::uint32_t idx, std::uint32_t queue)
 std::uint64_t
 Engine::rss_entry_load(std::uint32_t idx) const
 {
-    if (nics_[0]->rss_indirection_enabled()) {
-        std::uint64_t sum = 0;
-        for (const auto &nic : nics_)
-            sum += nic->rss_entry_load(idx);
-        return sum;
-    }
     PMILL_ASSERT(steer_ != nullptr,
                  "no indirection table (rss_table_size() is 0)");
     return steer_->entry_load(idx);
@@ -742,11 +687,6 @@ Engine::rss_entry_load(std::uint32_t idx) const
 void
 Engine::reset_rss_entry_loads()
 {
-    if (nics_[0]->rss_indirection_enabled()) {
-        for (auto &nic : nics_)
-            nic->reset_rss_entry_loads();
-        return;
-    }
     if (steer_)
         steer_->reset_entry_loads();
 }
@@ -806,60 +746,53 @@ Engine::step_core(Core &core)
     for (std::size_t k = 0; k < core.dps.size(); ++k) {
         const std::size_t slot = (core.rr_cursor + k) % core.dps.size();
         BoundQueue &bq = core.dps[slot];
-        // Weighted round-robin: up to weights[slot] consecutive
-        // bursts from this queue per polling round (weight 1 is the
-        // classic schedule).
-        const std::uint32_t w = core.weights[slot];
-        for (std::uint32_t rep = 0; rep < w; ++rep) {
-            PacketBatch batch;
-            const std::uint32_t n = bq.dp->rx(core.clock, batch, ctx);
-            if (n == 0)
-                break;
-            any = true;
-            if (tron) {
-                // Head-sample lifecycles: a sampled packet carries its
-                // id through the pipeline and into the inflight map so
-                // the TX completion can be joined back.
-                for (std::uint32_t i = 0; i < batch.count; ++i) {
-                    if (!tracer_->sample_packet())
-                        continue;
-                    PacketHandle &h = batch[i];
-                    h.trace_id = tracer_->next_packet_id();
-                    tracer_->record(TraceEventKind::kRxPacket,
-                                    h.arrival_ns, h.trace_id, 0, 0, h.len);
-                    inflight_[arrival_key(h.arrival_ns)] = h.trace_id;
-                }
-            }
-            ctx.on_compute(ctx.cost().per_burst_cycles, 20);
-            core.pipe->process(batch, ctx);
-            // Post time includes the processing just performed.
-            const TimeNs post = core.clock +
-                                (ctx.elapsed_ns() - core.last_elapsed);
-            bq.dp->tx(batch, post, ctx);
-            // Packets FlowSteer handed off were compacted out of the
-            // batch; return their handles through this datapath's
-            // drop path so the mbufs go back to this core's own pools
-            // (the frame bytes are already copied fabric-side).
-            for (FlowSteer *fs : core.steer_elems) {
-                std::vector<PacketHandle> &rel = fs->release_list();
-                if (rel.empty())
+        PacketBatch batch;
+        const std::uint32_t n = bq.dp->rx(core.clock, batch, ctx);
+        if (n == 0)
+            continue;
+        any = true;
+        if (tron) {
+            // Head-sample lifecycles: a sampled packet carries its
+            // id through the pipeline and into the inflight map so
+            // the TX completion can be joined back.
+            for (std::uint32_t i = 0; i < batch.count; ++i) {
+                if (!tracer_->sample_packet())
                     continue;
-                std::size_t i = 0;
-                while (i < rel.size()) {
-                    PacketBatch rb;
-                    while (i < rel.size() && rb.count < kMaxBurst) {
-                        rb.pkts[rb.count] = rel[i];
-                        rb.pkts[rb.count].dropped = true;
-                        ++rb.count;
-                        ++i;
-                    }
-                    const TimeNs rt =
-                        core.clock +
-                        (ctx.elapsed_ns() - core.last_elapsed);
-                    bq.dp->tx(rb, rt, ctx);
-                }
-                rel.clear();
+                PacketHandle &h = batch[i];
+                h.trace_id = tracer_->next_packet_id();
+                tracer_->record(TraceEventKind::kRxPacket,
+                                h.arrival_ns, h.trace_id, 0, 0, h.len);
+                inflight_[arrival_key(h.arrival_ns)] = h.trace_id;
             }
+        }
+        ctx.on_compute(ctx.cost().per_burst_cycles, 20);
+        core.pipe->process(batch, ctx);
+        // Post time includes the processing just performed.
+        const TimeNs post = core.clock + (ctx.elapsed_ns() - core.last_elapsed);
+        bq.dp->tx(batch, post, ctx);
+        // Packets FlowSteer handed off were compacted out of the
+        // batch; return their handles through this datapath's
+        // drop path so the mbufs go back to this core's own pools
+        // (the frame bytes are already copied fabric-side).
+        for (FlowSteer *fs : core.steer_elems) {
+            std::vector<PacketHandle> &rel = fs->release_list();
+            if (rel.empty())
+                continue;
+            std::size_t i = 0;
+            while (i < rel.size()) {
+                PacketBatch rb;
+                while (i < rel.size() && rb.count < kMaxBurst) {
+                    rb.pkts[rb.count] = rel[i];
+                    rb.pkts[rb.count].dropped = true;
+                    ++rb.count;
+                    ++i;
+                }
+                const TimeNs rt =
+                    core.clock +
+                    (ctx.elapsed_ns() - core.last_elapsed);
+                bq.dp->tx(rb, rt, ctx);
+            }
+            rel.clear();
         }
     }
     core.rr_cursor = (core.rr_cursor + 1) %

@@ -44,9 +44,6 @@ namespace pmill {
 /// core index + 1 that an acct JSONL line may name.
 inline constexpr std::uint32_t kMaxCores = 64;
 
-/// Largest round-robin weight of a polled queue (set_queue_weight).
-inline constexpr std::uint32_t kMaxQueueWeight = 64;
-
 /** Static parameters of the simulated machine. */
 struct MachineConfig {
     double freq_ghz = 2.3;   ///< DUT core frequency (the paper sweeps it)
@@ -210,25 +207,16 @@ class Engine : public Actuator {
     /// its ActuationLimits before calling, so an out-of-range value
     /// here is a bug, not a policy overreach.
     /// @{
-    std::uint32_t num_polled_queues(std::uint32_t core) const override;
     std::uint32_t rx_burst(std::uint32_t core) const override;
     void set_rx_burst(std::uint32_t core, std::uint32_t burst) override;
     double poll_backoff_ns(std::uint32_t core) const override;
     void set_poll_backoff_ns(std::uint32_t core, double ns) override;
-    std::uint32_t queue_weight(std::uint32_t core,
-                               std::uint32_t q) const override;
-    void set_queue_weight(std::uint32_t core, std::uint32_t q,
-                          std::uint32_t weight) override;
 
     /**
-     * @name RSS/steering table actuation.
-     * Routed to the NIC indirection tables when
-     * NicConfig::rss_table_size is nonzero (a write reprograms the
-     * same entry on every NIC, reads come from NIC 0 — the NICs run
-     * one shared table program, like a bonded port), otherwise to the
-     * software steering fabric when the pipeline carries a FlowSteer
-     * element. Without either, rss_table_size() is 0 and the rest of
-     * the group must not be called.
+     * @name Steering table actuation.
+     * Routed to the software steering fabric when the pipeline carries
+     * a FlowSteer element. Without one, rss_table_size() is 0 and the
+     * rest of the group must not be called.
      * @{
      */
     std::uint32_t rss_table_size() const override;
@@ -358,7 +346,7 @@ class Engine : public Actuator {
         std::unique_ptr<CacheHierarchy> caches;
         std::unique_ptr<ExecContext> ctx;
         std::unique_ptr<Pipeline> pipe;
-        /// NIC queues this core polls round-robin.
+        /// NIC queues this core polls round-robin, one burst each.
         std::vector<BoundQueue> dps;
         TimeNs clock = 0;
         TimeNs last_elapsed = 0;
@@ -369,9 +357,6 @@ class Engine : public Actuator {
         /// Metronome-style sleep when this core's queues are dry
         /// (0 = classic busy-poll skipping to the next completion).
         TimeNs poll_backoff_ns = 0;
-        /// Round-robin weight per polled queue (aligned with dps;
-        /// weight w = up to w consecutive bursts per polling round).
-        std::vector<std::uint32_t> weights;
         /// Core cycles burned busy-polling dry queues (counter).
         double poll_wait_cycles = 0;
         /// @}

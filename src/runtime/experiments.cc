@@ -10,11 +10,11 @@ forwarder_config(std::uint32_t burst)
 {
     return strprintf(R"(
 // simple forwarder (paper §A.1)
-input  :: FromDPDKDevice(PORT 0, N_QUEUES 1, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+input  :: FromDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 input -> EtherMirror -> output;
 )",
-                     burst, burst);
+                     burst);
 }
 
 namespace {
@@ -36,13 +36,13 @@ router_config(std::uint32_t burst)
     return strprintf(R"(
 // standard router (paper §A.2)
 input  :: FromDPDKDevice(PORT 0, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 %s
 rt -> DecIPTTL
    -> EtherRewrite(SRC 02:00:00:00:00:10, DST 02:00:00:00:00:20)
    -> output;
 )",
-                     burst, burst, kRouterBody);
+                     burst, kRouterBody);
 }
 
 std::string
@@ -51,7 +51,7 @@ ids_router_config(std::uint32_t burst)
     return strprintf(R"(
 // router + IDS + VLAN supplement (paper §A.3)
 input  :: FromDPDKDevice(PORT 0, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 %s
 rt -> DecIPTTL
    -> IdsCheck
@@ -59,7 +59,7 @@ rt -> DecIPTTL
    -> EtherRewrite(SRC 02:00:00:00:00:10, DST 02:00:00:00:00:20)
    -> output;
 )",
-                     burst, burst, kRouterBody);
+                     burst, kRouterBody);
 }
 
 std::string
@@ -68,14 +68,14 @@ nat_config(std::uint32_t burst)
     return strprintf(R"(
 // router + NAPT (paper §A.3); stateful cuckoo-hash rewriting
 input  :: FromDPDKDevice(PORT 0, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 %s
 rt -> DecIPTTL
    -> Napt(SRCIP 100.0.0.1)
    -> EtherRewrite(SRC 02:00:00:00:00:10, DST 02:00:00:00:00:20)
    -> output;
 )",
-                     burst, burst, kRouterBody);
+                     burst, kRouterBody);
 }
 
 std::string
@@ -85,14 +85,14 @@ nat_aging_config(std::uint32_t burst, std::uint32_t capacity,
     return strprintf(R"(
 // NAPT with bounded flow table + idle-timeout aging
 input  :: FromDPDKDevice(PORT 0, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 %s
 rt -> DecIPTTL
    -> Napt(SRCIP 100.0.0.1, CAPACITY %u, IDLE_TIMEOUT_MS %g)
    -> EtherRewrite(SRC 02:00:00:00:00:10, DST 02:00:00:00:00:20)
    -> output;
 )",
-                     burst, burst, kRouterBody, capacity,
+                     burst, kRouterBody, capacity,
                      idle_timeout_ms);
 }
 
@@ -103,7 +103,7 @@ ids_conntrack_config(std::uint32_t burst, std::uint32_t capacity,
     return strprintf(R"(
 // router + stateful IDS (aged conntrack table)
 input  :: FromDPDKDevice(PORT 0, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 %s
 rt -> DecIPTTL
    -> IdsCheck(CONNTRACK %u, IDLE_TIMEOUT_MS %g)
@@ -111,7 +111,7 @@ rt -> DecIPTTL
    -> EtherRewrite(SRC 02:00:00:00:00:10, DST 02:00:00:00:00:20)
    -> output;
 )",
-                     burst, burst, kRouterBody, capacity,
+                     burst, kRouterBody, capacity,
                      idle_timeout_ms);
 }
 
@@ -121,7 +121,7 @@ steered_router_config(std::uint32_t burst)
     return strprintf(R"(
 // router with software flow steering ahead of the classifier
 input  :: FromDPDKDevice(PORT 0, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 class :: Classifier(ARP, IP);
 rt :: IPLookup(20.0.0.0/8 0, 21.0.0.0/8 0, 22.0.0.0/8 0, 23.0.0.0/8 0,
                10.0.0.0/8 0, 0.0.0.0/0 0);
@@ -132,7 +132,7 @@ rt -> DecIPTTL
    -> EtherRewrite(SRC 02:00:00:00:00:10, DST 02:00:00:00:00:20)
    -> output;
 )",
-                     burst, burst);
+                     burst);
 }
 
 std::string
@@ -142,10 +142,10 @@ workpackage_config(std::uint32_t s_mb, std::uint32_t n, std::uint32_t w,
     return strprintf(R"(
 // forwarder + WorkPackage(S %u, N %u, W %u) (paper §A.4)
 input  :: FromDPDKDevice(PORT 0, BURST %u);
-output :: ToDPDKDevice(PORT 0, BURST %u);
+output :: ToDPDKDevice(PORT 0);
 input -> WorkPackage(S %u, N %u, W %u) -> EtherMirror -> output;
 )",
-                     s_mb, n, w, burst, burst, s_mb, n, w);
+                     s_mb, n, w, burst, s_mb, n, w);
 }
 
 PipelineOpts

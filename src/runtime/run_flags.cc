@@ -1,7 +1,6 @@
 #include "src/runtime/run_flags.hh"
 
 #include "src/common/log.hh"
-#include "src/common/types.hh"
 #include "src/net/headers.hh"
 #include "src/runtime/engine.hh"
 #include "src/runtime/experiments.hh"
@@ -52,10 +51,6 @@ run_flag_table(RunFlags *f)
          "host threads driving the cores (at most --cores)"},
         {"--nics", &f->nics, 1, 8, "NICs, each polled by every core"},
         {"--sockets", &f->sockets, 1, 8, "NUMA sockets (at most --cores)"},
-        {"--rss-table", &f->rss_table, 0, 65536,
-         "RSS indirection buckets, a power of two (0 = hash % queues)"},
-        {"--queue-weight", &f->queue_weight, 1, kMaxQueueWeight,
-         "round-robin weight of every polled queue"},
         {"--size", &f->size, kMinFrameLen, kMaxFrameLen,
          "fixed-size frames instead of the campus trace"},
         {"--workload", &f->workload,
@@ -123,7 +118,7 @@ parse_run_flags(int argc, const char *const *argv, RunFlags *out,
     auto usage_error = [&](const std::string &msg) {
         return fail(msg + "\n" + run_flags_usage(argv[0]));
     };
-    if (argc < 2)
+    if (argc < 2 || std::string(argv[1]).rfind("--", 0) == 0)
         return usage_error("no Click config given");
 
     RunFlags f;
@@ -153,10 +148,6 @@ parse_run_flags(int argc, const char *const *argv, RunFlags *out,
             return false;
     }
 
-    if (f.rss_table != 0 && !is_pow2(f.rss_table))
-        return fail(strprintf("--rss-table expects 0 or a power of two in "
-                              "[1, 65536], got '%u'",
-                              f.rss_table));
     // Flags that contradict each other: a clean error here, not an
     // engine assertion or a silently ignored flag later.
     if (f.sockets > f.cores)

@@ -25,7 +25,6 @@ struct RunFlags {
     std::uint32_t park_split = 0;  ///< 0: the model's default split
     double freq = 2.3, offered = 100.0, duration_us = 2500.0;
     std::uint32_t cores = 1, host_threads = 1, nics = 1, sockets = 1;
-    std::uint32_t rss_table = 0, queue_weight = 1;
     std::uint32_t size = 0;  ///< 0: the campus trace
     std::string workload;
     bool verify = false, report = false, explain = false, json = false;
@@ -47,11 +46,12 @@ std::vector<Param> run_flag_table(RunFlags *f);
 std::string run_flags_usage(const char *argv0);
 
 /**
- * Parse pmill_run's command line: argv[1] is the Click config, then
- * flags as `--x v`, `--x=v` or bare booleans. Returns false with @p err
- * set on an unknown flag, a missing or malformed value, or flags that
- * contradict each other; an error about the command line's shape ends
- * with the usage text.
+ * Parse pmill_run's command line: argv[1] is the Click config (a first
+ * argument starting with "--" is a flag, so the config is missing),
+ * then flags as `--x v`, `--x=v` or bare booleans. Returns false with
+ * @p err set on an unknown flag, a missing or malformed value, or flags
+ * that contradict each other; an error about the command line's shape
+ * ends with the usage text.
  */
 bool parse_run_flags(int argc, const char *const *argv, RunFlags *out,
                      std::string *err);

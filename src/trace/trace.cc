@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/common/log.hh"
-#include "src/common/random.hh"
 #include "src/net/packet_builder.hh"
 
 namespace pmill {
@@ -60,9 +59,6 @@ TraceReplay::write(const FrameDraw &d, std::uint8_t *) const
     return trace_->data(d.index);
 }
 
-namespace {
-
-/** Draw a frame size from the campus mixture (mean ≈ 981 B). */
 std::uint32_t
 campus_frame_len(Xorshift64 &rng)
 {
@@ -78,6 +74,8 @@ campus_frame_len(Xorshift64 &rng)
     // Large: near-MTU bulk transfer, 1350..1514 B.
     return 1350 + static_cast<std::uint32_t>(rng.next_below(165));
 }
+
+namespace {
 
 FiveTuple
 flow_tuple(std::uint32_t flow_id, std::uint8_t proto)

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/random.hh"
 #include "src/net/flow.hh"
 #include "src/net/headers.hh"
 
@@ -158,6 +159,13 @@ struct CampusTraceConfig {
     double frac_icmp = 0.02;
     double frac_arp = 0.005;
 };
+
+/**
+ * Draw a frame size from the campus mixture (mean ≈ 981 B): small
+ * ACK-sized frames, a medium bucket and a heavy MTU-sized mode. The
+ * campus trace and WorkloadSource's default sizes both draw from it.
+ */
+std::uint32_t campus_frame_len(Xorshift64 &rng);
 
 /**
  * Synthesize a trace whose size distribution matches the paper's

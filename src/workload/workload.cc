@@ -205,16 +205,7 @@ WorkloadSource::flow_id(std::uint64_t slot, std::uint32_t epoch) const
 std::uint32_t
 WorkloadSource::data_frame_len()
 {
-    if (spec_.frame_len != 0)
-        return spec_.frame_len;
-    // Campus mixture (mirrors Trace): small ACK-ish frames, a mid
-    // bucket, and a heavy MTU-ish mode.
-    const double u = rng_.next_double();
-    if (u < 0.29)
-        return 64 + static_cast<std::uint32_t>(rng_.next_below(65));
-    if (u < 0.37)
-        return 300 + static_cast<std::uint32_t>(rng_.next_below(601));
-    return 1350 + static_cast<std::uint32_t>(rng_.next_below(165));
+    return spec_.frame_len != 0 ? spec_.frame_len : campus_frame_len(rng_);
 }
 
 void

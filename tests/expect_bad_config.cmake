@@ -7,7 +7,7 @@
 #         -DEXPECT=text -P expect_bad_config.cmake
 file(WRITE ${CONFIG}
      "input :: FromDPDKDevice(PORT 0, BURST 32);\n"
-     "output :: ToDPDKDevice(PORT 0, BURST 32);\n"
+     "output :: ToDPDKDevice(PORT 0);\n"
      "input -> ${ELEMENT} -> EtherMirror -> output;\n")
 execute_process(COMMAND ${RUN} ${CONFIG} --duration 100
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)

@@ -157,27 +157,6 @@ TEST(AimdPolicy, ConvergesToTheLimitsAndNeverPastThem)
     EXPECT_TRUE(p.decide(deadband_obs(), burst, backoff).changes_nothing());
 }
 
-TEST(Policies, ProportionalWeightsRespectBounds)
-{
-    // Spread below the threshold: all weights stay 1.
-    const auto flat = proportional_weights({0.20, 0.25}, 8, 0.10);
-    EXPECT_EQ(flat, (std::vector<std::uint32_t>{1, 1}));
-
-    // A clearly hotter queue earns more polling rounds.
-    const auto skew = proportional_weights({0.9, 0.1, 0.45}, 8, 0.10);
-    ASSERT_EQ(skew.size(), 3u);
-    EXPECT_EQ(skew[0], 8u);
-    EXPECT_GT(skew[0], skew[2]);
-    EXPECT_GT(skew[2], skew[1]);
-    for (std::uint32_t w : skew) {
-        EXPECT_GE(w, 1u);
-        EXPECT_LE(w, 8u);
-    }
-
-    // Fewer than two queues: nothing to balance.
-    EXPECT_TRUE(proportional_weights({0.9}, 8, 0.10).empty());
-}
-
 TEST(Policies, FactoryKnowsExactlyTheShippedPolicies)
 {
     ActuationLimits lim;
@@ -209,19 +188,14 @@ TEST(ActuationLimitsTest, ValidateRejectsInconsistentBounds)
     l.backoff_max_ns = 1e9;
     EXPECT_FALSE(l.validate(&err));
     EXPECT_NE(err.find("backoff"), std::string::npos);
-
-    l = ActuationLimits{};
-    l.weight_max = 0;
-    EXPECT_FALSE(l.validate(&err));
 }
 
 TEST(ActuationLimitsTest, FromPlanBoundsTheSearchedBurst)
 {
-    PipelineOpts opts;
-    opts.burst = 32;
+    const std::uint32_t configured = 32;
     Plan plan;
     plan.burst = 16;
-    ActuationLimits l = ActuationLimits::from_plan(plan, opts);
+    ActuationLimits l = ActuationLimits::from_plan(plan, configured);
     std::string err;
     EXPECT_TRUE(l.validate(&err)) << err;
     EXPECT_EQ(l.burst_max, 32u)
@@ -229,7 +203,7 @@ TEST(ActuationLimitsTest, FromPlanBoundsTheSearchedBurst)
     EXPECT_EQ(l.burst_min, 4u);
 
     plan.burst = 0;  // plan keeps the configured burst
-    l = ActuationLimits::from_plan(plan, opts);
+    l = ActuationLimits::from_plan(plan, configured);
     EXPECT_EQ(l.burst_max, 32u);
     EXPECT_EQ(l.burst_min, 8u);
 }
@@ -237,21 +211,14 @@ TEST(ActuationLimitsTest, FromPlanBoundsTheSearchedBurst)
 /** Records every actuation; never enforces anything itself. */
 class FakeActuator : public Actuator {
   public:
-    explicit FakeActuator(std::uint32_t cores = 1,
-                          std::uint32_t queues = 1)
-        : burst_(cores, 32), backoff_(cores, 0.0),
-          weights_(cores, std::vector<std::uint32_t>(queues, 1))
+    explicit FakeActuator(std::uint32_t cores = 1)
+        : burst_(cores, 32), backoff_(cores, 0.0)
     {}
 
     std::uint32_t
     num_cores() const override
     {
         return static_cast<std::uint32_t>(burst_.size());
-    }
-    std::uint32_t
-    num_polled_queues(std::uint32_t core) const override
-    {
-        return static_cast<std::uint32_t>(weights_[core].size());
     }
     std::uint32_t rx_burst(std::uint32_t c) const override
     {
@@ -271,21 +238,9 @@ class FakeActuator : public Actuator {
     {
         backoff_[c] = ns;
     }
-    std::uint32_t
-    queue_weight(std::uint32_t c, std::uint32_t q) const override
-    {
-        return weights_[c][q];
-    }
-    void
-    set_queue_weight(std::uint32_t c, std::uint32_t q,
-                     std::uint32_t w) override
-    {
-        weights_[c][q] = w;
-    }
 
     std::vector<std::uint32_t> burst_;
     std::vector<double> backoff_;
-    std::vector<std::vector<std::uint32_t>> weights_;
 };
 
 /** A policy that always demands far more than the limits allow. */
@@ -299,7 +254,6 @@ class RoguePolicy : public Policy {
         ControlAction a;
         a.burst = 10'000;
         a.backoff_ns = 1e12;
-        a.weights = {999, 999};
         a.reason = "ask for the moon";
         return a;
     }
@@ -334,18 +288,15 @@ TEST(ControllerTest, ClampsEveryActuationToTheLimits)
     cc.limits.burst_max = 32;
     cc.limits.backoff_min_ns = 0;
     cc.limits.backoff_max_ns = 5000;
-    cc.limits.weight_max = 4;
     Controller ctl(std::make_unique<RoguePolicy>(), cc);
 
-    FakeActuator act(1, 2);
+    FakeActuator act;
     ctl.on_run_start(act);
     const Timeline tl = tiny_timeline();
     ctl.observe(tl, act);
 
     EXPECT_EQ(act.burst_[0], 32u);
     EXPECT_EQ(act.backoff_[0], 5000.0);
-    EXPECT_EQ(act.weights_[0][0], 4u);
-    EXPECT_EQ(act.weights_[0][1], 4u);
 
     ASSERT_FALSE(ctl.log().empty());
     for (const Decision &d : ctl.log().decisions) {
@@ -376,7 +327,7 @@ TEST(ControllerTest, DecisionLogRoundTripsAsJsonl)
     cc.initial_burst = 12;
     cc.initial_backoff_ns = 400.0;
     Controller ctl(std::make_unique<RoguePolicy>(), cc);
-    FakeActuator act(1, 2);
+    FakeActuator act;
     ctl.on_run_start(act);
     ctl.observe(tiny_timeline(), act);
     ASSERT_GE(ctl.log().size(), 3u);
@@ -411,16 +362,11 @@ TEST(EngineActuation, SettersEnforceBoundsHard)
     EXPECT_EQ(engine.rx_burst(0), 16u);
     engine.set_poll_backoff_ns(0, 500.0);
     EXPECT_EQ(engine.poll_backoff_ns(0), 500.0);
-    EXPECT_EQ(engine.num_polled_queues(0), 1u);
-    engine.set_queue_weight(0, 0, 3);
-    EXPECT_EQ(engine.queue_weight(0, 0), 3u);
 
     EXPECT_DEATH(engine.set_rx_burst(0, 0), "burst");
     EXPECT_DEATH(engine.set_rx_burst(0, kMaxBurst + 1), "burst");
     EXPECT_DEATH(engine.set_rx_burst(5, 16), "out of range");
     EXPECT_DEATH(engine.set_poll_backoff_ns(0, -1.0), "backoff");
-    EXPECT_DEATH(engine.set_queue_weight(0, 7, 2), "out of range");
-    EXPECT_DEATH(engine.set_queue_weight(0, 0, 0), "weight");
 }
 
 TEST(EngineActuation, ControlledRunStaysWithinLimits)
@@ -429,9 +375,7 @@ TEST(EngineActuation, ControlledRunStaysWithinLimits)
     MachineConfig m;
     m.freq_ghz = 1.0;  // slow core: the step saturates it for sure
 
-    PipelineOpts opts = PipelineOpts::vanilla();
-    opts.burst = 8;
-    Engine engine(m, forwarder_config(), opts, t);
+    Engine engine(m, forwarder_config(8), PipelineOpts::vanilla(), t);
 
     ControlConfig cc;
     cc.limits.burst_min = 8;

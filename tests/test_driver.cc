@@ -479,12 +479,10 @@ TEST(NicDevice, RssSpreadsFlowsAcrossQueues)
     EXPECT_EQ(queues.size(), 4u) << "64 flows should hit all 4 queues";
 }
 
-// The legacy (indirection-disabled) RSS mapping is pinned to exactly
-// rss_hash(tuple) % num_queues. Non-power-of-two queue counts bias
-// the low queues and any queue-count change remaps every flow — that
-// behaviour is what the indirection table fixes when opted into, so
-// the default must never drift (every pre-indirection golden depends
-// on it).
+// The NIC's RSS mapping is pinned to exactly rss_hash(tuple) %
+// num_queues. Non-power-of-two queue counts bias the low queues and any
+// queue-count change remaps every flow; it must never drift (every
+// multicore golden depends on it).
 TEST(RssMapping, LegacyModuloPinned)
 {
     SimMemory mem;
@@ -511,64 +509,6 @@ TEST(RssMapping, LegacyModuloPinned)
     EXPECT_EQ(nic1.rss_queue(extract_tuple(
                   f.data(), static_cast<std::uint32_t>(f.size()))),
               0u);
-}
-
-// The indirection table initializes round-robin (bucket i -> queue
-// i % num_queues), which for a power-of-two queue count dividing the
-// table size is EXACTLY the legacy modulo mapping — enabling the
-// table without reprogramming it must not move a single flow.
-TEST(RssIndirection, DefaultTableMatchesLegacyModulo)
-{
-    SimMemory mem;
-    CacheHierarchy caches;
-    NicConfig legacy;
-    legacy.num_queues = 4;
-    NicDevice nic_legacy(legacy, caches, mem);
-
-    NicConfig indirect = legacy;
-    indirect.rss_table_size = 128;
-    NicDevice nic_table(indirect, caches, mem);
-    ASSERT_TRUE(nic_table.rss_indirection_enabled());
-    ASSERT_EQ(nic_table.rss_table_size(), 128u);
-
-    for (int i = 0; i < 128; ++i) {
-        FrameSpec spec;
-        spec.flow.src_port = static_cast<std::uint16_t>(3000 + i);
-        const auto f = build_frame(spec);
-        const std::uint32_t len = static_cast<std::uint32_t>(f.size());
-        const FiveTuple t = extract_tuple(f.data(), len);
-        EXPECT_EQ(nic_table.rss_queue(t), nic_legacy.rss_queue(t))
-            << "flow " << i;
-    }
-}
-
-TEST(RssIndirection, ReprogramRedirectsBucketAndCountsLoads)
-{
-    SimMemory mem;
-    CacheHierarchy caches;
-    NicConfig nc;
-    nc.num_queues = 4;
-    nc.rss_table_size = 64;
-    NicDevice nic(nc, caches, mem);
-
-    FrameSpec spec;
-    spec.flow.src_port = 4242;
-    const auto f = build_frame(spec);
-    const std::uint32_t len = static_cast<std::uint32_t>(f.size());
-    const FiveTuple t = extract_tuple(f.data(), len);
-    const std::uint32_t hash = rss_hash(t);
-    const std::uint32_t bucket = hash & 63u;
-
-    EXPECT_EQ(nic.rss_queue(t), nic.rss_table_entry(bucket));
-    EXPECT_EQ(nic.rss_entry_load(bucket), 1u);
-
-    const std::uint32_t moved = (nic.rss_table_entry(bucket) + 1) % 4;
-    nic.set_rss_table_entry(bucket, moved);
-    EXPECT_EQ(nic.rss_queue(t), moved);
-    EXPECT_EQ(nic.rss_entry_load(bucket), 2u);
-
-    nic.reset_rss_entry_loads();
-    EXPECT_EQ(nic.rss_entry_load(bucket), 0u);
 }
 
 // The per-metric rate helpers read one cached summed snapshot instead

@@ -34,6 +34,38 @@ TEST(EngineRun, GeneratorStopDrainsEverything)
     EXPECT_GT(s.tx_frames, 100u);
 }
 
+// FromDPDKDevice(BURST n) is the burst every core polls with: the
+// engine reports it, the timeline's rx_burst column carries it, and no
+// poll of the overloaded forwarder returns more.
+TEST(EngineRun, ConfigBurstIsThePolledBurst)
+{
+    Trace t = make_fixed_size_trace(64, 256, 32);
+    MachineConfig m;
+    m.num_cores = 2;
+    Engine engine(m, forwarder_config(8), PipelineOpts::vanilla(), t);
+    for (std::uint32_t c = 0; c < engine.num_cores(); ++c)
+        EXPECT_EQ(engine.rx_burst(c), 8u) << "core " << c;
+    engine.enable_tracing();
+
+    RunConfig rc;
+    rc.warmup_us = 100;
+    rc.duration_us = 300;
+    rc.sample_interval_us = 50;
+    const RunResult r = engine.run(rc);
+    EXPECT_GT(r.rx_drops, 0u) << "the polls must be able to fill";
+
+    const Timeline &tl = engine.timeline();
+    ASSERT_FALSE(tl.empty());
+    for (std::size_t i = 0; i < tl.rows.size(); ++i)
+        EXPECT_EQ(tl.value(i, "rx_burst"), 8.0) << "row " << i;
+
+    const std::vector<std::uint64_t> hist =
+        burst_occupancy_histogram(*engine.tracer(), kMaxBurst);
+    EXPECT_GT(hist[8], 0u);
+    for (std::size_t b = 9; b < hist.size(); ++b)
+        EXPECT_EQ(hist[b], 0u) << "a poll returned " << b << " packets";
+}
+
 TEST(EngineRun, TxCaptureSeesTransformedFrames)
 {
     Trace t = make_fixed_size_trace(256, 128, 8);

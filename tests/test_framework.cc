@@ -150,8 +150,10 @@ TEST(ElementConfigure, RejectsBadArgs)
     EXPECT_TRUE(nat->configure({"SRCIP 10.0.0.1"}, &err)) << err;
 }
 
-// Values that once wrapped in a 32-bit cast, or asked the host for
-// terabytes, are configuration errors that name the keyword.
+// Values that once wrapped in a 32-bit cast, asked the host for
+// terabytes, or stalled a 0.1 ms run for longer than 20 s (an aging
+// wheel stepping a nanosecond at a time, billions of reads or PRNG
+// rounds per packet) are configuration errors that name the keyword.
 TEST(ElementConfigure, KeywordsThatWrapOrExhaustTheHostAreRejected)
 {
     register_standard_elements();
@@ -165,7 +167,13 @@ TEST(ElementConfigure, KeywordsThatWrapOrExhaustTheHostAreRejected)
         {"IdsCheck", "CONNTRACK 4294967296", "CONNTRACK"},
         {"IdsCheck", "4294967296", "CONNTRACK"},
         {"IdsCheck", "IDLE_TIMEOUT_MS 1e303", "IDLE_TIMEOUT_MS"},
+        {"IdsCheck", "IDLE_TIMEOUT_MS 1e-9", "IDLE_TIMEOUT_MS"},
+        {"IdsCheck", "IDLE_TIMEOUT_MS 0", "IDLE_TIMEOUT_MS"},
+        {"Napt", "IDLE_TIMEOUT_MS 1e-9", "IDLE_TIMEOUT_MS"},
         {"WorkPackage", "S 4000000", "S"},
+        {"WorkPackage", "N 1025", "N"},
+        {"WorkPackage", "N 4000000000", "N"},
+        {"WorkPackage", "W 4000000000", "W"},
         {"VLANEncap", "65536", "VLAN_ID"},
         {"FromDPDKDevice", "PORT 4294967296", "PORT"},
     };
@@ -177,25 +185,21 @@ TEST(ElementConfigure, KeywordsThatWrapOrExhaustTheHostAreRejected)
                   std::string::npos)
             << err;
     }
-    // The largest values the bounds admit still configure.
+    // The values at the bounds, and Napt's 0 (no aging), still
+    // configure.
     std::string err;
     EXPECT_TRUE(r.create("Napt")->configure(
-        {"SRCIP 10.0.0.1", "CAPACITY 524288"}, &err))
+        {"SRCIP 10.0.0.1", "CAPACITY 524288", "IDLE_TIMEOUT_MS 0.001"},
+        &err))
         << err;
-    EXPECT_TRUE(r.create("WorkPackage")->configure({"S 64", "N 5", "W 20"},
-                                                   &err))
+    EXPECT_TRUE(r.create("Napt")->configure(
+        {"SRCIP 10.0.0.1", "IDLE_TIMEOUT_MS 0"}, &err))
         << err;
-}
-
-TEST(ElementConfigure, TxBurstZeroIsRejectedLikeRx)
-{
-    register_standard_elements();
-    auto &r = ElementRegistry::instance();
-    std::string err;
-    EXPECT_FALSE(r.create("ToDPDKDevice")->configure({"BURST 0"}, &err));
-    EXPECT_NE(err.find("BURST expects"), std::string::npos) << err;
-    EXPECT_FALSE(r.create("FromDPDKDevice")->configure({"BURST 0"}, &err));
-    EXPECT_TRUE(r.create("ToDPDKDevice")->configure({"BURST 64"}, &err))
+    EXPECT_TRUE(r.create("IdsCheck")->configure(
+        {"CONNTRACK 4096", "IDLE_TIMEOUT_MS 0.001"}, &err))
+        << err;
+    EXPECT_TRUE(r.create("WorkPackage")
+                    ->configure({"S 64", "N 1024", "W 1024"}, &err))
         << err;
 }
 
@@ -225,6 +229,30 @@ TEST(Pipeline, BuildRejectsKeywordsThatWouldExhaustTheHost)
         EXPECT_NE(err.find(std::string(keyword) + " expects an integer"),
                   std::string::npos)
             << err;
+    }
+}
+
+// The RX burst is FromDPDKDevice's BURST; ToDPDKDevice takes none and
+// FromDPDKDevice no N_QUEUES (the engine gives every core one queue per
+// NIC), so a config setting either fails instead of being ignored.
+TEST(Pipeline, BuildRejectsUnreadDeviceKeywords)
+{
+    for (const auto &[config, expect] :
+         {std::pair{"in :: FromDPDKDevice(PORT 0); out :: "
+                    "ToDPDKDevice(PORT 0, BURST 8); in -> out;",
+                    "ToDPDKDevice: unknown key 'BURST'"},
+          std::pair{"in :: FromDPDKDevice(PORT 0, N_QUEUES 1); out :: "
+                    "ToDPDKDevice(PORT 0); in -> out;",
+                    "FromDPDKDevice: unknown key 'N_QUEUES'"},
+          std::pair{"in :: FromDPDKDevice(PORT 0, BURST 0); out :: "
+                    "ToDPDKDevice(PORT 0); in -> out;",
+                    "FromDPDKDevice: BURST expects an integer in [1, 64]"}}) {
+        SimMemory mem;
+        std::string err;
+        EXPECT_EQ(Pipeline::build(config, mem, PipelineOpts::vanilla(), &err),
+                  nullptr)
+            << config;
+        EXPECT_NE(err.find(expect), std::string::npos) << err;
     }
 }
 

@@ -409,8 +409,6 @@ TEST(FuzzRunFlags, RandomFlagSetsParseOrFailNamingAFlag)
         EXPECT_TRUE(f.host_threads >= 1 && f.host_threads <= f.cores);
         EXPECT_TRUE(f.sockets >= 1 && f.sockets <= f.cores);
         EXPECT_GE(f.nics, 1u);
-        EXPECT_TRUE(f.rss_table == 0 || is_pow2(f.rss_table));
-        EXPECT_TRUE(f.queue_weight >= 1 && f.queue_weight <= kMaxQueueWeight);
         EXPECT_TRUE(f.size == 0 ||
                     (f.size >= kMinFrameLen && f.size <= kMaxFrameLen));
         for (double v : {f.freq, f.offered, f.duration_us, f.trace_rate})
@@ -419,9 +417,8 @@ TEST(FuzzRunFlags, RandomFlagSetsParseOrFailNamingAFlag)
             EXPECT_TRUE(std::isfinite(v) && v >= 0) << v;
         EXPECT_LE(f.trace_rate, 1.0);
         EXPECT_EQ(f.load_step_us > 0, f.load_step_gbps > 0);
-        const PipelineOpts o = f.opts();
-        EXPECT_TRUE(o.burst >= 1 && o.burst <= kMaxBurst);
-        EXPECT_TRUE(f.park_split == 0 || o.model == MetadataModel::kParking);
+        EXPECT_TRUE(f.park_split == 0 ||
+                    f.opts().model == MetadataModel::kParking);
         if (!f.control.empty()) {
             EXPECT_NE(make_policy(f.control, ActuationLimits{},
                                   PolicyConfig{}),
@@ -438,8 +435,7 @@ TEST(FuzzElementKeywords, RandomKeywordsBuildOrFailNamingThem)
     // Every element that declares keywords, each keyword as a slot.
     const std::vector<std::pair<std::string, std::string>> slots = {
         {"FromDPDKDevice", "PORT 0"},  {"FromDPDKDevice", "BURST 32"},
-        {"FromDPDKDevice", "N_QUEUES 1"}, {"ToDPDKDevice", "PORT 0"},
-        {"ToDPDKDevice", "BURST 32"},  {"IdsCheck", "CONNTRACK 4096"},
+        {"ToDPDKDevice", "PORT 0"},    {"IdsCheck", "CONNTRACK 4096"},
         {"IdsCheck", "IDLE_TIMEOUT_MS 1"}, {"VLANEncap", "VLAN_ID 42"},
         {"VLANEncap", "VLAN_TCI 42"}, {"Napt", "SRCIP 100.0.0.1"},
         {"Napt", "CAPACITY 4096"},    {"Napt", "IDLE_TIMEOUT_MS 1"},
@@ -548,9 +544,6 @@ TEST(FuzzArtifactReaders, MutatedProfilesPlanWithinTheBurstBound)
              {opts_source_all(), PipelineOpts::vanilla()}) {
             const Plan plan = PlanSearch::search(p, opts);
             EXPECT_LE(plan.burst, kMaxBurst) << text;
-            const PipelineOpts next = plan.apply_to_opts(opts);
-            EXPECT_GE(next.burst, 1u) << text;
-            EXPECT_LE(next.burst, kMaxBurst) << text;
         }
     }
     EXPECT_GT(accepted, 100);

@@ -18,15 +18,15 @@ namespace {
 
 const char *kForwarderConfig = R"(
 // simple forwarder (paper §A.1)
-input  :: FromDPDKDevice(PORT 0, N_QUEUES 1, BURST 32);
-output :: ToDPDKDevice(PORT 0, BURST 32);
+input  :: FromDPDKDevice(PORT 0, BURST 32);
+output :: ToDPDKDevice(PORT 0);
 input -> EtherMirror -> output;
 )";
 
 const char *kRouterConfig = R"(
 // standard router (paper §A.2, one rule per port)
 input :: FromDPDKDevice(PORT 0, BURST 32);
-output :: ToDPDKDevice(PORT 0, BURST 32);
+output :: ToDPDKDevice(PORT 0);
 class :: Classifier(ARP, IP);
 rt :: IPLookup(20.0.0.0/8 0, 21.0.0.0/8 0, 22.0.0.0/8 0, 23.0.0.0/8 0,
                10.0.0.0/8 0, 0.0.0.0/0 0);
@@ -210,7 +210,7 @@ TEST(EngineIntegration, MulticoreNatScales)
 {
     const char *nat_config = R"(
 input :: FromDPDKDevice(PORT 0, BURST 32);
-output :: ToDPDKDevice(PORT 0, BURST 32);
+output :: ToDPDKDevice(PORT 0);
 input -> CheckIPHeader -> Napt(SRCIP 100.0.0.1) -> output;
 )";
     Trace t = make_campus_trace({4096, 1024, 11, 0.12, 0.0, 0.0});

@@ -41,6 +41,17 @@ TEST(Params, OrZeroAdmitsZeroBesideTheRange)
     EXPECT_EQ(len, 0u);
     EXPECT_FALSE(set_param(p, "59", &err));
     EXPECT_EQ(err, "len expects 0 or an integer in [60, 1514], got '59'");
+
+    double ms = 1.0;
+    const Param q{"ms", &ms, 0.001, 1e9, "timeout", /*open_below=*/false,
+                  /*or_zero=*/true};
+    EXPECT_TRUE(set_param(q, "0", &err)) << err;
+    EXPECT_EQ(ms, 0.0);
+    EXPECT_TRUE(set_param(q, "0.001", &err)) << err;
+    EXPECT_EQ(ms, 0.001);
+    EXPECT_FALSE(set_param(q, "1e-9", &err));
+    EXPECT_EQ(err, "ms expects 0 or a number in [0.001, 1e+09], got '1e-9'");
+    EXPECT_EQ(ms, 0.001);
 }
 
 TEST(Params, NumbersAreFiniteAndBounded)
@@ -132,7 +143,7 @@ TEST(RunFlags, BothValueFormsAndBareFlags)
     EXPECT_TRUE(f.json);
     EXPECT_TRUE(f.stats_json.empty());
     EXPECT_EQ(f.opts().model, opts_packetmill().model);
-    EXPECT_EQ(run_flag_table(&f).size(), 30u);
+    EXPECT_EQ(run_flag_table(&f).size(), 28u);
 }
 
 TEST(RunFlags, ModelAndParkSplitOverrideTheOptLevel)
@@ -164,17 +175,10 @@ TEST(RunFlags, CommandLineShapeErrorsPrintTheUsage)
     }
     const char *none[] = {"pmill_run"};
     EXPECT_FALSE(parse_run_flags(1, none, &f, &err));
-}
-
-TEST(RunFlags, RssTableMustBeAPowerOfTwo)
-{
-    RunFlags f;
-    std::string err;
-    EXPECT_TRUE(parse({"--rss-table", "1"}, &f, &err)) << err;
-    EXPECT_TRUE(parse({"--rss-table", "65536"}, &f, &err)) << err;
-    EXPECT_FALSE(parse({"--rss-table", "96"}, &f, &err));
-    EXPECT_EQ(err, "--rss-table expects 0 or a power of two in [1, 65536], "
-                   "got '96'");
+    // A flag where the Click config belongs is a missing config.
+    const char *flag_first[] = {"pmill_run", "--opt", "all"};
+    EXPECT_FALSE(parse_run_flags(3, flag_first, &f, &err));
+    EXPECT_EQ(err.rfind("no Click config given\n", 0), 0u) << err;
 }
 
 } // namespace

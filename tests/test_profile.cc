@@ -307,12 +307,10 @@ TEST(PlanSearchPolicy, StateOrderHotFirstOnlyWithStaticGraph)
 TEST(PlanApply, FoldsBuildTimeDecisionsIntoOpts)
 {
     Plan plan;
-    plan.burst = 8;
     plan.model = metadata_model_name(MetadataModel::kXchange);
     plan.state_order = {"rt", "class"};
     PipelineOpts base = opts_source_all();
     PipelineOpts out = plan.apply_to_opts(base);
-    EXPECT_EQ(out.burst, 8u);
     EXPECT_EQ(out.model, MetadataModel::kXchange);
     EXPECT_EQ(out.state_order, plan.state_order);
 
@@ -320,7 +318,6 @@ TEST(PlanApply, FoldsBuildTimeDecisionsIntoOpts)
     Plan none;
     EXPECT_TRUE(none.empty());
     PipelineOpts same = none.apply_to_opts(base);
-    EXPECT_EQ(same.burst, base.burst);
     EXPECT_EQ(same.model, base.model);
     EXPECT_TRUE(same.state_order.empty());
 }
@@ -411,6 +408,27 @@ TEST(GrindWithProfile, AppliesPlanInPlace)
     EXPECT_EQ(cls->match_order(), (std::vector<std::uint32_t>{1, 0}));
 }
 
+TEST(GrindWithProfile, AppliesThePlannedBurstToEveryCore)
+{
+    Profile profile = synthetic_profile();
+    profile.burst_hist.assign(33, 0);
+    profile.burst_hist[4] = 500;  // polls never fill a burst of 8
+    profile.burst_hist[5] = 500;
+
+    MachineConfig machine;
+    machine.num_cores = 2;
+    Engine engine(machine, router_config(32), opts_source_all(),
+                  default_campus_trace());
+    const MillReport rep = PacketMill::grind(engine, &profile);
+    EXPECT_EQ(rep.plan.burst, 8u);
+    for (std::uint32_t c = 0; c < engine.num_cores(); ++c)
+        EXPECT_EQ(engine.rx_burst(c), 8u) << "core " << c;
+
+    // A capture reads the burst the engine polls with, not a default.
+    const Profile next = capture_profile(engine, short_run());
+    EXPECT_EQ(next.burst, 8u);
+}
+
 TEST(GrindWithProfile, RefusedOrdersAreDroppedFromTheReportedPlan)
 {
     // A catch-all classifier under mostly-IP traffic: the hot-first
@@ -418,7 +436,7 @@ TEST(GrindWithProfile, RefusedOrdersAreDroppedFromTheReportedPlan)
     // grind time. The reported plan has to reflect that refusal.
     const std::string cfg =
         "in :: FromDPDKDevice(PORT 0, BURST 32);\n"
-        "out :: ToDPDKDevice(PORT 0, BURST 32);\n"
+        "out :: ToDPDKDevice(PORT 0);\n"
         "c :: Classifier(ARP, -);\n"
         "in -> c;\n"
         "c [0] -> Discard;\n"

@@ -2,13 +2,12 @@
  * @file
  * Tests for the many-core scale-out layer: the SteerFabric (shared
  * reprogrammable flow table + per-core handoff rings), the FlowSteer
- * element's engine integration, the NIC RSS indirection table at
- * engine level, the NUMA placement model, and the controller-driven
- * mid-run table rewrites.
+ * element's engine integration, the NUMA placement model, and the
+ * controller-driven mid-run table rewrites.
  *
  * The determinism contract from test_parallel.cc extends to all of
  * it: steered runs, multi-socket runs, and controlled runs with
- * mid-run indirection rewrites are bit-identical for every host
+ * mid-run steering-table rewrites are bit-identical for every host
  * thread count, because every piece of shared steering state is only
  * written at serial points in config-core order.
  */
@@ -247,8 +246,7 @@ TEST(Steering, MillionFlowHandoffThreadInvariant)
 }
 
 Snap
-run_controlled(std::uint32_t threads, const std::string &config,
-               std::uint32_t rss_table_size)
+run_controlled(std::uint32_t threads, const std::string &config)
 {
     WorkloadSpec spec;
     std::string err;
@@ -256,7 +254,6 @@ run_controlled(std::uint32_t threads, const std::string &config,
         << err;
     MachineConfig m;
     m.num_cores = 4;
-    m.nic.rss_table_size = rss_table_size;
     Engine engine(m, config, opts_packetmill(), spec);
 
     ControlConfig cc;
@@ -286,60 +283,17 @@ has_table_rewrites(const std::string &decisions)
 // included: the controller only ever acts at serial sampler points.
 TEST(Steering, MidRunFabricRewriteThreadInvariant)
 {
-    const Snap t1 = run_controlled(1, steered_router_config(), 0);
+    const Snap t1 = run_controlled(1, steered_router_config());
     EXPECT_GT(t1.r.tx_pkts, 0u);
     EXPECT_TRUE(has_table_rewrites(t1.decisions))
         << "skewed zipf load must provoke at least one bucket move:\n"
         << t1.decisions;
     EXPECT_GT(t1.steer.steered, 0u)
         << "rewrites must desynchronize the fabric from the NIC";
-    const Snap t2 = run_controlled(2, steered_router_config(), 0);
-    const Snap t4 = run_controlled(4, steered_router_config(), 0);
+    const Snap t2 = run_controlled(2, steered_router_config());
+    const Snap t4 = run_controlled(4, steered_router_config());
     expect_bitexact(t1, t2);
     expect_bitexact(t1, t4);
-}
-
-// Same contract for the hardware path: with the NIC RSS indirection
-// table enabled (and no FlowSteer element), the steer policy rewrites
-// RETA entries mid-run and the run stays bit-identical across thread
-// counts.
-TEST(Steering, MidRunNicIndirectionRewriteThreadInvariant)
-{
-    const Snap t1 = run_controlled(1, router_config(), 64);
-    EXPECT_GT(t1.r.tx_pkts, 0u);
-    EXPECT_TRUE(has_table_rewrites(t1.decisions))
-        << "skewed zipf load must provoke at least one RETA rewrite:\n"
-        << t1.decisions;
-    const Snap t2 = run_controlled(2, router_config(), 64);
-    const Snap t4 = run_controlled(4, router_config(), 64);
-    expect_bitexact(t1, t2);
-    expect_bitexact(t1, t4);
-}
-
-// Enabling the NIC indirection table WITHOUT reprogramming it is
-// bit-identical to the legacy modulo mapping (the round-robin default
-// reproduces hash % nqueues when the queue count divides the table
-// size) — the opt-in is free until the controller desynchronizes it.
-TEST(RssIndirection, DefaultTableBitIdenticalToLegacyEngine)
-{
-    auto run_one = [](std::uint32_t table_size) {
-        MachineConfig m;
-        m.num_cores = 4;
-        m.nic.rss_table_size = table_size;
-        Engine engine(m, router_config(), opts_packetmill(),
-                      default_campus_trace());
-        RunConfig rc;
-        rc.offered_gbps = 70.0;
-        rc.warmup_us = 200.0;
-        rc.duration_us = 600.0;
-        rc.sample_interval_us = 100.0;
-        rc.host_threads = 2;
-        return snapshot(engine, rc);
-    };
-    const Snap legacy = run_one(0);
-    const Snap reta = run_one(128);
-    EXPECT_GT(legacy.r.tx_pkts, 0u);
-    expect_bitexact(legacy, reta);
 }
 
 /// @}
