@@ -88,8 +88,9 @@ main()
     }
 
     // 3. Guided: model and placement applied at build time, burst and
-    //    rule orders by the grind with the profile.
-    const Plan plan = PlanSearch::search(profile, base_opts);
+    //    rule orders by the grind with the profile. The capture ran the
+    //    same config, so its burst is the one the guided engine runs.
+    const Plan plan = PlanSearch::search(profile, base_opts, profile.burst);
     const PipelineOpts guided_opts = plan.apply_to_opts(base_opts);
     const Measured guided =
         measure_traced(config, guided_opts, trace, &profile);

@@ -80,24 +80,20 @@ main(int argc, char **argv)
     machine.num_nics = f.nics;
     machine.num_sockets = f.sockets;
 
-    // Profile-guided grind: load the capture artifact and fold the
-    // plan's build-time decisions (model, state placement) into the
-    // options before the engine is built; the guided grind below
-    // applies the rest (burst, rule orders).
+    // Profile-guided grind: fold the plan's build-time decisions (model,
+    // state placement) into the options before the engine is built; the
+    // guided grind below plans the burst against the engine's and
+    // applies it with the rule orders.
     Profile profile;
     const bool guided = !f.profile_in.empty();
     const PipelineOpts base_opts = opts;
-    Plan plan;
     if (guided) {
         std::string perr;
         if (!Profile::load(f.profile_in, &profile, &perr)) {
             std::fprintf(stderr, "pmill_run: %s\n", perr.c_str());
             return 1;
         }
-        plan = PlanSearch::search(profile, opts);
-        opts = plan.apply_to_opts(opts);
-        if (!f.json)
-            std::printf("%s", plan.to_string().c_str());
+        opts = PlanSearch::search(profile, opts, 0).apply_to_opts(opts);
     }
 
     std::unique_ptr<Engine> engine_ptr =
@@ -105,24 +101,25 @@ main(int argc, char **argv)
             ? std::make_unique<Engine>(machine, config, opts, wspec)
             : std::make_unique<Engine>(machine, config, opts, trace);
     Engine &engine = *engine_ptr;
-    // The plan's searched burst bounds the controller's actuation
-    // range (applied below only when --control is given).
-    const ActuationLimits limits =
-        guided ? ActuationLimits::from_plan(plan, engine.rx_burst(0))
-               : ActuationLimits{};
+    const std::uint32_t configured_burst = engine.rx_burst(0);
+    MillReport mill_report =
+        PacketMill::grind(engine, guided ? &profile : nullptr, &base_opts);
+    if (guided && !f.json)
+        std::printf("%s", mill_report.plan.to_string().c_str());
+    if (f.report)
+        std::printf("%s\n", mill_report.to_string().c_str());
 
+    // The burst the grind applied bounds the controller's range.
     std::unique_ptr<Controller> controller;
     if (!f.control.empty()) {
         ControlConfig cc;
-        cc.limits = limits;
+        if (guided)
+            cc.limits =
+                ActuationLimits::from_plan(mill_report.plan, configured_burst);
         controller = std::make_unique<Controller>(
             make_policy(f.control, cc.limits, cc.policy), cc);
         engine.set_controller(controller.get());
     }
-    MillReport mill_report = guided ? PacketMill::grind(engine, &profile)
-                                    : PacketMill::grind(engine);
-    if (f.report)
-        std::printf("%s\n", mill_report.to_string().c_str());
 
     const bool tracing = !f.trace_out.empty() || !f.trace_jsonl.empty();
     if (tracing && f.host_threads > 1) {
@@ -216,20 +213,36 @@ main(int argc, char **argv)
     const std::vector<Element *> elems = engine.pipeline().elements();
     const std::vector<ElementStats> estats = engine.element_stats();
 
+    // The run's description and its results: written into the stats
+    // JSONL, and alone to stdout under --json.
+    auto write_meta = [&](std::ostream &out) {
+        JsonLine(out)
+            .str("type", "meta").str("config", f.config_path)
+            .str("model", metadata_model_name(opts.model))
+            .num("freq_ghz", f.freq).uint64("cores", f.cores)
+            .uint64("nics", f.nics).num("offered_gbps", f.offered)
+            .num("sample_interval_us", f.sample_us).end();
+    };
+    auto write_summary = [&](std::ostream &out) {
+        JsonLine(out)
+            .str("type", "summary").num("throughput_gbps", r.throughput_gbps)
+            .num("goodput_gbps", r.goodput_gbps).num("mpps", r.mpps)
+            .num("mean_latency_us", r.mean_latency_us)
+            .num("median_latency_us", r.median_latency_us)
+            .num("p99_latency_us", r.p99_latency_us)
+            .uint64("tx_pkts", r.tx_pkts).uint64("rx_drops", r.rx_drops)
+            .num("ipc", r.ipc)
+            .num("llc_kloads_per_100ms", r.llc_kloads_per_100ms)
+            .num("llc_kmisses_per_100ms", r.llc_kmisses_per_100ms).end();
+    };
+
     if (!f.stats_json.empty()) {
         std::ofstream out(f.stats_json);
         if (!out) {
             std::fprintf(stderr, "cannot write %s\n", f.stats_json.c_str());
             return 1;
         }
-        out << "{\"type\":\"meta\",\"config\":\""
-            << json_escape(f.config_path) << "\",\"model\":\""
-            << json_escape(metadata_model_name(opts.model))
-            << "\",\"freq_ghz\":" << json_number(f.freq)
-            << ",\"cores\":" << f.cores << ",\"nics\":" << f.nics
-            << ",\"offered_gbps\":" << json_number(f.offered)
-            << ",\"sample_interval_us\":" << json_number(f.sample_us)
-            << "}\n";
+        write_meta(out);
         export_jsonl(engine.timeline(), out);
         if (controller)
             controller->log().write_jsonl(out);
@@ -237,74 +250,28 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < elems.size() && i < estats.size();
              ++i) {
             const ElementStats &es = estats[i];
-            out << "{\"type\":\"element\",\"name\":\""
-                << json_escape(elems[i]->name()) << "\",\"class\":\""
-                << json_escape(elems[i]->class_name())
-                << "\",\"packets\":" << es.packets
-                << ",\"batches\":" << es.batches
-                << ",\"cycles\":" << json_number(es.cycles)
-                << ",\"mem_ns\":" << json_number(es.mem_ns)
-                << ",\"cycles_per_packet\":"
-                << json_number(es.cycles_per_packet())
-                << ",\"mem_ns_per_packet\":"
-                << json_number(es.mem_ns_per_packet()) << "}\n";
+            JsonLine(out)
+                .str("type", "element").str("name", elems[i]->name())
+                .str("class", elems[i]->class_name())
+                .uint64("packets", es.packets).uint64("batches", es.batches)
+                .num("cycles", es.cycles).num("mem_ns", es.mem_ns)
+                .num("cycles_per_packet", es.cycles_per_packet())
+                .num("mem_ns_per_packet", es.mem_ns_per_packet()).end();
         }
-        out << "{\"type\":\"summary\",\"throughput_gbps\":"
-            << json_number(r.throughput_gbps)
-            << ",\"goodput_gbps\":" << json_number(r.goodput_gbps)
-            << ",\"mpps\":" << json_number(r.mpps)
-            << ",\"mean_latency_us\":" << json_number(r.mean_latency_us)
-            << ",\"median_latency_us\":"
-            << json_number(r.median_latency_us)
-            << ",\"p99_latency_us\":" << json_number(r.p99_latency_us)
-            << ",\"tx_pkts\":" << r.tx_pkts
-            << ",\"rx_drops\":" << r.rx_drops
-            << ",\"ipc\":" << json_number(r.ipc)
-            << ",\"llc_kloads_per_100ms\":"
-            << json_number(r.llc_kloads_per_100ms)
-            << ",\"llc_kmisses_per_100ms\":"
-            << json_number(r.llc_kmisses_per_100ms) << "}\n";
-        out << "{\"type\":\"host\",\"wall_s\":" << json_number(host_wall_s)
-            << ",\"sim_s\":" << json_number(sim_s)
-            << ",\"sim_per_wall\":" << json_number(sim_per_wall)
-            << ",\"sim_pkts_per_s\":" << json_number(host_pkts_per_s)
-            << ",\"host_threads\":" << f.host_threads
-            << ",\"peak_rss_mb\":" << json_number(peak_rss_mb) << "}\n";
-    }
-
-    if (!f.stats_csv.empty()) {
-        std::ofstream out(f.stats_csv);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", f.stats_csv.c_str());
-            return 1;
-        }
-        export_csv(engine.timeline(), out);
+        write_summary(out);
+        JsonLine(out)
+            .str("type", "host").num("wall_s", host_wall_s)
+            .num("sim_s", sim_s).num("sim_per_wall", sim_per_wall)
+            .num("sim_pkts_per_s", host_pkts_per_s)
+            .uint64("host_threads", f.host_threads)
+            .num("peak_rss_mb", peak_rss_mb).end();
     }
 
     if (f.json) {
-        std::printf(
-            "{\n"
-            "  \"config\": \"%s\",\n"
-            "  \"model\": \"%s\",\n"
-            "  \"freq_ghz\": %.2f,\n"
-            "  \"cores\": %u,\n"
-            "  \"nics\": %u,\n"
-            "  \"offered_gbps\": %.2f,\n"
-            "  \"throughput_gbps\": %.3f,\n"
-            "  \"goodput_gbps\": %.3f,\n"
-            "  \"mpps\": %.3f,\n"
-            "  \"latency_us\": {\"mean\": %.3f, \"median\": %.3f, "
-            "\"p99\": %.3f},\n"
-            "  \"rx_drops\": %llu,\n"
-            "  \"llc_kloads_per_100ms\": %.1f,\n"
-            "  \"llc_kmisses_per_100ms\": %.2f,\n"
-            "  \"ipc\": %.3f\n"
-            "}\n",
-            f.config_path.c_str(), metadata_model_name(opts.model), f.freq,
-            f.cores, f.nics, f.offered, r.throughput_gbps, r.goodput_gbps,
-            r.mpps, r.mean_latency_us, r.median_latency_us,
-            r.p99_latency_us, static_cast<unsigned long long>(r.rx_drops),
-            r.llc_kloads_per_100ms, r.llc_kmisses_per_100ms, r.ipc);
+        std::ostringstream out;
+        write_meta(out);
+        write_summary(out);
+        std::fputs(out.str().c_str(), stdout);
         return 0;
     }
 

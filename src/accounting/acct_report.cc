@@ -1,17 +1,13 @@
 #include "src/accounting/acct_report.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
-#include <map>
 #include <ostream>
 
 #include "src/common/log.hh"
 #include "src/common/table_printer.hh"
 #include "src/runtime/engine.hh"
-#include "src/telemetry/bench_diff.hh"
 #include "src/telemetry/export.hh"
 
 namespace pmill {
@@ -24,25 +20,16 @@ pct(double part, double whole)
     return whole > 0 ? part / whole * 100.0 : 0.0;
 }
 
-double
-field_num(const std::map<std::string, std::string> &obj,
-          const std::string &key)
-{
-    auto it = obj.find(key);
-    return it == obj.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr);
-}
-
 void
 write_breakdown(const AcctBreakdown &b, int core, std::ostream &os)
 {
     for (const AcctBucketRow &r : b.rows) {
-        os << "{\"type\":\"acct\",\"core\":" << core << ",\"scope\":\""
-           << json_escape(r.label)
-           << "\",\"element\":" << (r.is_element ? 1 : 0);
+        JsonLine line(os);
+        line.str("type", "acct").int64("core", core).str("scope", r.label)
+            .int64("element", r.is_element ? 1 : 0);
         for (std::uint32_t c = 0; c < kAcctNumComponents; ++c)
-            os << ",\"" << acct_component_name(c)
-               << "\":" << json_number(r.comp[c]);
-        os << ",\"total_cycles\":" << json_number(r.total) << "}\n";
+            line.num(acct_component_name(c), r.comp[c]);
+        line.num("total_cycles", r.total).end();
     }
 }
 
@@ -138,85 +125,65 @@ acct_write_jsonl(const AcctReport &report, std::ostream &os)
     write_breakdown(report.aggregate, -1, os);
     for (std::size_t c = 0; c < report.cores.size(); ++c)
         write_breakdown(report.cores[c], static_cast<int>(c), os);
-    os << "{\"type\":\"acct_check\",\"cores\":" << report.cores.size()
-       << ",\"sum_minus_total_fixed\":" << report.sum_minus_total_fixed
-       << ",\"residual_cycles\":" << json_number(report.residual_cycles)
-       << ",\"clock_cycles\":" << json_number(report.clock_cycles)
-       << ",\"total_cycles\":"
-       << json_number(report.aggregate.total_cycles) << "}\n";
+    JsonLine(os)
+        .str("type", "acct_check").uint64("cores", report.cores.size())
+        .int64("sum_minus_total_fixed", report.sum_minus_total_fixed)
+        .num("residual_cycles", report.residual_cycles)
+        .num("clock_cycles", report.clock_cycles)
+        .num("total_cycles", report.aggregate.total_cycles).end();
 }
 
 bool
 acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
 {
     AcctReport rep;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        std::map<std::string, std::string> obj;
-        if (!parse_json_object_line(line, &obj)) {
-            if (err)
-                *err = strprintf("line %zu is not a JSON object", lineno);
-            return false;
-        }
-        auto type = obj.find("type");
-        if (type == obj.end())
-            continue;
-        if (type->second == "acct") {
-            // -1 is the aggregate; a core index is below pmill_run's
-            // --cores bound. Checked before the cast, which is
-            // undefined for NaN, infinities and out-of-range values.
-            const double core_num = field_num(obj, "core");
-            if (!(core_num >= -1 && core_num < kMaxCores) ||
-                core_num != std::floor(core_num)) {
-                if (err)
-                    *err = strprintf("acct line %zu: core is not an "
-                                     "integer in [-1, %u)",
-                                     lineno, kMaxCores);
-                return false;
+    const bool ok = read_jsonl(
+        is,
+        [&](JsonFields &f, std::string *why) {
+            const std::string type = f.str("type");
+            if (type == "acct") {
+                // -1 is the aggregate; a core index is below pmill_run's
+                // --cores bound, and a line without one is refused too.
+                // Checked before the cast, which is undefined for
+                // out-of-range values.
+                const double core = f.num("core", -2);
+                if (!(core >= -1 && core < kMaxCores) ||
+                    core != std::floor(core)) {
+                    *why = strprintf("core is not an integer in [-1, %u)",
+                                     kMaxCores);
+                    return false;
+                }
+                AcctBucketRow row;
+                row.label = f.str("scope", "?");
+                row.is_element = f.num("element") != 0;
+                for (std::uint32_t c = 0; c < kAcctNumComponents; ++c)
+                    row.comp[c] = f.num(acct_component_name(c));
+                row.total = f.num("total_cycles");
+                if (core < 0) {
+                    rep.aggregate.rows.push_back(std::move(row));
+                } else {
+                    const auto i = static_cast<std::size_t>(core);
+                    if (rep.cores.size() <= i)
+                        rep.cores.resize(i + 1);
+                    rep.cores[i].rows.push_back(std::move(row));
+                }
+            } else if (type == "acct_check") {
+                // An integer: the writer prints it exactly, and a double
+                // would round anything above 2^53.
+                if (!f.has("sum_minus_total_fixed"))
+                    f.reject("sum_minus_total_fixed");
+                rep.sum_minus_total_fixed = f.int64("sum_minus_total_fixed");
+                rep.residual_cycles = f.num("residual_cycles");
+                rep.clock_cycles = f.num("clock_cycles");
             }
-            const int core = static_cast<int>(core_num);
-            AcctBucketRow row;
-            auto scope = obj.find("scope");
-            row.label = scope == obj.end() ? "?" : scope->second;
-            row.is_element = field_num(obj, "element") != 0;
-            for (std::uint32_t c = 0; c < kAcctNumComponents; ++c)
-                row.comp[c] = field_num(obj, acct_component_name(c));
-            row.total = field_num(obj, "total_cycles");
-            if (core < 0) {
-                rep.aggregate.rows.push_back(std::move(row));
-            } else {
-                if (rep.cores.size() <= static_cast<std::size_t>(core))
-                    rep.cores.resize(static_cast<std::size_t>(core) + 1);
-                rep.cores[static_cast<std::size_t>(core)].rows.push_back(
-                    std::move(row));
-            }
-        } else if (type->second == "acct_check") {
-            // Read as an integer: the writer prints it exactly, and a
-            // double would round anything above 2^53.
-            const std::string &fixed = obj["sum_minus_total_fixed"];
-            const char *end = fixed.data() + fixed.size();
-            const auto [at, ec] = std::from_chars(
-                fixed.data(), end, rep.sum_minus_total_fixed);
-            if (ec != std::errc() || at != end) {
-                if (err)
-                    *err = strprintf("acct_check line %zu: "
-                                     "sum_minus_total_fixed is not a "
-                                     "64-bit integer",
-                                     lineno);
-                return false;
-            }
-            rep.residual_cycles = field_num(obj, "residual_cycles");
-            rep.clock_cycles = field_num(obj, "clock_cycles");
-        }
-    }
+            return true;
+        },
+        err);
+    if (!ok)
+        return false;
     if (rep.empty()) {
-        if (err)
-            *err = "no {\"type\":\"acct\"} lines found (was the run made "
-                   "with cycle accounting compiled in?)";
+        *err = "no {\"type\":\"acct\"} lines found (was the run made "
+               "with cycle accounting compiled in?)";
         return false;
     }
     finish_breakdown(rep.aggregate);

@@ -87,11 +87,13 @@ void acct_write_jsonl(const AcctReport &report, std::ostream &os);
 
 /**
  * Rebuild a report from a stats JSONL stream containing the lines
- * acct_write_jsonl() produced (other line types are skipped).
- * Returns false (with @p err set, naming the line) when a non-empty
- * line is not a JSON object, when no acct lines are present, when an
- * acct line's core is not an integer in [-1, kMaxCores), or when
- * sum_minus_total_fixed is not a decimal 64-bit integer.
+ * acct_write_jsonl() produced (other line types are skipped). Values
+ * are read through JsonFields. Returns false (with @p err set, naming
+ * the line) when a non-empty line is not a JSON object, when a number
+ * on an acct or acct_check line is malformed or not finite (naming
+ * the key), when an acct line's core is missing or not an integer in
+ * [-1, kMaxCores), when sum_minus_total_fixed is missing or not a
+ * decimal 64-bit integer, or when no acct lines are present.
  */
 bool acct_report_from_jsonl(std::istream &is, AcctReport *out,
                             std::string *err);

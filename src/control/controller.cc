@@ -10,15 +10,12 @@ namespace pmill {
 void
 DecisionLog::write_jsonl(std::ostream &os) const
 {
-    for (const Decision &d : decisions) {
-        os << "{\"type\":\"decision\",\"t_us\":" << json_number(d.t_us)
-           << ",\"knob\":\"" << json_escape(d.knob) << "\""
-           << ",\"core\":" << d.core << ",\"queue\":" << d.queue
-           << ",\"from\":" << json_number(d.from)
-           << ",\"to\":" << json_number(d.to)
-           << ",\"clamped\":" << (d.clamped ? "true" : "false")
-           << ",\"reason\":\"" << json_escape(d.reason) << "\"}\n";
-    }
+    for (const Decision &d : decisions)
+        JsonLine(os)
+            .str("type", "decision").num("t_us", d.t_us).str("knob", d.knob)
+            .uint64("core", d.core).int64("queue", d.queue)
+            .num("from", d.from).num("to", d.to)
+            .boolean("clamped", d.clamped).str("reason", d.reason).end();
 }
 
 std::string
@@ -116,8 +113,7 @@ Controller::apply(double t_us, const ControlAction &want, Actuator &act)
                 std::clamp(want.burst, lim.burst_min, lim.burst_max);
             const std::uint32_t from = act.rx_burst(c);
             if (to != from) {
-                if (!cfg_.dry_run)
-                    act.set_rx_burst(c, to);
+                act.set_rx_burst(c, to);
                 log_change(t_us, "rx_burst", c, -1, from, to,
                            to != want.burst, want.reason);
             }
@@ -128,8 +124,7 @@ Controller::apply(double t_us, const ControlAction &want, Actuator &act)
                                          lim.backoff_max_ns);
             const double from = act.poll_backoff_ns(c);
             if (to != from) {
-                if (!cfg_.dry_run)
-                    act.set_poll_backoff_ns(c, to);
+                act.set_poll_backoff_ns(c, to);
                 log_change(t_us, "poll_backoff_ns", c, -1, from, to,
                            to != want.backoff_ns, want.reason);
             }
@@ -192,8 +187,7 @@ Controller::rebalance_rss(double t_us, std::uint32_t max_moves,
             if (best < 0)
                 break;
             const std::uint32_t b = static_cast<std::uint32_t>(best);
-            if (!cfg_.dry_run)
-                act.set_rss_table_entry(b, cold);
+            act.set_rss_table_entry(b, cold);
             log_change(t_us, "rss_table_entry", cold,
                        static_cast<std::int32_t>(b), hot, cold, false,
                        reason);
@@ -204,8 +198,7 @@ Controller::rebalance_rss(double t_us, std::uint32_t max_moves,
     }
 
     // Fresh counters for the next interval's placement decision.
-    if (!cfg_.dry_run)
-        act.reset_rss_entry_loads();
+    act.reset_rss_entry_loads();
 }
 
 void

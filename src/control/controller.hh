@@ -26,7 +26,7 @@
 
 namespace pmill {
 
-/** One applied (or dry-run) knob change. */
+/** One applied knob change. */
 struct Decision {
     double t_us = 0;   ///< sample-interval end that triggered it
     std::string knob;  ///< "rx_burst" | "poll_backoff_ns" | "rss_table_entry"
@@ -60,8 +60,6 @@ struct ControlConfig {
     /// the engine's configured values).
     std::uint32_t initial_burst = 0;
     double initial_backoff_ns = -1;
-    /// Record decisions without actuating (for equivalence checks).
-    bool dry_run = false;
 };
 
 /**

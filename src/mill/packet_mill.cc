@@ -171,12 +171,17 @@ PacketMill::analyze(Pipeline &pipeline, bool apply_reorder)
 }
 
 MillReport
-PacketMill::grind(Engine &engine, const Profile *profile)
+PacketMill::grind(Engine &engine, const Profile *profile,
+                  const PipelineOpts *base)
 {
     MillReport report;
     Plan plan;
+    // Every core runs the same config: the plan only ever shrinks
+    // core 0's burst, and so every core's.
     if (profile)
-        plan = PlanSearch::search(*profile, engine.pipeline(0).opts());
+        plan = PlanSearch::search(*profile,
+                                  base ? *base : engine.pipeline(0).opts(),
+                                  engine.rx_burst(0));
     if (plan.burst != 0)
         for (std::uint32_t c = 0; c < engine.num_cores(); ++c)
             engine.set_rx_burst(c, plan.burst);

@@ -107,16 +107,17 @@ class PacketMill {
      * PipelineOpts) and return the build report.
      *
      * With a @p profile from a capture run, the grind additionally
-     * consumes a PlanSearch plan: the searched burst becomes every
-     * core's RX burst, measured-hot-first rule orders are applied in
-     * place and the field-reordering scan is weighted by measured
-     * element heat. The plan's build-time decisions (metadata model,
-     * state placement) are returned in the report's plan for the
-     * caller to fold into the next engine build via
-     * Plan::apply_to_opts.
+     * consumes a PlanSearch plan, searched against @p base (the options
+     * before Plan::apply_to_opts; null: the engine's) and the burst
+     * the engine runs: a smaller planned burst becomes every core's RX
+     * burst, measured-hot-first rule orders are applied in place and
+     * the field-reordering scan is weighted by measured element heat.
+     * The plan's build-time decisions (metadata model, state placement)
+     * are returned in the report's plan, for the caller to fold into
+     * the engine build via Plan::apply_to_opts.
      */
-    static MillReport grind(Engine &engine,
-                            const Profile *profile = nullptr);
+    static MillReport grind(Engine &engine, const Profile *profile = nullptr,
+                            const PipelineOpts *base = nullptr);
 
     /** Report-only variant for a single pipeline. */
     static MillReport analyze(Pipeline &pipeline, bool apply_reorder);

@@ -1,10 +1,7 @@
 #include "src/mill/profile.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -12,7 +9,6 @@
 #include "src/common/log.hh"
 #include "src/common/table_printer.hh"
 #include "src/runtime/engine.hh"
-#include "src/telemetry/bench_diff.hh"
 #include "src/telemetry/export.hh"
 #include "src/tracing/lifecycle.hh"
 
@@ -32,102 +28,6 @@ join_u64(const std::vector<std::uint64_t> &v)
     }
     return s;
 }
-
-/// Strict whole-token parses: a corrupted or hand-edited artifact
-/// must fail the load, not silently parse as 0.
-bool
-parse_u64_token(const std::string &tok, std::uint64_t *out)
-{
-    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    *out = std::strtoull(tok.c_str(), &end, 10);
-    return end == tok.c_str() + tok.size() && errno == 0;
-}
-
-bool
-parse_double_token(const std::string &tok, double *out)
-{
-    if (tok.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    *out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size() && errno == 0;
-}
-
-bool
-split_u64(const std::string &s, std::vector<std::uint64_t> *out)
-{
-    out->clear();
-    if (s.empty())
-        return true;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::string tok =
-            s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                     : comma - pos);
-        std::uint64_t v = 0;
-        if (!parse_u64_token(tok, &v))
-            return false;
-        out->push_back(v);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
-}
-
-/**
- * Field accessors over one parsed JSON-Lines object. A missing key
- * reads as the zero value (older artifacts may lack newer fields);
- * a present-but-malformed value records the key in `bad` so the
- * caller can fail the whole parse.
- */
-struct Fields {
-    const std::map<std::string, std::string> &obj;
-    std::string bad;  ///< first key with a malformed value; "" = ok
-
-    std::string
-    s(const char *key) const
-    {
-        auto it = obj.find(key);
-        return it == obj.end() ? std::string() : it->second;
-    }
-
-    double
-    d(const char *key)
-    {
-        auto it = obj.find(key);
-        double v = 0.0;
-        if (it != obj.end() && !parse_double_token(it->second, &v) &&
-            bad.empty())
-            bad = key;
-        return v;
-    }
-
-    std::uint64_t
-    u(const char *key)
-    {
-        auto it = obj.find(key);
-        std::uint64_t v = 0;
-        if (it != obj.end() && !parse_u64_token(it->second, &v) &&
-            bad.empty())
-            bad = key;
-        return v;
-    }
-
-    std::vector<std::uint64_t>
-    u64s(const char *key)
-    {
-        std::vector<std::uint64_t> v;
-        if (!split_u64(s(key), &v) && bad.empty())
-            bad = key;
-        return v;
-    }
-};
 
 /// Smallest power of two >= v (v >= 1).
 std::uint32_t
@@ -173,28 +73,25 @@ std::string
 Profile::to_json() const
 {
     std::ostringstream os;
-    os << "{\"type\":\"profile_meta\""
-       << ",\"freq_ghz\":" << json_number(freq_ghz)
-       << ",\"p99_latency_us\":" << json_number(p99_latency_us)
-       << ",\"throughput_gbps\":" << json_number(throughput_gbps)
-       << ",\"mpps\":" << json_number(mpps)
-       << ",\"stall_share\":" << json_number(stall_share)
-       << ",\"burst\":" << burst << ",\"model\":\"" << json_escape(model)
-       << "\",\"dominant_element\":\"" << json_escape(dominant_element)
-       << "\"}\n";
-    for (const ProfileElement &e : elements) {
-        os << "{\"type\":\"profile_element\",\"name\":\""
-           << json_escape(e.name) << "\",\"class\":\""
-           << json_escape(e.class_name) << "\",\"packets\":" << e.packets
-           << ",\"cycles\":" << json_number(e.cycles)
-           << ",\"mem_ns\":" << json_number(e.mem_ns)
-           << ",\"time_share\":" << json_number(e.time_share)
-           << ",\"stall_share\":" << json_number(e.stall_share)
-           << ",\"tail_excess_us\":" << json_number(e.tail_excess_us)
-           << ",\"rule_hits\":\"" << join_u64(e.rule_hits) << "\"}\n";
-    }
-    os << "{\"type\":\"profile_burst_hist\",\"hist\":\""
-       << join_u64(burst_hist) << "\"}\n";
+    JsonLine(os)
+        .str("type", "profile_meta").num("freq_ghz", freq_ghz)
+        .num("p99_latency_us", p99_latency_us)
+        .num("throughput_gbps", throughput_gbps).num("mpps", mpps)
+        .num("stall_share", stall_share).uint64("burst", burst)
+        .str("model", model).str("dominant_element", dominant_element)
+        .end();
+    for (const ProfileElement &e : elements)
+        JsonLine(os)
+            .str("type", "profile_element").str("name", e.name)
+            .str("class", e.class_name).uint64("packets", e.packets)
+            .num("cycles", e.cycles).num("mem_ns", e.mem_ns)
+            .num("time_share", e.time_share)
+            .num("stall_share", e.stall_share)
+            .num("tail_excess_us", e.tail_excess_us)
+            .str("rule_hits", join_u64(e.rule_hits)).end();
+    JsonLine(os)
+        .str("type", "profile_burst_hist").str("hist", join_u64(burst_hist))
+        .end();
     return os.str();
 }
 
@@ -204,70 +101,55 @@ Profile::parse(const std::string &text, Profile *out, std::string *err)
     *out = Profile{};
     bool have_meta = false;
     std::istringstream is(text);
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        std::map<std::string, std::string> obj;
-        if (!parse_json_object_line(line, &obj)) {
-            if (err)
-                *err = strprintf("profile line %zu: malformed JSON",
-                                 lineno);
-            return false;
-        }
-        Fields f{obj, {}};
-        const std::string type = f.s("type");
-        if (type == "profile_meta") {
-            out->freq_ghz = f.d("freq_ghz");
-            out->p99_latency_us = f.d("p99_latency_us");
-            out->throughput_gbps = f.d("throughput_gbps");
-            out->mpps = f.d("mpps");
-            out->stall_share = f.d("stall_share");
-            // A burst the engine cannot run would reach it through
-            // the plan; the capture never records one.
-            const std::uint64_t burst = f.u("burst");
-            if (burst > kMaxBurst && f.bad.empty())
-                f.bad = "burst";
-            out->burst = static_cast<std::uint32_t>(burst);
-            out->model = f.s("model");
-            out->dominant_element = f.s("dominant_element");
-            have_meta = true;
-        } else if (type == "profile_element") {
-            ProfileElement e;
-            e.name = f.s("name");
-            e.class_name = f.s("class");
-            e.packets = f.u("packets");
-            e.cycles = f.d("cycles");
-            e.mem_ns = f.d("mem_ns");
-            e.time_share = f.d("time_share");
-            e.stall_share = f.d("stall_share");
-            e.tail_excess_us = f.d("tail_excess_us");
-            e.rule_hits = f.u64s("rule_hits");
-            out->elements.push_back(std::move(e));
-        } else if (type == "profile_burst_hist") {
-            // Slots 0..kMaxBurst: the capture writes exactly these.
-            out->burst_hist = f.u64s("hist");
-            if (out->burst_hist.size() > kMaxBurst + 1 && f.bad.empty())
-                f.bad = "hist";
-        } else {
-            if (err)
-                *err = strprintf("profile line %zu: unknown type '%s'",
-                                 lineno, type.c_str());
-            return false;
-        }
-        if (!f.bad.empty()) {
-            if (err)
-                *err = strprintf(
-                    "profile line %zu: malformed value for '%s'", lineno,
-                    f.bad.c_str());
-            return false;
-        }
+    const bool ok = read_jsonl(
+        is,
+        [&](JsonFields &f, std::string *why) {
+            const std::string type = f.str("type");
+            if (type == "profile_meta") {
+                out->freq_ghz = f.num("freq_ghz");
+                out->p99_latency_us = f.num("p99_latency_us");
+                out->throughput_gbps = f.num("throughput_gbps");
+                out->mpps = f.num("mpps");
+                out->stall_share = f.num("stall_share");
+                // A burst the engine cannot run would reach it through
+                // the plan; the capture never records one.
+                const std::uint64_t burst = f.uint64("burst");
+                if (burst > kMaxBurst)
+                    f.reject("burst");
+                out->burst = static_cast<std::uint32_t>(burst);
+                out->model = f.str("model");
+                out->dominant_element = f.str("dominant_element");
+                have_meta = true;
+            } else if (type == "profile_element") {
+                ProfileElement e;
+                e.name = f.str("name");
+                e.class_name = f.str("class");
+                e.packets = f.uint64("packets");
+                e.cycles = f.num("cycles");
+                e.mem_ns = f.num("mem_ns");
+                e.time_share = f.num("time_share");
+                e.stall_share = f.num("stall_share");
+                e.tail_excess_us = f.num("tail_excess_us");
+                e.rule_hits = f.uint64_list("rule_hits");
+                out->elements.push_back(std::move(e));
+            } else if (type == "profile_burst_hist") {
+                // Slots 0..kMaxBurst: the capture writes exactly these.
+                out->burst_hist = f.uint64_list("hist");
+                if (out->burst_hist.size() > kMaxBurst + 1)
+                    f.reject("hist");
+            } else {
+                *why = "unknown type '" + type + "'";
+                return false;
+            }
+            return true;
+        },
+        err);
+    if (!ok) {
+        *err = "profile " + *err;
+        return false;
     }
     if (!have_meta) {
-        if (err)
-            *err = "profile has no profile_meta line";
+        *err = "profile has no profile_meta line";
         return false;
     }
     return true;
@@ -291,8 +173,7 @@ Profile::load(const std::string &path, Profile *out, std::string *err)
 {
     std::ifstream is(path);
     if (!is) {
-        if (err)
-            *err = "cannot open '" + path + "'";
+        *err = "cannot open '" + path + "'";
         return false;
     }
     std::ostringstream buf;
@@ -433,7 +314,8 @@ Plan::to_string() const
 }
 
 Plan
-PlanSearch::search(const Profile &profile, const PipelineOpts &base)
+PlanSearch::search(const Profile &profile, const PipelineOpts &base,
+                   std::uint32_t burst)
 {
     Plan plan;
 
@@ -468,21 +350,22 @@ PlanSearch::search(const Profile &profile, const PipelineOpts &base)
     }
 
     // 2. Burst size from measured occupancy: when the p99 occupancy
-    //    sits well under the configured burst, shrink toward the next
-    //    power of two — every packet's RX latency includes waiting
-    //    out the burst, so oversized bursts buy nothing. Saturated
-    //    polls keep the configured size (growing it only trades
-    //    latency and RX-ring headroom for no throughput). Floor 8.
-    if (profile.burst != 0 && !profile.burst_hist.empty()) {
+    //    sits well under the burst the engine runs, shrink toward the
+    //    next power of two — every packet's RX latency includes
+    //    waiting out the burst, so oversized bursts buy nothing.
+    //    Saturated polls keep the engine's size (growing it only
+    //    trades latency and RX-ring headroom for no throughput), and
+    //    so does a burst already at or below the result. Floor 8.
+    if (burst != 0 && !profile.burst_hist.empty()) {
         const std::uint32_t occ99 = profile.occupancy_percentile(99.0);
         if (occ99 > 0) {
             std::uint32_t want =
                 std::max<std::uint32_t>(8, round_up_pow2(occ99));
-            if (want < profile.burst) {
+            if (want < burst) {
                 plan.burst = want;
                 plan.rationale.push_back(strprintf(
-                    "burst %u -> %u (p99 occupancy %u)", profile.burst,
-                    want, occ99));
+                    "burst %u -> %u (p99 occupancy %u)", burst, want,
+                    occ99));
             }
         }
     }

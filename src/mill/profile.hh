@@ -121,7 +121,7 @@ Profile capture_profile(Engine &engine, const RunConfig &rc);
 
 /** The searched specialization decisions. */
 struct Plan {
-    /// RX burst size; 0 = keep the configured one.
+    /// RX burst size, below the engine's; 0 = keep the engine's.
     std::uint32_t burst = 0;
     /// Metadata-model upgrade (metadata_model_name spelling); empty =
     /// keep.
@@ -159,9 +159,13 @@ class PlanSearch {
   public:
     /**
      * Search specialization decisions for a pipeline built with
-     * @p base under the measured behaviour in @p profile.
+     * @p base under the measured behaviour in @p profile. @p burst is
+     * the RX burst the engine runs (Engine::rx_burst, the config's
+     * BURST), not the capture's Profile::burst: the planned burst is
+     * always below it, and 0 plans no burst.
      */
-    static Plan search(const Profile &profile, const PipelineOpts &base);
+    static Plan search(const Profile &profile, const PipelineOpts &base,
+                       std::uint32_t burst);
 };
 
 } // namespace pmill

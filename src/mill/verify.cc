@@ -121,12 +121,13 @@ verify_plan(const std::string &config, const PipelineOpts &base_opts,
     FrameBag a = collect(config, base_opts, trace, duration_us,
                          &r.frames_a);
     // Candidate: the plan fully applied — model and placement folded
-    // into the options, burst and rule orders via the guided grind.
-    const Plan plan = PlanSearch::search(profile, base_opts);
-    const PipelineOpts plan_opts = plan.apply_to_opts(base_opts);
+    // into the options, burst and rule orders via the guided grind,
+    // which plans the burst against the engine's.
+    const PipelineOpts plan_opts =
+        PlanSearch::search(profile, base_opts, 0).apply_to_opts(base_opts);
     FrameBag b = collect(config, plan_opts, trace, duration_us,
                          &r.frames_b, [&](Engine &engine) {
-                             PacketMill::grind(engine, &profile);
+                             PacketMill::grind(engine, &profile, &base_opts);
                          });
     compare_bags(a, b, &r);
     return r;

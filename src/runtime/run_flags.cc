@@ -62,10 +62,10 @@ run_flag_table(RunFlags *f)
         {"--report", &f->report, "print the PacketMill optimization report"},
         {"--explain", &f->explain,
          "print the cycle-accounting bottleneck report"},
-        {"--json", &f->json, "print the results as one JSON object"},
+        {"--json", &f->json,
+         "print the run's meta and summary JSON Lines instead"},
         {"--stats-json", &f->stats_json,
          "write telemetry, acct, element and host JSON Lines here"},
-        {"--stats-csv", &f->stats_csv, "write the sampled time series here"},
         {"--sample-interval-us", &f->sample_us, 0.0, 1e9,
          "telemetry snapshot period in us (0 = off)"},
         {"--trace-out", &f->trace_out,

@@ -28,7 +28,7 @@ struct RunFlags {
     std::uint32_t size = 0;  ///< 0: the campus trace
     std::string workload;
     bool verify = false, report = false, explain = false, json = false;
-    std::string stats_json, stats_csv;
+    std::string stats_json;
     double sample_us = 100.0;
     std::string trace_out, trace_jsonl;
     double trace_rate = 1.0;

@@ -32,175 +32,36 @@ is_host_column(const std::string &column)
 }
 
 bool
-parse_json_object_line(const std::string &line,
-                       std::map<std::string, std::string> *out)
-{
-    out->clear();
-    std::size_t i = 0;
-    const std::size_t n = line.size();
-    auto skip_ws = [&] {
-        while (i < n && std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
-    };
-    auto parse_string = [&](std::string *s) -> bool {
-        if (i >= n || line[i] != '"')
-            return false;
-        ++i;
-        s->clear();
-        while (i < n && line[i] != '"') {
-            if (line[i] == '\\' && i + 1 < n) {
-                ++i;
-                switch (line[i]) {
-                  case 'n': *s += '\n'; break;
-                  case 't': *s += '\t'; break;
-                  case 'r': *s += '\r'; break;
-                  case 'u':
-                    // \uXXXX: artifacts only emit control chars this
-                    // way; decode the low byte.
-                    if (i + 4 < n) {
-                        *s += static_cast<char>(std::strtol(
-                            line.substr(i + 1, 4).c_str(), nullptr, 16));
-                        i += 4;
-                    }
-                    break;
-                  default: *s += line[i];
-                }
-            } else {
-                *s += line[i];
-            }
-            ++i;
-        }
-        if (i >= n)
-            return false;
-        ++i;  // closing quote
-        return true;
-    };
-
-    skip_ws();
-    if (i >= n || line[i] != '{')
-        return false;
-    ++i;
-    skip_ws();
-    if (i < n && line[i] == '}')
-        return true;
-    while (true) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(&key))
-            return false;
-        skip_ws();
-        if (i >= n || line[i] != ':')
-            return false;
-        ++i;
-        skip_ws();
-        std::string val;
-        if (i < n && line[i] == '"') {
-            if (!parse_string(&val))
-                return false;
-        } else if (i < n && line[i] == '[') {
-            // Arrays only appear as the meta line's column list;
-            // capture the raw bracketed text.
-            const std::size_t start = i;
-            int depth = 0;
-            bool in_str = false;
-            for (; i < n; ++i) {
-                const char c = line[i];
-                if (in_str) {
-                    if (c == '\\')
-                        ++i;
-                    else if (c == '"')
-                        in_str = false;
-                } else if (c == '"') {
-                    in_str = true;
-                } else if (c == '[') {
-                    ++depth;
-                } else if (c == ']' && --depth == 0) {
-                    ++i;
-                    break;
-                }
-            }
-            if (depth != 0)
-                return false;
-            val = line.substr(start, i - start);
-        } else {
-            // Bare token: number / true / false / null.
-            const std::size_t start = i;
-            while (i < n && line[i] != ',' && line[i] != '}')
-                ++i;
-            val = line.substr(start, i - start);
-            while (!val.empty() &&
-                   std::isspace(static_cast<unsigned char>(val.back())))
-                val.pop_back();
-            if (val.empty())
-                return false;
-        }
-        (*out)[key] = val;
-        skip_ws();
-        if (i < n && line[i] == ',') {
-            ++i;
-            continue;
-        }
-        break;
-    }
-    skip_ws();
-    return i < n && line[i] == '}';
-}
-
-bool
 load_bench_table(const std::string &path, BenchTable *out, std::string *err)
 {
     std::ifstream in(path);
     if (!in) {
-        if (err)
-            *err = "cannot open " + path;
+        *err = "cannot open " + path;
         return false;
     }
     *out = BenchTable{};
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::map<std::string, std::string> obj;
-        if (!parse_json_object_line(line, &obj)) {
-            if (err)
-                *err = path + ": malformed line: " + line;
-            return false;
-        }
-        const auto type = obj.find("type");
-        if (type == obj.end())
-            continue;
-        if (type->second == "meta") {
-            out->bench = obj.count("bench") ? obj["bench"] : "";
-            out->title = obj.count("title") ? obj["title"] : "";
-            // Columns arrive as the raw `["a","b"]` text.
-            const std::string cols =
-                obj.count("columns") ? obj["columns"] : "[]";
-            std::string cur;
-            bool in_str = false;
-            for (std::size_t i = 0; i < cols.size(); ++i) {
-                const char c = cols[i];
-                if (in_str) {
-                    if (c == '\\' && i + 1 < cols.size())
-                        cur += cols[++i];
-                    else if (c == '"') {
-                        out->columns.push_back(cur);
-                        cur.clear();
-                        in_str = false;
-                    } else {
-                        cur += c;
-                    }
-                } else if (c == '"') {
-                    in_str = true;
-                }
+    std::string why;
+    const bool ok = read_jsonl(
+        in,
+        [&](JsonFields &f, std::string *) {
+            const std::string type = f.str("type");
+            if (type == "meta") {
+                out->bench = f.str("bench");
+                out->title = f.str("title");
+                out->columns = f.strings("columns");
+            } else if (type == "row") {
+                std::map<std::string, std::string> cells = f.raw();
+                cells.erase("type");
+                out->rows.push_back(std::move(cells));
             }
-        } else if (type->second == "row") {
-            obj.erase("type");
-            out->rows.push_back(std::move(obj));
-        }
+            return true;
+        },
+        &why);
+    if (!ok || out->bench.empty()) {
+        *err = path + ": " + (ok ? "no meta line" : why);
+        return false;
     }
-    if (out->bench.empty() && err)
-        *err = path + ": no meta line";
-    return !out->bench.empty();
+    return true;
 }
 
 std::vector<std::string>

@@ -28,14 +28,6 @@ namespace pmill {
  * token in its name ("wall_ms", "host_Mpps"). */
 bool is_host_column(const std::string &column);
 
-/**
- * Parse one flat JSON object line (string/number values, no nesting)
- * into @p out as raw value strings (string values unescaped).
- * @return false on malformed input.
- */
-bool parse_json_object_line(const std::string &line,
-                            std::map<std::string, std::string> *out);
-
 /** One bench artifact: the meta line + its row objects. */
 struct BenchTable {
     std::string bench;    ///< artifact basename
@@ -45,7 +37,10 @@ struct BenchTable {
     std::vector<std::map<std::string, std::string>> rows;
 };
 
-/** Load a BenchReport `<name>.json` artifact. */
+/**
+ * Load a BenchReport `<name>.json` artifact: the meta line's fields
+ * through JsonFields, each row's cells as their raw text.
+ */
 bool load_bench_table(const std::string &path, BenchTable *out,
                       std::string *err);
 

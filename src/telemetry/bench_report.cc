@@ -122,31 +122,23 @@ BenchReport::write_artifacts() const
     base += "/" + name_;
 
     std::ostringstream json;
-    json << "{\"type\":\"meta\",\"bench\":\"" << json_escape(name_)
-         << "\",\"title\":\"" << json_escape(title_) << "\",\"columns\":[";
-    for (std::size_t i = 0; i < header_.size(); ++i)
-        json << (i ? "," : "") << '"' << json_escape(header_[i]) << '"';
-    json << "]}\n";
+    JsonLine(json)
+        .str("type", "meta").str("bench", name_).str("title", title_)
+        .strings("columns", header_).end();
     for (const auto &r : rows_) {
-        json << "{\"type\":\"row\"";
+        JsonLine row(json);
+        row.str("type", "row");
         for (std::size_t i = 0; i < r.size() && i < header_.size(); ++i)
-            json << ",\"" << json_escape(header_[i])
-                 << "\":" << json_cell(r[i]);
-        json << "}\n";
+            row.cell(header_[i], r[i]);
+        row.end();
     }
 
-    std::ostringstream csv;
-    write_csv_record(csv, header_);
-    for (const auto &r : rows_)
-        write_csv_record(csv, r);
-
-    if (!write_file_atomic(base + ".json", json.str()) ||
-        !write_file_atomic(base + ".csv", csv.str())) {
-        warn("bench artifacts: cannot write %s.{json,csv}", base.c_str());
+    if (!write_file_atomic(base + ".json", json.str())) {
+        warn("bench artifacts: cannot write %s.json", base.c_str());
         return;
     }
 
-    std::printf("artifacts:  %s.json, %s.csv\n", base.c_str(), base.c_str());
+    std::printf("artifacts:  %s.json\n", base.c_str());
 }
 
 } // namespace pmill

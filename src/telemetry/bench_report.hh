@@ -3,8 +3,9 @@
  * BenchReport: the single definition of benchmark output. Each bench
  * binary fills rows once; emit() prints the aligned human table
  * (common/table_printer), the paper-reference note, and writes the
- * machine-readable artifacts (<name>.json JSON Lines + <name>.csv)
- * so every run leaves a comparable perf trajectory for later PRs.
+ * machine-readable artifact, <name>.json: a JSON Lines meta line
+ * (bench, title, columns) and one row object per result row, which
+ * pmill_bench_diff compares against the golden copy.
  *
  * Artifacts land in $PMILL_BENCH_DIR (default: the working
  * directory); set PMILL_BENCH_DIR=none to suppress them.
@@ -35,7 +36,7 @@ class BenchReport {
     /** Set the paper-reference footnote printed after the table. */
     void note(std::string text);
 
-    /** Print the table + note and write the JSON/CSV artifacts. */
+    /** Print the table + note and write the JSON artifact. */
     void emit() const;
 
     std::size_t num_rows() const { return rows_.size(); }

@@ -205,20 +205,18 @@ TailAttribution::to_string() const
 void
 TailAttribution::write_jsonl(std::ostream &os) const
 {
-    os << "{\"type\":\"tail_attribution\",\"threshold_us\":"
-       << json_number(threshold_us)
-       << ",\"num_complete\":" << num_complete
-       << ",\"num_tail\":" << num_tail << ",\"dominant_stage\":\""
-       << json_escape(dominant_stage) << "\",\"dominant_element\":\""
-       << json_escape(dominant_element) << "\"}\n";
-    for (const Row &r : rows) {
-        os << "{\"type\":\"tail_stage\",\"stage\":\""
-           << json_escape(r.stage)
-           << "\",\"mean_us_all\":" << json_number(r.mean_us_all)
-           << ",\"mean_us_tail\":" << json_number(r.mean_us_tail)
-           << ",\"excess_us\":" << json_number(r.excess_us)
-           << ",\"share_pct\":" << json_number(r.share_pct) << "}\n";
-    }
+    JsonLine(os)
+        .str("type", "tail_attribution").num("threshold_us", threshold_us)
+        .uint64("num_complete", num_complete).uint64("num_tail", num_tail)
+        .str("dominant_stage", dominant_stage)
+        .str("dominant_element", dominant_element).end();
+    for (const Row &r : rows)
+        JsonLine(os)
+            .str("type", "tail_stage").str("stage", r.stage)
+            .num("mean_us_all", r.mean_us_all)
+            .num("mean_us_tail", r.mean_us_tail)
+            .num("excess_us", r.excess_us).num("share_pct", r.share_pct)
+            .end();
 }
 
 } // namespace pmill

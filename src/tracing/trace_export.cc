@@ -235,16 +235,14 @@ export_trace_jsonl(const Tracer &tracer, std::ostream &os)
     const std::size_t n = tracer.size();
     for (std::size_t i = 0; i < n; ++i) {
         const TraceRecord &r = tracer.at(i);
-        os << "{\"kind\":\"" << trace_event_name(r.kind)
-           << "\",\"t_ns\":" << json_number(r.t_ns)
-           << ",\"core\":" << static_cast<unsigned>(r.core)
-           << ",\"batch\":" << r.batch_id << ",\"packet\":" << r.packet_id
-           << ",\"span\":\"" << json_escape(tracer.span_name(r.span))
-           << "\",\"arg\":" << r.arg;
+        JsonLine line(os);
+        line.str("kind", trace_event_name(r.kind)).num("t_ns", r.t_ns)
+            .uint64("core", r.core).uint64("batch", r.batch_id)
+            .uint64("packet", r.packet_id)
+            .str("span", tracer.span_name(r.span)).uint64("arg", r.arg);
         if (r.cycles != 0 || r.dur_ns != 0)
-            os << ",\"cycles\":" << json_number(r.cycles)
-               << ",\"dur_ns\":" << json_number(r.dur_ns);
-        os << "}\n";
+            line.num("cycles", r.cycles).num("dur_ns", r.dur_ns);
+        line.end();
     }
 }
 

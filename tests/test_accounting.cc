@@ -310,6 +310,48 @@ TEST(AcctReport, FixedSumReadsBackExactly)
             << fixed;
 }
 
+// One edit to a number on an acct line. An unchecked strtod read a
+// string core as 0, filing the aggregate line under core 0; a string
+// component as 0 cycles; and an overflowing one as inf.
+TEST(AcctReport, MalformedNumbersAreLoadErrors)
+{
+    const std::string line =
+        "{\"type\":\"acct\",\"core\":-1,\"scope\":\"framework\","
+        "\"element\":0,\"compute\":5,\"dram_stall\":3,"
+        "\"total_cycles\":8}";
+    auto error = [](const std::string &acct_line) {
+        std::istringstream is(
+            "{\"type\":\"acct\",\"core\":-1,\"scope\":\"idle\","
+            "\"element\":0,\"total_cycles\":10}\n" +
+            acct_line + "\n");
+        AcctReport rep;
+        std::string err;
+        return acct_report_from_jsonl(is, &rep, &err) ? std::string() : err;
+    };
+    EXPECT_EQ(error(line), "");
+    const struct {
+        const char *from, *to, *key;
+    } edits[] = {
+        {"\"core\":-1", "\"core\":\"x\"", "core"},
+        {"\"compute\":5", "\"compute\":\"oops\"", "compute"},
+        {"\"dram_stall\":3", "\"dram_stall\":1e999", "dram_stall"},
+        {"\"total_cycles\":8", "\"total_cycles\":nan", "total_cycles"},
+        {"\"element\":0", "\"element\":\"no\"", "element"},
+    };
+    for (const auto &e : edits) {
+        std::string edited = line;
+        edited.replace(edited.find(e.from), std::string(e.from).size(), e.to);
+        EXPECT_EQ(error(edited),
+                  std::string("line 2: malformed value for '") + e.key + "'")
+            << edited;
+    }
+    // A line without a core would be filed under core 0 too.
+    std::string no_core = line;
+    no_core.erase(no_core.find("\"core\":-1,"), 10);
+    EXPECT_NE(error(no_core).find("line 2: core"), std::string::npos)
+        << no_core;
+}
+
 TEST(AcctReport, StreamWithoutAcctLinesFails)
 {
     std::stringstream ss;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/telemetry/bench_diff.hh"
+#include "src/telemetry/export.hh"
 
 namespace pmill {
 namespace {
@@ -303,7 +304,7 @@ TEST(BenchDiffDirs, FreshArtifactWithoutGoldenFailsTheGate)
     base.write("t.json", kGoldenTable);
     cur.write("t.json", kGoldenTable);
     cur.write("u.json", kGoldenTable);
-    // Only .json artifacts count: the CSV twin and acct JSONL do not.
+    // Only .json artifacts count: a .csv or an acct JSONL does not.
     cur.write("t.csv", "a,b\n");
     cur.write("t_acct.jsonl", "{}\n");
     const BenchDiffResult res = diff_bench_dirs(base.path(), cur.path());

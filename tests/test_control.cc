@@ -3,8 +3,7 @@
  * Closed-loop control tests: policy decision rules (hysteresis
  * debounce and regimes, AIMD convergence), actuation-limit clamping,
  * the decision log's JSONL contract, actuator bounds enforcement, and
- * end-to-end controlled engine runs (knobs stay within limits; a
- * dry-run controller leaves the frame stream bit-identical).
+ * end-to-end controlled engine runs (knobs stay within limits).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,7 @@
 #include "src/mill/profile.hh"
 #include "src/runtime/engine.hh"
 #include "src/runtime/experiments.hh"
-#include "src/telemetry/bench_diff.hh"
+#include "src/telemetry/export.hh"
 
 namespace pmill {
 namespace {
@@ -411,53 +410,6 @@ TEST(EngineActuation, ControlledRunStaysWithinLimits)
     // The step pushes the engine into the high-load regime.
     EXPECT_EQ(engine.rx_burst(0), cc.limits.burst_max);
     EXPECT_EQ(engine.poll_backoff_ns(0), cc.limits.backoff_min_ns);
-}
-
-/** Frame multiset: payload bytes -> count (order-independent). */
-using FrameBag = std::map<std::string, std::uint64_t>;
-
-FrameBag
-collect_frames(Controller *ctl)
-{
-    Trace t = make_fixed_size_trace(512, 256, 32);
-    MachineConfig m;
-    m.freq_ghz = 3.0;
-    Engine engine(m, forwarder_config(), PipelineOpts::vanilla(), t);
-    if (ctl)
-        engine.set_controller(ctl);
-
-    FrameBag bag;
-    engine.set_tx_capture([&](const std::uint8_t *p, std::uint32_t len) {
-        ++bag[std::string(reinterpret_cast<const char *>(p), len)];
-    });
-
-    RunConfig rc;
-    rc.offered_gbps = 5.0;
-    rc.warmup_us = 0;
-    rc.duration_us = 800;
-    rc.sample_interval_us = 50;
-    rc.generator_stop_us = 600;  // lossless drain
-    rc.load_step_us = 200;
-    rc.load_step_gbps = 40.0;
-    engine.run(rc);
-    return bag;
-}
-
-TEST(EngineActuation, DryRunControllerIsFrameEquivalent)
-{
-    const FrameBag baseline = collect_frames(nullptr);
-    ASSERT_FALSE(baseline.empty());
-
-    ControlConfig cc;
-    cc.dry_run = true;
-    cc.initial_backoff_ns = 2000.0;  // would-be actuations, recorded only
-    Controller ctl(make_policy("aimd", cc.limits, cc.policy), cc);
-    const FrameBag controlled = collect_frames(&ctl);
-
-    EXPECT_FALSE(ctl.log().empty())
-        << "dry run still records what it would have done";
-    EXPECT_EQ(baseline, controlled)
-        << "a dry-run controller must not perturb the dataplane";
 }
 
 } // namespace

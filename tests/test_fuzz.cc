@@ -542,7 +542,8 @@ TEST(FuzzArtifactReaders, MutatedProfilesPlanWithinTheBurstBound)
         ++accepted;
         for (const PipelineOpts &opts :
              {opts_source_all(), PipelineOpts::vanilla()}) {
-            const Plan plan = PlanSearch::search(p, opts);
+            const Plan plan =
+                PlanSearch::search(p, opts, engine.rx_burst(0));
             EXPECT_LE(plan.burst, kMaxBurst) << text;
         }
     }

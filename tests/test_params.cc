@@ -143,7 +143,7 @@ TEST(RunFlags, BothValueFormsAndBareFlags)
     EXPECT_TRUE(f.json);
     EXPECT_TRUE(f.stats_json.empty());
     EXPECT_EQ(f.opts().model, opts_packetmill().model);
-    EXPECT_EQ(run_flag_table(&f).size(), 28u);
+    EXPECT_EQ(run_flag_table(&f).size(), 27u);
 }
 
 TEST(RunFlags, ModelAndParkSplitOverrideTheOptLevel)

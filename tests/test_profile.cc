@@ -41,13 +41,17 @@ capture_router_profile()
     return capture_profile(engine, short_run());
 }
 
+/// The RX burst of router_config() and of synthetic_profile()'s
+/// capture: the burst the searched engine runs.
+constexpr std::uint32_t kBurst = 32;
+
 /** A hand-built profile for exercising individual policies. */
 Profile
 synthetic_profile()
 {
     Profile p;
     p.freq_ghz = 2.3;
-    p.burst = 32;
+    p.burst = kBurst;
     p.model = "Copying";
     ProfileElement cls;
     cls.name = "class";
@@ -105,8 +109,8 @@ TEST(ProfileCapture, DeterministicAcrossRuns)
     // byte-identical ...
     EXPECT_EQ(a.to_json(), b.to_json());
     // ... and so are the searched decisions.
-    Plan pa = PlanSearch::search(a, opts_source_all());
-    Plan pb = PlanSearch::search(b, opts_source_all());
+    Plan pa = PlanSearch::search(a, opts_source_all(), kBurst);
+    Plan pb = PlanSearch::search(b, opts_source_all(), kBurst);
     EXPECT_EQ(pa.burst, pb.burst);
     EXPECT_EQ(pa.model, pb.model);
     EXPECT_EQ(pa.rule_orders, pb.rule_orders);
@@ -217,7 +221,7 @@ TEST(ProfileJson, RejectsHistogramLongerThanAnyCapture)
 TEST(PlanSearchPolicy, HotFirstRuleOrder)
 {
     Profile p = synthetic_profile();
-    Plan plan = PlanSearch::search(p, opts_source_all());
+    Plan plan = PlanSearch::search(p, opts_source_all(), kBurst);
     ASSERT_EQ(plan.rule_orders.size(), 1u);
     EXPECT_EQ(plan.rule_orders[0].first, "class");
     EXPECT_EQ(plan.rule_orders[0].second,
@@ -228,7 +232,7 @@ TEST(PlanSearchPolicy, IdentityRuleOrderIsSkipped)
 {
     Profile p = synthetic_profile();
     p.elements[0].rule_hits = {100, 10, 5};  // already hot-first
-    Plan plan = PlanSearch::search(p, opts_source_all());
+    Plan plan = PlanSearch::search(p, opts_source_all(), kBurst);
     EXPECT_TRUE(plan.rule_orders.empty());
 }
 
@@ -240,7 +244,7 @@ TEST(PlanSearchPolicy, BurstShrinksTowardOccupancy)
     p.burst_hist.assign(33, 0);
     p.burst_hist[4] = 500;
     p.burst_hist[5] = 500;
-    Plan plan = PlanSearch::search(p, opts_source_all());
+    Plan plan = PlanSearch::search(p, opts_source_all(), kBurst);
     EXPECT_EQ(plan.burst, 8u);
 }
 
@@ -252,13 +256,13 @@ TEST(PlanSearchPolicy, BurstNeverGrows)
     // no throughput, so the plan must leave it alone.
     p.burst_hist.assign(33, 0);
     p.burst_hist[32] = 1000;
-    Plan plan = PlanSearch::search(p, opts_source_all());
+    Plan plan = PlanSearch::search(p, opts_source_all(), kBurst);
     EXPECT_EQ(plan.burst, 0u);
 
     // No histogram at all (tracing ring wrapped past every RX
     // record): likewise no decision.
     p.burst_hist.clear();
-    plan = PlanSearch::search(p, opts_source_all());
+    plan = PlanSearch::search(p, opts_source_all(), kBurst);
     EXPECT_EQ(plan.burst, 0u);
 }
 
@@ -269,19 +273,19 @@ TEST(PlanSearchPolicy, ModelUpgradeThresholds)
     copying.model = MetadataModel::kCopying;
 
     p.stall_share = 0.50;
-    EXPECT_EQ(PlanSearch::search(p, copying).model,
+    EXPECT_EQ(PlanSearch::search(p, copying, kBurst).model,
               metadata_model_name(MetadataModel::kXchange));
     p.stall_share = 0.30;
-    EXPECT_EQ(PlanSearch::search(p, copying).model,
+    EXPECT_EQ(PlanSearch::search(p, copying, kBurst).model,
               metadata_model_name(MetadataModel::kOverlaying));
     p.stall_share = 0.10;
-    EXPECT_TRUE(PlanSearch::search(p, copying).model.empty());
+    EXPECT_TRUE(PlanSearch::search(p, copying, kBurst).model.empty());
 
     // Already on X-Change: nothing to upgrade to, however stalled.
     PipelineOpts xchg = opts_source_all();
     xchg.model = MetadataModel::kXchange;
     p.stall_share = 0.90;
-    EXPECT_TRUE(PlanSearch::search(p, xchg).model.empty());
+    EXPECT_TRUE(PlanSearch::search(p, xchg, kBurst).model.empty());
 }
 
 TEST(PlanSearchPolicy, StateOrderHotFirstOnlyWithStaticGraph)
@@ -294,14 +298,14 @@ TEST(PlanSearchPolicy, StateOrderHotFirstOnlyWithStaticGraph)
 
     PipelineOpts on = opts_source_all();
     on.static_graph = true;
-    Plan plan = PlanSearch::search(p, on);
+    Plan plan = PlanSearch::search(p, on, kBurst);
     ASSERT_EQ(plan.state_order.size(), 2u);
     EXPECT_EQ(plan.state_order[0], "rt");
     EXPECT_EQ(plan.state_order[1], "class");
 
     PipelineOpts off = opts_source_all();
     off.static_graph = false;
-    EXPECT_TRUE(PlanSearch::search(p, off).state_order.empty());
+    EXPECT_TRUE(PlanSearch::search(p, off, kBurst).state_order.empty());
 }
 
 TEST(PlanApply, FoldsBuildTimeDecisionsIntoOpts)
@@ -427,6 +431,29 @@ TEST(GrindWithProfile, AppliesThePlannedBurstToEveryCore)
     // A capture reads the burst the engine polls with, not a default.
     const Profile next = capture_profile(engine, short_run());
     EXPECT_EQ(next.burst, 8u);
+}
+
+// The plan shrinks the burst the engine runs, whatever burst the
+// profile was captured at: a capture at 32 whose polls hold at most 5
+// packets plans 8, which a config written with BURST 4 must not be
+// raised to.
+TEST(GrindWithProfile, PlanNeverRaisesTheConfiguredBurst)
+{
+    Profile profile = synthetic_profile();
+    profile.burst_hist.assign(33, 0);
+    profile.burst_hist[4] = 500;
+    profile.burst_hist[5] = 500;
+
+    MachineConfig machine;
+    machine.num_cores = 2;
+    Engine engine(machine, router_config(4), opts_source_all(),
+                  default_campus_trace());
+    const MillReport rep = PacketMill::grind(engine, &profile);
+    EXPECT_EQ(rep.plan.burst, 0u);
+    for (const std::string &r : rep.plan.rationale)
+        EXPECT_EQ(r.find("burst"), std::string::npos) << r;
+    for (std::uint32_t c = 0; c < engine.num_cores(); ++c)
+        EXPECT_EQ(engine.rx_burst(c), 4u) << "core " << c;
 }
 
 TEST(GrindWithProfile, RefusedOrdersAreDroppedFromTheReportedPlan)

@@ -2,15 +2,19 @@
  * @file
  * Telemetry subsystem tests: registry registration/lookup, the
  * branch-free hot-path counter contract (stable slot pointers),
- * sampler interval math and per-kind column semantics, exporter
- * round-trips, and end-to-end engine integration.
+ * sampler interval math and per-kind column semantics, the JSON
+ * Lines writer and reader, and end-to-end engine integration.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <sstream>
 
+#include "src/common/random.hh"
 #include "src/runtime/engine.hh"
 #include "src/runtime/experiments.hh"
 #include "src/telemetry/export.hh"
@@ -189,24 +193,117 @@ TEST(Export, JsonEscapesEveryControlCharacter)
     EXPECT_EQ(json_escape("plain ~text"), "plain ~text");
 }
 
-TEST(Export, CsvQuoting)
+// One line per case: each typed append as the readers and the goldens
+// expect it, byte for byte.
+TEST(Export, WriterCases)
 {
-    std::ostringstream os;
-    write_csv_record(os, {"plain", "has,comma", "has\"quote"});
-    EXPECT_EQ(os.str(), "plain,\"has,comma\",\"has\"\"quote\"\n");
+    const struct {
+        std::function<void(JsonLine &)> append;
+        const char *want;
+    } cases[] = {
+        {[](JsonLine &) {}, "{}"},
+        {[](JsonLine &l) { l.str("s", "a\"b"); }, R"({"s":"a\"b"})"},
+        {[](JsonLine &l) { l.str("s", "a\\b"); }, R"({"s":"a\\b"})"},
+        {[](JsonLine &l) { l.str("s", "a\nb"); }, R"({"s":"a\nb"})"},
+        {[](JsonLine &l) { l.str("s", "a\x1f" "b"); }, R"({"s":"a\u001fb"})"},
+        {[](JsonLine &l) { l.str("k\"ey", "v"); }, R"({"k\"ey":"v"})"},
+        {[](JsonLine &l) { l.num("n", std::nan("")); }, R"({"n":0})"},
+        {[](JsonLine &l) { l.num("n", INFINITY); }, R"({"n":0})"},
+        {[](JsonLine &l) { l.num("n", -INFINITY); }, R"({"n":0})"},
+        {[](JsonLine &l) { l.num("n", 1.0 / 3); }, R"({"n":0.3333333333})"},
+        {[](JsonLine &l) { l.num("n", 123456789012.0); },
+         R"({"n":1.23456789e+11})"},
+        // A double rounds 2^53 + 1; the integer appends do not.
+        {[](JsonLine &l) { l.num("n", 9007199254740993.0); },
+         R"({"n":9.007199255e+15})"},
+        {[](JsonLine &l) { l.uint64("u", 9007199254740993ull); },
+         R"({"u":9007199254740993})"},
+        {[](JsonLine &l) { l.int64("i", -9007199254740993ll); },
+         R"({"i":-9007199254740993})"},
+        {[](JsonLine &l) { l.int64("i", -1); }, R"({"i":-1})"},
+        {[](JsonLine &l) { l.uint64("u", UINT64_MAX); },
+         R"({"u":18446744073709551615})"},
+        {[](JsonLine &l) { l.boolean("b", true).boolean("c", false); },
+         R"({"b":true,"c":false})"},
+        {[](JsonLine &l) { l.cell("c", "1e5"); }, R"({"c":1e5})"},
+        {[](JsonLine &l) { l.cell("c", "85%"); }, R"({"c":"85%"})"},
+        {[](JsonLine &l) { l.cell("c", "inf"); }, R"({"c":"inf"})"},
+        {[](JsonLine &l) { l.cell("c", ""); }, R"({"c":""})"},
+        {[](JsonLine &l) { l.strings("l", {}); }, R"({"l":[]})"},
+        {[](JsonLine &l) { l.strings("l", {"a", "b,\"c"}); },
+         R"({"l":["a","b,\"c"]})"},
+        {[](JsonLine &l) { l.str("type", "t").num("x", 2.5); },
+         R"({"type":"t","x":2.5})"},
+    };
+    for (const auto &c : cases) {
+        std::ostringstream os;
+        JsonLine line(os);
+        c.append(line);
+        line.end();
+        EXPECT_EQ(os.str(), std::string(c.want) + "\n");
+    }
 }
 
-TEST(Export, CsvQuotesNewlinesAndQuotesCombined)
+// Random keys and strings (quotes, backslashes, commas, control and
+// high bytes), doubles of at most 10 significant digits (which %.10g
+// writes exactly) and any 64-bit integers read back as written.
+TEST(Export, RoundTripFuzz)
 {
-    std::ostringstream os;
-    write_csv_record(os, {"line\nbreak", "a\"b,c", ""});
-    EXPECT_EQ(os.str(), "\"line\nbreak\",\"a\"\"b,c\",\n");
+    const std::string alphabet =
+        std::string("ab,:\"\\{}[] \n\t\r\x01\x1f\x7f\xc3\xa9") + '\0';
+    Xorshift64 rng(0x15CE);
+    auto text = [&] {
+        std::string s;
+        for (std::uint64_t n = rng.next_below(12); n > 0; --n)
+            s += alphabet[rng.next_below(alphabet.size())];
+        return s;
+    };
+    for (int iter = 0; iter < 2000; ++iter) {
+        const std::string k[] = {text() + "#0", text() + "#1", text() + "#2",
+                                 text() + "#3", text() + "#4", text() + "#5"};
+        const std::string s = text();
+        const double d = std::strtod(
+            json_number((rng.next_double() - 0.5) *
+                        std::pow(10.0, static_cast<int>(rng.next_below(601)) -
+                                           300))
+                .c_str(),
+            nullptr);
+        const std::uint64_t u = rng.next();
+        const std::int64_t i = static_cast<std::int64_t>(rng.next());
+        const bool b = rng.next_below(2) != 0;
+        const std::vector<std::string> list = {text(), text()};
+
+        std::ostringstream os;
+        JsonLine(os)
+            .str(k[0], s)
+            .num(k[1], d)
+            .uint64(k[2], u)
+            .int64(k[3], i)
+            .boolean(k[4], b)
+            .strings(k[5], list)
+            .end();
+        const std::string line = os.str();
+        ASSERT_EQ(line.find('\n'), line.size() - 1) << line;
+
+        std::map<std::string, std::string> obj;
+        ASSERT_TRUE(parse_json_object_line(line.substr(0, line.size() - 1),
+                                           &obj))
+            << line;
+        EXPECT_EQ(obj.size(), 6u) << line;
+        JsonFields f(obj);
+        EXPECT_EQ(f.str(k[0]), s) << line;
+        EXPECT_EQ(f.num(k[1]), d) << line;
+        EXPECT_EQ(f.uint64(k[2]), u) << line;
+        EXPECT_EQ(f.int64(k[3]), i) << line;
+        EXPECT_EQ(f.str(k[4]), b ? "true" : "false") << line;
+        EXPECT_EQ(f.strings(k[5]), list) << line;
+        EXPECT_EQ(f.bad(), "") << line;
+    }
 }
 
-TEST(Export, CsvQuotesColumnNamesWithCommas)
+// A column whose name has a comma stays one key.
+TEST(Export, JsonlColumnNamesWithCommasRoundTrip)
 {
-    // A metric named with a comma must round-trip through the CSV
-    // header as one quoted cell, not silently split into two columns.
     MetricsRegistry reg;
     CounterHandle c = reg.add_counter("tbl_a,b_inserts");
     Sampler s(reg, 100.0);
@@ -215,14 +312,86 @@ TEST(Export, CsvQuotesColumnNamesWithCommas)
     s.advance(100'000.0);
 
     std::ostringstream os;
-    export_csv(s.timeline(), os);
+    export_jsonl(s.timeline(), os);
     std::istringstream is(os.str());
-    std::string header;
-    ASSERT_TRUE(std::getline(is, header));
-    EXPECT_EQ(header, "t_us,dt_us,partial,\"tbl_a,b_inserts\"");
-    std::string row;
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "100,100,0,4");
+    std::vector<double> inserts;
+    std::string err;
+    ASSERT_TRUE(read_jsonl(
+        is,
+        [&](JsonFields &f, std::string *) {
+            EXPECT_EQ(f.raw().size(), 4u);
+            EXPECT_EQ(f.str("type"), "sample");
+            inserts.push_back(f.num("tbl_a,b_inserts", -1));
+            return true;
+        },
+        &err))
+        << err;
+    EXPECT_EQ(inserts, (std::vector<double>{4}));
+}
+
+// A missing key reads as the caller's default; a present value that is
+// malformed for the asked type, or not finite, is named in bad().
+TEST(Export, FieldsReadStrictly)
+{
+    std::map<std::string, std::string> obj;
+    ASSERT_TRUE(parse_json_object_line(
+        R"({"n":-2.5e3,"big":1e999,"nan":nan,"s":"oops","neg":-1,)"
+        R"("frac":2.5,"list":"1,2,3","bad_list":"1,,3","cols":["a","b"],)"
+        R"("hex":0x10,"u":18446744073709551615})",
+        &obj));
+    JsonFields ok(obj);
+    EXPECT_EQ(ok.num("missing", 7), 7);
+    EXPECT_EQ(ok.str("missing", "d"), "d");
+    EXPECT_EQ(ok.num("n"), -2500);
+    EXPECT_EQ(ok.int64("neg"), -1);
+    EXPECT_EQ(ok.uint64("u"), UINT64_MAX);
+    EXPECT_EQ(ok.uint64_list("list"), (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(ok.strings("cols"), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(ok.bad(), "");
+
+    const std::function<void(JsonFields &)> bad_reads[] = {
+        [](JsonFields &f) { f.num("big"); },
+        [](JsonFields &f) { f.num("nan"); },
+        [](JsonFields &f) { f.num("s"); },
+        [](JsonFields &f) { f.num("hex"); },
+        [](JsonFields &f) { f.uint64("neg"); },
+        [](JsonFields &f) { f.int64("frac"); },
+        [](JsonFields &f) { f.uint64_list("bad_list"); },
+        [](JsonFields &f) { f.strings("s"); },
+    };
+    for (const auto &read : bad_reads) {
+        JsonFields f(obj);
+        read(f);
+        EXPECT_NE(f.bad(), "");
+    }
+    JsonFields first(obj);
+    EXPECT_EQ(first.num("s", 3), 3);
+    first.num("big");
+    EXPECT_EQ(first.bad(), "s");
+}
+
+// The stream reader names the line, and the key of a malformed value.
+TEST(Export, ReadJsonlNamesTheLineAndKey)
+{
+    auto error = [](const std::string &text) {
+        std::istringstream is(text);
+        std::string err;
+        const bool ok = read_jsonl(
+            is,
+            [](JsonFields &f, std::string *why) {
+                f.num("x");
+                *why = "refused";
+                return f.str("type") != "no";
+            },
+            &err);
+        return ok ? std::string() : err;
+    };
+    EXPECT_EQ(error("{\"x\":1}\n\n{\"x\":2}\n"), "");
+    EXPECT_EQ(error("{\"x\":1}\n\n{\"x\":\"y\"}\n"),
+              "line 3: malformed value for 'x'");
+    EXPECT_EQ(error("{\"x\":1}\n{\"x\":1} trailing\n"),
+              "line 2 is not a JSON object");
+    EXPECT_EQ(error("{\"type\":\"no\"}\n"), "line 1: refused");
 }
 
 Timeline
@@ -260,22 +429,6 @@ TEST(Export, JsonlRoundTrip)
     EXPECT_EQ(lines, tl.rows.size());
     EXPECT_NE(os.str().find("\"pkts\":7"), std::string::npos);
     EXPECT_NE(os.str().find("\"pkts\":3"), std::string::npos);
-}
-
-TEST(Export, CsvRoundTrip)
-{
-    const Timeline tl = make_test_timeline();
-    std::ostringstream os;
-    export_csv(tl, os);
-    std::istringstream is(os.str());
-    std::string header;
-    ASSERT_TRUE(std::getline(is, header));
-    EXPECT_EQ(header, "t_us,dt_us,partial,pkts,occ");
-    std::string row;
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "100,100,0,7,0.25");
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "200,100,0,3,0.25");
 }
 
 TEST(Sampler, FinishFlushesTrailingPartialInterval)
@@ -330,14 +483,6 @@ TEST(Sampler, PartialRowMarkedInExports)
     std::ostringstream js;
     export_jsonl(s.timeline(), js);
     EXPECT_NE(js.str().find("\"partial\":true"), std::string::npos);
-
-    std::ostringstream cs;
-    export_csv(s.timeline(), cs);
-    std::istringstream is(cs.str());
-    std::string header, row;
-    ASSERT_TRUE(std::getline(is, header));
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "40,40,1,2");
 }
 
 TEST(EngineTelemetry, TimelineCoversMeasuredWindow)

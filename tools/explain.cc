@@ -12,7 +12,8 @@
  * caller of acct_write_jsonl) emits; all other line types are skipped,
  * so pointing it at the full stats file Just Works. Exits 0 on a
  * rendered report, 1 when the stream has no accounting lines (e.g. a
- * -DPMILL_ACCT=OFF build), 2 on usage/IO errors.
+ * -DPMILL_ACCT=OFF build) or a malformed line or number (the message
+ * names the line and the key), 2 on usage/IO errors.
  */
 
 #include <cstdint>
