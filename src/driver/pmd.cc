@@ -293,12 +293,7 @@ PmdXchg::tx_burst(void **pkts, std::uint32_t n, TimeNs now,
         d.len = adapter_.tx_len(pkts[i], sink);
         d.arrival_ns = adapter_.tx_arrival(pkts[i]);
         d.post_ns = now;
-        d.park_len = adapter_.tx_park_len(pkts[i]);
-        if (d.park_len != 0) {
-            d.park_addr = adapter_.tx_park_addr(pkts[i]);
-            d.park_ticket = adapter_.tx_park_ticket(pkts[i]);
-            d.park_host = adapter_.tx_park_host(pkts[i]);
-        }
+        d.park = adapter_.tx_park(pkts[i]);
         sink_store(sink,
                    nic_.tx_desc_addr(queue_, nic_.tx_next_post_slot(queue_)),
                    NicDevice::kDescBytes);
@@ -306,7 +301,7 @@ PmdXchg::tx_burst(void **pkts, std::uint32_t n, TimeNs now,
         if (!nic_.post_tx(queue_, d)) {
             for (std::uint32_t j = i; j < n; ++j) {
                 // Driver-side drop: parked payloads must not leak.
-                adapter_.release_parked(pkts[j], sink);
+                adapter_.release_parked(pkts[j]);
                 adapter_.recycle_buffer(
                     adapter_.tx_buffer_addr(pkts[j], sink),
                     adapter_.tx_buffer_host(pkts[j]), sink);

@@ -71,8 +71,6 @@ class PmdStandard {
     void register_metrics(MetricsRegistry &reg,
                           const std::string &prefix) const;
 
-    Mempool &pool() { return pool_; }
-
     /**
      * Attach @p t (nullptr detaches); RX bursts are recorded under
      * span @p span and the tracer's burst clock follows rx/tx polls.

@@ -26,6 +26,7 @@
 
 #include "src/common/types.hh"
 #include "src/mem/access_sink.hh"
+#include "src/mem/payload_park.hh"
 
 namespace pmill {
 
@@ -82,60 +83,19 @@ class XchgAdapter {
     virtual void recycle_buffer(Addr buf_addr, std::uint8_t *host,
                                 AccessSink *sink) = 0;
 
-    /// @name Parking-model hooks. Defaults are no-ops / "nothing
-    /// parked", so plain X-Change adapters keep the exact base
-    /// contract; only the Parking datapath overrides them.
+    /// @name Parking-model hooks. Only a queue with a park dock bound
+    /// parks payloads; on any other queue every ParkRef stays zero.
     /// @{
-    /** RX: record the parked-payload ticket on this packet. */
-    virtual void
-    set_park(void *pkt, std::uint32_t ticket, std::uint32_t park_len,
-             AccessSink *sink)
-    {
-        (void)pkt;
-        (void)ticket;
-        (void)park_len;
-        (void)sink;
-    }
-    /** TX: parked payload length (0 = nothing parked). */
-    virtual std::uint32_t
-    tx_park_len(void *pkt)
-    {
-        (void)pkt;
-        return 0;
-    }
-    /** TX: park-arena address of the parked payload. */
-    virtual Addr
-    tx_park_addr(void *pkt)
-    {
-        (void)pkt;
-        return 0;
-    }
-    /** TX: the packet's park ticket. */
-    virtual std::uint32_t
-    tx_park_ticket(void *pkt)
-    {
-        (void)pkt;
-        return 0;
-    }
-    /** TX: host backing of the parked payload (for capture/steering
-     * consumers that gather the full frame themselves). */
-    virtual const std::uint8_t *
-    tx_park_host(void *pkt)
-    {
-        (void)pkt;
-        return nullptr;
-    }
+    /** RX: the NIC parked @p len payload bytes under @p ticket. */
+    virtual void set_park(void *pkt, std::uint32_t ticket, std::uint32_t len,
+                          AccessSink *sink) = 0;
+    /** TX: the packet's parked payload (zero when nothing is parked). */
+    virtual ParkRef tx_park(void *pkt) = 0;
     /**
-     * Release the packet's parked payload on a driver-side abort
-     * (TX ring full): the frame is dropped, so its ticket must not
-     * leak.
+     * Release the packet's parked payload on a driver-side drop (TX
+     * ring full), so its ticket does not leak.
      */
-    virtual void
-    release_parked(void *pkt, AccessSink *sink)
-    {
-        (void)pkt;
-        (void)sink;
-    }
+    virtual void release_parked(void *pkt) = 0;
     /// @}
 };
 

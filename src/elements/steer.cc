@@ -54,14 +54,13 @@ FlowSteer::process(PacketBatch &batch, ExecContext &ctx)
         // from the park arena) and the full frame gathered into a
         // scratch before it can be copied into the handoff ring; the
         // destination core re-parks it on delivery. No-op for every
-        // other model (park_len == 0).
+        // other model (park.len == 0).
         const std::uint8_t *frame = h.data;
         std::uint8_t gather[kMaxFrameLen];
-        if (h.park_len != 0) {
-            const std::uint32_t hdr = h.len - h.park_len;
+        if (h.park.len != 0) {
+            const std::uint32_t hdr = h.len - h.park.len;
             std::memcpy(gather, h.data, hdr);
-            ctx.materialize_payload(h.park_addr, h.park_len, h.park_host,
-                                    gather + hdr);
+            ctx.materialize_payload(h.park, gather + hdr);
             frame = gather;
         }
         const Addr slot = fabric_->ring_slot_addr(core_, dst);

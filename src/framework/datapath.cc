@@ -1,5 +1,6 @@
 #include "src/framework/datapath.hh"
 
+#include <bit>
 #include <vector>
 
 #include "src/common/log.hh"
@@ -29,16 +30,65 @@ fill_handle(PacketHandle &h, Addr data_addr, std::uint8_t *data_host,
 }
 
 /**
+ * The mbuf family: a standard PMD fills generic mbufs from the
+ * datapath's mempool. Copying and Overlaying differ only in how their
+ * rx()/tx() convert between the mbuf and the application's packet.
+ */
+class MbufDatapath : public Datapath {
+  public:
+    MbufDatapath(NicDevice &nic, SimMemory &mem,
+                 const MetadataLayout &layout, std::uint32_t queue)
+        : layout_(layout), pool_(mem, kMempoolSize), pmd_(nic, pool_, queue)
+    {}
+
+    void
+    setup() override
+    {
+        pmd_.setup_rx(nullptr);
+    }
+
+    void
+    on_tx_complete(const TxCompletion &c) override
+    {
+        pmd_.on_tx_complete(c);
+    }
+
+    void
+    register_metrics(MetricsRegistry &reg,
+                     const std::string &prefix) override
+    {
+        pmd_.register_metrics(reg, prefix);
+    }
+
+    double
+    pool_occupancy() const override
+    {
+        return 1.0 - static_cast<double>(pool_.free_count()) /
+                         static_cast<double>(pool_.capacity());
+    }
+
+    void
+    set_tracer(Tracer *t, const std::string &label) override
+    {
+        pmd_.set_tracer(t, t ? t->intern(label + ".pmd") : 0);
+        pool_.set_tracer(t, t ? t->intern(label + ".mempool") : 0);
+    }
+
+  protected:
+    const MetadataLayout &layout_;
+    Mempool pool_;
+    PmdStandard pmd_;
+};
+
+/**
  * Copying model: standard PMD + per-packet Packet objects copied from
  * the mbuf (double conversion).
  */
-class CopyingDatapath : public Datapath {
+class CopyingDatapath final : public MbufDatapath {
   public:
     CopyingDatapath(NicDevice &nic, SimMemory &mem,
                     const MetadataLayout &layout, std::uint32_t queue)
-        : layout_(layout),
-          pool_(mem, kMempoolSize),
-          pmd_(nic, pool_, queue)
+        : MbufDatapath(nic, mem, layout, queue)
     {
         const std::uint64_t obj =
             round_up(layout.total_bytes, kCacheLineBytes);
@@ -53,12 +103,6 @@ class CopyingDatapath : public Datapath {
         app_stack_.reserve(kAppPoolSize);
         for (std::uint32_t i = 0; i < kAppPoolSize; ++i)
             app_stack_.push_back(i);
-    }
-
-    void
-    setup() override
-    {
-        pmd_.setup_rx(nullptr);
     }
 
     std::uint32_t
@@ -149,37 +193,14 @@ class CopyingDatapath : public Datapath {
     }
 
     void
-    on_tx_complete(const TxCompletion &c) override
-    {
-        pmd_.on_tx_complete(c);
-    }
-
-    const MetadataLayout &layout() const override { return layout_; }
-    MetadataModel model() const override { return MetadataModel::kCopying; }
-
-    void
     register_metrics(MetricsRegistry &reg,
                      const std::string &prefix) override
     {
-        pmd_.register_metrics(reg, prefix);
+        MbufDatapath::register_metrics(reg, prefix);
         reg.add_gauge(prefix + "app_pool_occupancy", [this] {
             return 1.0 - static_cast<double>(app_stack_.size()) /
                              static_cast<double>(kAppPoolSize);
         });
-    }
-
-    double
-    pool_occupancy() const override
-    {
-        return 1.0 - static_cast<double>(pool_.free_count()) /
-                         static_cast<double>(pool_.capacity());
-    }
-
-    void
-    set_tracer(Tracer *t, const std::string &label) override
-    {
-        pmd_.set_tracer(t, t ? t->intern(label + ".pmd") : 0);
-        pool_.set_tracer(t, t ? t->intern(label + ".mempool") : 0);
     }
 
   private:
@@ -207,13 +228,10 @@ class CopyingDatapath : public Datapath {
         app_stack_.push_back(obj_idx);
         if (free_mbuf) {
             auto *m = static_cast<RteMbuf *>(h.backing);
-            pmd_.pool().free(MbufRef{mbuf_addr_of(m), m}, &ctx);
+            pool_.free(MbufRef{mbuf_addr_of(m), m}, &ctx);
         }
     }
 
-    const MetadataLayout &layout_;
-    Mempool pool_;
-    PmdStandard pmd_;
     MemHandle app_mem_;
     MemHandle app_ring_mem_;  ///< hot freelist-head line
     std::vector<std::uint32_t> app_stack_;
@@ -224,19 +242,9 @@ class CopyingDatapath : public Datapath {
  * Overlaying model: standard PMD; the application's Packet *is* the
  * mbuf (cast), annotations live right after the struct.
  */
-class OverlayDatapath : public Datapath {
+class OverlayDatapath final : public MbufDatapath {
   public:
-    OverlayDatapath(NicDevice &nic, SimMemory &mem,
-                    const MetadataLayout &layout, std::uint32_t queue)
-        : layout_(layout), pool_(mem, kMempoolSize),
-          pmd_(nic, pool_, queue)
-    {}
-
-    void
-    setup() override
-    {
-        pmd_.setup_rx(nullptr);
-    }
+    using MbufDatapath::MbufDatapath;
 
     std::uint32_t
     rx(TimeNs now, PacketBatch &batch, ExecContext &ctx) override
@@ -290,7 +298,7 @@ class OverlayDatapath : public Datapath {
             auto *m = static_cast<RteMbuf *>(h.backing);
             const Addr maddr = h.meta_addr;
             if (h.dropped) {
-                pmd_.pool().free(MbufRef{maddr, m}, &ctx);
+                pool_.free(MbufRef{maddr, m}, &ctx);
                 continue;
             }
             // No conversion: just refresh length/offset in place.
@@ -305,52 +313,31 @@ class OverlayDatapath : public Datapath {
         if (n)
             pmd_.tx_burst(mbufs, n, now, &ctx);
     }
-
-    void
-    on_tx_complete(const TxCompletion &c) override
-    {
-        pmd_.on_tx_complete(c);
-    }
-
-    const MetadataLayout &layout() const override { return layout_; }
-    MetadataModel
-    model() const override
-    {
-        return MetadataModel::kOverlaying;
-    }
-
-    void
-    register_metrics(MetricsRegistry &reg,
-                     const std::string &prefix) override
-    {
-        pmd_.register_metrics(reg, prefix);
-    }
-
-    double
-    pool_occupancy() const override
-    {
-        return 1.0 - static_cast<double>(pool_.free_count()) /
-                         static_cast<double>(pool_.capacity());
-    }
-
-    void
-    set_tracer(Tracer *t, const std::string &label) override
-    {
-        pmd_.set_tracer(t, t ? t->intern(label + ".pmd") : 0);
-        pool_.set_tracer(t, t ? t->intern(label + ".mempool") : 0);
-    }
-
-  private:
-    const MetadataLayout &layout_;
-    Mempool pool_;
-    PmdStandard pmd_;
 };
 
 /**
- * X-Change model: the PMD writes the application's compact metadata
- * directly and data buffers are exchanged at the ring.
+ * The X-Change family: the PMD writes the application's compact
+ * metadata directly and data buffers are exchanged at the ring.
+ *
+ * With a nonzero park split this is the Parking model: the datapath
+ * owns a PayloadPark, bound to its NIC queue as the queue's park dock.
+ * The NIC DMAs only the first split bytes of a longer frame into the
+ * packet buffer and parks the rest in the dock (DRAM-direct, no
+ * DDIO/LLC allocation; see AccessType::kParkWrite). The pipeline runs
+ * header-only; the packet's ParkRef rides its TX descriptor so the NIC
+ * gathers header + payload at drain time. A packet that parked
+ * nothing carries a zero ParkRef, which is all plain X-Change sees.
+ *
+ * Host-functional invariant: PacketHandle::len stays the FULL frame
+ * length; the buffer holds only the first len - park.len bytes, and
+ * the payload bytes live exclusively in the park slot until the NIC's
+ * TX gather. Consumers that need complete frames (TX capture, flow
+ * steering) gather (buffer header, park slot) themselves — which is
+ * what lets a dock's buffers be header-sized: the arena the CPU walks
+ * per packet shrinks from nbufs x 2176 B (megabytes, TLB-hostile) to
+ * nbufs x ~256 B, the "header-only hot path" footprint.
  */
-class XchgDatapath : public Datapath, public XchgAdapter {
+class XchgDatapath final : public Datapath, public XchgAdapter {
   public:
     /** Host-side shadow of one application packet object. */
     struct XPkt {
@@ -360,65 +347,47 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         std::uint8_t *buf_host = nullptr;
         std::uint32_t len = 0;
         TimeNs arrival = 0;
-        // Parking model only; always zero under plain X-Change.
-        std::uint32_t park_ticket = 0;
-        std::uint32_t park_len = 0;
-        Addr park_addr = 0;
-        const std::uint8_t *park_host = nullptr;
+        ParkRef park;                 ///< zero when nothing is parked
     };
 
-    static constexpr std::uint32_t kBufStride =
-        kMbufHeadroomBytes + kMbufDataRoomBytes;
-
-    XchgDatapath(NicDevice &nic, SimMemory &mem,
-                 const MetadataLayout &layout, std::uint32_t queue)
-        : XchgDatapath(nic, mem, layout, queue, kBufStride)
-    {}
-
-  protected:
-    /**
-     * @p buf_stride sizes each data buffer (headroom + data room).
-     * The Parking subclass passes a header-only stride: its buffers
-     * never hold more than the split prefix, so the buffer arena —
-     * and with it the TLB/cache footprint the CPU walks per packet —
-     * shrinks by an order of magnitude.
-     */
+    /** @p park_split is the Parking model's split; 0 means no dock. */
     XchgDatapath(NicDevice &nic, SimMemory &mem,
                  const MetadataLayout &layout, std::uint32_t queue,
-                 std::uint64_t buf_stride)
+                 std::uint32_t park_split)
         : layout_(layout), pmd_(nic, *this, queue),
-          spares_(1u << log2_ceil(2 * nic.config().rx_ring_size +
-                                  nic.config().tx_ring_size +
-                                  4 * kXchgMetaSlots + 2)),
-          buf_stride_(buf_stride)
+          rx_ring_size_(nic.config().rx_ring_size),
+          // Buffers cover every place a frame can sit at once: posted
+          // RX descriptors, completions awaiting the poller, the TX
+          // ring, and in-flight bursts (the paper's TX-slot exchange
+          // keeps the app's free-buffer count equal to what it sent).
+          nbufs_(2 * rx_ring_size_ + nic.config().tx_ring_size +
+                 4 * kXchgMetaSlots),
+          // A dock's buffers hold at most the split prefix (rounded to
+          // a line) behind the headroom for in-place encap growth.
+          buf_stride_(kMbufHeadroomBytes +
+                      (park_split != 0
+                           ? round_up(park_split, kCacheLineBytes)
+                           : kMbufDataRoomBytes)),
+          spares_(std::bit_ceil(nbufs_ + 2))
     {
-        nic_ring_size_ = nic.config().rx_ring_size;
         const std::uint64_t meta_stride =
             round_up(layout.total_bytes, kCacheLineBytes);
         meta_mem_ = mem.alloc(meta_stride * kXchgMetaSlots,
                               kCacheLineBytes, Region::kMetadataPool);
-        meta_stride_ = meta_stride;
         slots_.resize(kXchgMetaSlots);
         for (std::uint32_t i = 0; i < kXchgMetaSlots; ++i) {
             slots_[i].meta_addr = meta_mem_.addr + i * meta_stride;
             slots_[i].meta_host = meta_mem_.host + i * meta_stride;
         }
 
-        // Buffers cover every place a frame can sit at once: posted
-        // RX descriptors, completions awaiting the poller, the TX
-        // ring, and in-flight bursts (the paper's TX-slot exchange
-        // keeps the app's free-buffer count equal to what it sent).
-        const std::uint32_t nbufs =
-            2 * nic.config().rx_ring_size + nic.config().tx_ring_size +
-            4 * kXchgMetaSlots;
         // The spares FIFO cycles through every buffer, so the arena is
         // written in full; the spares line is address-only.
-        buf_mem_ = mem.alloc(std::uint64_t(nbufs) * buf_stride_,
+        buf_mem_ = mem.alloc(std::uint64_t(nbufs_) * buf_stride_,
                              kCacheLineBytes, Region::kPacketData);
         spares_mem_ = mem.alloc_sparse(spares_.capacity() * 8ull,
                                        kCacheLineBytes,
                                        Region::kMetadataPool);
-        for (std::uint32_t i = 0; i < nbufs; ++i) {
+        for (std::uint32_t i = 0; i < nbufs_; ++i) {
             // Post the address past the headroom, like the mbuf path.
             spares_.push(Spare{
                 buf_mem_.addr + std::uint64_t(i) * buf_stride_ +
@@ -426,14 +395,21 @@ class XchgDatapath : public Datapath, public XchgAdapter {
                 buf_mem_.host + std::uint64_t(i) * buf_stride_ +
                     kMbufHeadroomBytes});
         }
-    }
 
-  public:
+        if (park_split != 0) {
+            // One park slot per data buffer: a ticket can live exactly
+            // as long as the frame that owns it, so the arena never
+            // runs dry.
+            park_ = std::make_unique<PayloadPark>(mem, nbufs_,
+                                                  kMbufDataRoomBytes);
+            nic.bind_queue_park(queue, park_.get(), park_split);
+        }
+    }
 
     void
     setup() override
     {
-        pmd_.setup_rx(pmd_nic_ring_size(), nullptr);
+        pmd_.setup_rx(rx_ring_size_, nullptr);
     }
 
     std::uint32_t
@@ -450,9 +426,7 @@ class XchgDatapath : public Datapath, public XchgAdapter {
             fill_handle(h, xp->buf_addr, xp->buf_host, xp->len, xp->arrival);
             h.meta_addr = xp->meta_addr;
             h.meta_host = xp->meta_host;
-            h.park_addr = xp->park_addr;
-            h.park_host = xp->park_host;
-            h.park_len = xp->park_len;
+            h.park = xp->park;
             h.backing = xp;
             PacketView v(h, layout_, &ctx);
             if (ctx.opts().batch_link)
@@ -472,7 +446,9 @@ class XchgDatapath : public Datapath, public XchgAdapter {
             PacketHandle &h = batch[i];
             auto *xp = static_cast<XPkt *>(h.backing);
             if (h.dropped) {
-                // The data buffer simply becomes a spare again.
+                // The data buffer simply becomes a spare again, and a
+                // parked payload is released as dropped.
+                release_parked(xp);
                 recycle_buffer(xp->buf_addr, xp->buf_host, &ctx);
                 continue;
             }
@@ -485,6 +461,16 @@ class XchgDatapath : public Datapath, public XchgAdapter {
                 xp->buf_addr = h.data_addr;
                 xp->buf_host = h.data;
             }
+            if (xp->park.len != 0) {
+                // The PMD reads the ticket to build the gather
+                // descriptor — that load is real metadata-model work.
+                // No rejoin happens here: the payload stays parked and
+                // the NIC gathers (buffer header, park slot) at drain.
+                sink_load(&ctx,
+                          xp->meta_addr +
+                              layout_.offset_of(Field::kParkTicket),
+                          field_size(Field::kParkTicket));
+            }
             pkts[n++] = xp;
         }
         if (n)
@@ -494,11 +480,12 @@ class XchgDatapath : public Datapath, public XchgAdapter {
     void
     on_tx_complete(const TxCompletion &c) override
     {
+        // The ticket rode the descriptor, so completion-time release
+        // is safe even after the XPkt slot was reused for new RX.
+        if (c.park.ticket != 0)
+            park_->release(c.park.ticket, /*dropped=*/false);
         pmd_.on_tx_complete(c);
     }
-
-    const MetadataLayout &layout() const override { return layout_; }
-    MetadataModel model() const override { return MetadataModel::kXchange; }
 
     void
     register_metrics(MetricsRegistry &reg,
@@ -525,6 +512,15 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         pmd_.set_tracer(t, t ? t->intern(label + ".pmd") : 0);
     }
 
+    bool
+    park_stats(PayloadPark::Stats *out) const override
+    {
+        if (!park_)
+            return false;
+        *out = park_->stats();
+        return true;
+    }
+
     // ----- XchgAdapter (the application's conversion functions) -----
 
     bool
@@ -541,6 +537,11 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         spares_.pop(sp);
         XPkt &xp = slots_[meta_cursor_];
         meta_cursor_ = (meta_cursor_ + 1) % slots_.size();
+        // Metadata slots are reused round-robin, and a transmitted
+        // packet's ticket is released only at its completion: scrub
+        // the slot's park state so an unparked frame never inherits
+        // a ticket.
+        xp.park = ParkRef{};
         slot.pkt = &xp;
         slot.spare_buf_addr = sp.addr;
         slot.spare_buf_host = sp.host;
@@ -595,6 +596,16 @@ class XchgDatapath : public Datapath, public XchgAdapter {
                     sink);
     }
 
+    void
+    set_park(void *pkt, std::uint32_t ticket, std::uint32_t len,
+             AccessSink *sink) override
+    {
+        auto *xp = static_cast<XPkt *>(pkt);
+        xp->park = ParkRef{ticket, len, park_->slot_addr(ticket),
+                           park_->slot_host(ticket)};
+        field_store(xp, Field::kParkTicket, ticket, sink);
+    }
+
     Addr
     tx_buffer_addr(void *pkt, AccessSink *sink) override
     {
@@ -626,6 +637,22 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         return static_cast<XPkt *>(pkt)->arrival;
     }
 
+    ParkRef
+    tx_park(void *pkt) override
+    {
+        return static_cast<XPkt *>(pkt)->park;
+    }
+
+    void
+    release_parked(void *pkt) override
+    {
+        auto *xp = static_cast<XPkt *>(pkt);
+        if (xp->park.ticket != 0) {
+            park_->release(xp->park.ticket, /*dropped=*/true);
+            xp->park = ParkRef{};
+        }
+    }
+
     void
     recycle_buffer(Addr buf_addr, std::uint8_t *host,
                    AccessSink *sink) override
@@ -644,26 +671,11 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         PMILL_ASSERT(ok, "spare ring overflow");
     }
 
-  protected:
+  private:
     struct Spare {
         Addr addr = 0;
         std::uint8_t *host = nullptr;
     };
-
-    static std::uint32_t
-    log2_ceil(std::uint32_t v)
-    {
-        std::uint32_t n = 0;
-        while ((1u << n) < v)
-            ++n;
-        return n;
-    }
-
-    std::uint32_t
-    pmd_nic_ring_size() const
-    {
-        return nic_ring_size_;
-    }
 
     void
     field_store(XPkt *xp, Field f, std::uint64_t v, AccessSink *sink)
@@ -679,183 +691,16 @@ class XchgDatapath : public Datapath, public XchgAdapter {
 
     const MetadataLayout &layout_;
     PmdXchg pmd_;
+    std::uint32_t rx_ring_size_;
+    std::uint32_t nbufs_;
+    std::uint64_t buf_stride_;
+    Ring<Spare> spares_;
     MemHandle meta_mem_;
-    std::uint64_t meta_stride_ = 0;
     std::vector<XPkt> slots_;
     std::uint32_t meta_cursor_ = 0;
     MemHandle buf_mem_;
-    Ring<Spare> spares_;
     MemHandle spares_mem_;
-    std::uint64_t buf_stride_ = kBufStride;
-    std::uint32_t nic_ring_size_ = 0;
-};
-
-/**
- * Parking model: X-Change plus a parked-payload store. The NIC DMAs
- * only the header prefix (split_bytes) into the packet
- * buffer and parks the rest in a per-queue PayloadPark arena
- * (DRAM-direct, no DDIO/LLC allocation — see AccessType::kParkWrite).
- * The pipeline runs header-only; the TX descriptor carries the park
- * ticket so the NIC gathers header + payload at drain time.
- *
- * Host-functional invariant: PacketHandle::len stays the FULL frame
- * length; the buffer holds only the first len - park_len bytes, and
- * the payload bytes live exclusively in the park slot until the NIC's
- * TX gather. Consumers that need complete frames (TX capture, flow
- * steering) gather (buffer header, park slot) themselves — which is
- * what lets the buffers be header-sized: the arena the CPU walks per
- * packet shrinks from nbufs x 2176 B (megabytes, TLB-hostile) to
- * nbufs x ~256 B, the "header-only hot path" footprint.
- */
-class ParkingDatapath : public XchgDatapath {
-  public:
-    ParkingDatapath(NicDevice &nic, SimMemory &mem,
-                    const MetadataLayout &layout, std::uint32_t queue,
-                    std::uint32_t split_bytes)
-        : XchgDatapath(nic, mem, layout, queue,
-                       // Header-sized buffers: data room for the split
-                       // prefix (line-rounded), headroom for in-place
-                       // encap growth, exactly like the full stride.
-                       kMbufHeadroomBytes +
-                           round_up(split_bytes, kCacheLineBytes)),
-          park_(mem,
-                2 * nic.config().rx_ring_size + nic.config().tx_ring_size +
-                    4 * kXchgMetaSlots,
-                kMbufDataRoomBytes)
-    {
-        // One park slot per data buffer: a ticket can live exactly as
-        // long as the frame that owns it, so the arena never runs dry.
-        nic.bind_queue_park(queue, &park_, split_bytes);
-    }
-
-    void
-    tx(PacketBatch &batch, TimeNs now, ExecContext &ctx) override
-    {
-        void *pkts[kMaxBurst];
-        std::uint32_t n = 0;
-        AcctScope acct_scope(ctx, kAcctMetadata);
-        for (std::uint32_t i = 0; i < batch.count; ++i) {
-            PacketHandle &h = batch[i];
-            auto *xp = static_cast<XPkt *>(h.backing);
-            if (h.dropped) {
-                if (xp->park_ticket != 0) {
-                    park_.release(xp->park_ticket, /*dropped=*/true);
-                    xp->park_ticket = 0;
-                    xp->park_len = 0;
-                }
-                recycle_buffer(xp->buf_addr, xp->buf_host, &ctx);
-                continue;
-            }
-            if (h.len != xp->len || h.data_addr != xp->buf_addr) {
-                PacketView v(h, layout_, &ctx);
-                v.write(Field::kLen, h.len);
-                v.write(Field::kDataAddr, h.data_addr);
-                xp->len = h.len;
-                xp->buf_addr = h.data_addr;
-                xp->buf_host = h.data;
-            }
-            if (xp->park_len != 0) {
-                // The PMD reads the ticket to build the gather
-                // descriptor — that load is real metadata-model work.
-                // No rejoin happens here: the payload stays parked and
-                // the NIC gathers (buffer header, park slot) at drain.
-                sink_load(&ctx,
-                          xp->meta_addr +
-                              layout_.offset_of(Field::kParkTicket),
-                          field_size(Field::kParkTicket));
-            }
-            pkts[n++] = xp;
-        }
-        if (n)
-            pmd_.tx_burst(pkts, n, now, &ctx);
-    }
-
-    void
-    on_tx_complete(const TxCompletion &c) override
-    {
-        // The ticket rode the descriptor, so completion-time release
-        // is safe even after the XPkt slot was reused for new RX.
-        if (c.park_ticket != 0)
-            park_.release(c.park_ticket, /*dropped=*/false);
-        XchgDatapath::on_tx_complete(c);
-    }
-
-    MetadataModel model() const override { return MetadataModel::kParking; }
-
-    bool
-    park_stats(PayloadPark::Stats *out) const override
-    {
-        *out = park_.stats();
-        return true;
-    }
-
-    // ----- XchgAdapter parking hooks -----
-
-    bool
-    next_rx_slot(RxSlot &slot, AccessSink *sink) override
-    {
-        if (!XchgDatapath::next_rx_slot(slot, sink))
-            return false;
-        // Metadata slots are reused round-robin; scrub any stale park
-        // state so an unparked frame never inherits a ticket.
-        auto *xp = static_cast<XPkt *>(slot.pkt);
-        xp->park_ticket = 0;
-        xp->park_len = 0;
-        xp->park_addr = 0;
-        xp->park_host = nullptr;
-        return true;
-    }
-
-    void
-    set_park(void *pkt, std::uint32_t ticket, std::uint32_t park_len,
-             AccessSink *sink) override
-    {
-        auto *xp = static_cast<XPkt *>(pkt);
-        xp->park_ticket = ticket;
-        xp->park_len = park_len;
-        xp->park_addr = park_.slot_addr(ticket);
-        xp->park_host = park_.slot_host(ticket);
-        field_store(xp, Field::kParkTicket, ticket, sink);
-    }
-
-    std::uint32_t
-    tx_park_len(void *pkt) override
-    {
-        return static_cast<XPkt *>(pkt)->park_len;
-    }
-
-    Addr
-    tx_park_addr(void *pkt) override
-    {
-        return static_cast<XPkt *>(pkt)->park_addr;
-    }
-
-    std::uint32_t
-    tx_park_ticket(void *pkt) override
-    {
-        return static_cast<XPkt *>(pkt)->park_ticket;
-    }
-
-    const std::uint8_t *
-    tx_park_host(void *pkt) override
-    {
-        return static_cast<XPkt *>(pkt)->park_host;
-    }
-
-    void
-    release_parked(void *pkt, AccessSink *sink) override
-    {
-        (void)sink;
-        auto *xp = static_cast<XPkt *>(pkt);
-        if (xp->park_ticket != 0) {
-            park_.release(xp->park_ticket, /*dropped=*/true);
-            xp->park_ticket = 0;
-            xp->park_len = 0;
-        }
-    }
-
-  private:
-    PayloadPark park_;
+    std::unique_ptr<PayloadPark> park_;  ///< the dock; null without one
 };
 
 } // namespace
@@ -871,10 +716,12 @@ make_datapath(MetadataModel model, NicDevice &nic, SimMemory &mem,
       case MetadataModel::kOverlaying:
         return std::make_unique<OverlayDatapath>(nic, mem, layout, queue);
       case MetadataModel::kXchange:
-        return std::make_unique<XchgDatapath>(nic, mem, layout, queue);
+        return std::make_unique<XchgDatapath>(nic, mem, layout, queue, 0);
       case MetadataModel::kParking:
-        return std::make_unique<ParkingDatapath>(nic, mem, layout, queue,
-                                                 park_split_bytes);
+        PMILL_ASSERT(park_split_bytes > 0,
+                     "the parking model needs a nonzero split point");
+        return std::make_unique<XchgDatapath>(nic, mem, layout, queue,
+                                              park_split_bytes);
     }
     panic("bad metadata model");
 }

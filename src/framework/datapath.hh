@@ -3,26 +3,25 @@
  * Datapaths: the application side of each metadata-management model.
  *
  * A Datapath binds a NIC queue to a metadata model, turning received
- * frames into PacketHandles and transmitting processed batches:
+ * frames into PacketHandles and transmitting processed batches. The
+ * four models come in two families:
  *
- *  - CopyingDatapath  (§2.2 "Copying", FastClick default): standard
- *    PMD fills generic mbufs; the application allocates a separate
- *    Packet object per packet from its own pool and copies the useful
- *    fields — two conversions per direction.
- *  - OverlayDatapath  (§2.2 "Overlaying", BESS / FastClick-light):
- *    standard PMD fills mbufs; the application casts the mbuf and
+ *  - The mbuf family (§2.2): a standard PMD fills generic mbufs from
+ *    a mempool, and the application converts. Copying (FastClick
+ *    default) allocates a separate Packet object per packet from its
+ *    own pool and copies the useful fields, two conversions per
+ *    direction; Overlaying (BESS / FastClick-light) casts the mbuf and
  *    keeps its annotations in the area following the struct.
- *  - XchgDatapath     (§3.1 "X-Change"): the X-Change PMD writes
- *    metadata straight into the application's compact objects and
- *    exchanges data buffers at the descriptor ring; a burst-sized
- *    metadata working set stays cache-resident and the mempool is
- *    bypassed entirely.
- *  - ParkingDatapath  (header-only hot path): X-Change plus a payload
- *    park — the NIC splits each frame at a configurable header/payload
- *    boundary, DMAs only the header prefix into the packet buffer, and
- *    parks the payload in a per-core PayloadPark arena with a
- *    DRAM-direct fill (no DDIO/LLC allocation). The pipeline runs
- *    header-only; at TX the NIC gathers header + payload back together.
+ *  - The X-Change family (§3.1): the X-Change PMD writes metadata
+ *    straight into the application's compact objects and exchanges
+ *    data buffers at the descriptor ring; a burst-sized metadata
+ *    working set stays cache-resident and the mempool is bypassed.
+ *    Parking is X-Change with a park dock: the NIC splits each frame
+ *    at a header/payload boundary, DMAs only the header prefix into a
+ *    header-sized buffer and parks the payload in the datapath's
+ *    PayloadPark with a DRAM-direct fill (no DDIO/LLC allocation). The
+ *    pipeline runs header-only; at TX the NIC gathers header + payload
+ *    back together.
  */
 
 #ifndef PMILL_FRAMEWORK_DATAPATH_HH
@@ -66,37 +65,31 @@ class Datapath {
     /** Engine callback: a frame finished on the TX wire. */
     virtual void on_tx_complete(const TxCompletion &c) = 0;
 
-    /** The metadata layout packets of this datapath use. */
-    virtual const MetadataLayout &layout() const = 0;
-
-    virtual MetadataModel model() const = 0;
-
     /**
      * Register this queue's ring/pool gauges (via the owned PMD and
-     * pools) under @p prefix. Default: nothing.
+     * pools) under @p prefix.
      */
-    virtual void
-    register_metrics(MetricsRegistry &, const std::string &)
-    {}
+    virtual void register_metrics(MetricsRegistry &reg,
+                                  const std::string &prefix) = 0;
 
     /**
      * Occupancy in [0,1] of the buffer pool backing this datapath
      * (mempool for Copying/Overlaying, the application's exchanged
      * buffer set for X-Change).
      */
-    virtual double pool_occupancy() const { return 0.0; }
+    virtual double pool_occupancy() const = 0;
 
     /**
      * Attach @p t (nullptr detaches) to the owned PMD and pools,
-     * interning spans under @p label (e.g. "q0"). Default: nothing.
+     * interning spans under @p label (e.g. "q0").
      */
-    virtual void set_tracer(Tracer *, const std::string &) {}
+    virtual void set_tracer(Tracer *t, const std::string &label) = 0;
 
     /**
-     * Parking model: fill @p out with the queue's ticket-lifecycle
-     * counters and return true. Other models return false. The engine
-     * asserts ticket conservation (parked == rejoined + dropped, no
-     * outstanding tickets) after every run.
+     * With a park dock (Parking model): fill @p out with the queue's
+     * ticket-lifecycle counters and return true. Without one, return
+     * false. The engine asserts ticket conservation (parked ==
+     * rejoined + dropped + outstanding) after every run.
      */
     virtual bool
     park_stats(PayloadPark::Stats *out) const
@@ -110,7 +103,7 @@ class Datapath {
  * Create the datapath for @p model on @p queue of @p nic. @p layout
  * must outlive the datapath (the caller owns it so the mill can swap
  * in a reordered one). @p park_split_bytes is the Parking model's
- * header/payload split; the other models ignore it.
+ * header/payload split (nonzero); the other models ignore it.
  */
 std::unique_ptr<Datapath> make_datapath(MetadataModel model, NicDevice &nic,
                                         SimMemory &mem,

@@ -23,6 +23,7 @@
 #include "src/common/types.hh"
 #include "src/mem/access_sink.hh"
 #include "src/mem/cache.hh"
+#include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
 #include "src/runtime/cost_model.hh"
 
@@ -212,18 +213,16 @@ class ExecContext final : public AccessSink {
      * functional copy; the simulated cost is the charged loads).
      */
     void
-    materialize_payload(Addr park_addr, std::uint32_t park_len,
-                        const std::uint8_t *park_host, std::uint8_t *dst)
+    materialize_payload(const ParkRef &park, std::uint8_t *dst)
     {
-        if (park_len == 0)
+        if (park.len == 0)
             return;
-        for (std::uint32_t off = 0; off < park_len;
-             off += kCacheLineBytes) {
-            load(park_addr + off,
-                 std::min<std::uint32_t>(kCacheLineBytes, park_len - off));
+        for (std::uint32_t off = 0; off < park.len; off += kCacheLineBytes) {
+            load(park.addr + off,
+                 std::min<std::uint32_t>(kCacheLineBytes, park.len - off));
         }
-        if (park_host != nullptr && dst != nullptr)
-            std::memcpy(dst, park_host, park_len);
+        if (park.host != nullptr && dst != nullptr)
+            std::memcpy(dst, park.host, park.len);
     }
 
     /**

@@ -165,21 +165,7 @@ make_xchg_layout()
     place(l, Field::kDstIpAnno, 45);
     place(l, Field::kAggregate, 49);
     place(l, Field::kMbufPtr, 53);  // unused by the model; kept valid
-    place(l, Field::kParkTicket, 60);  // unused; alias of kMbufPtr tail
-    return l;
-}
-
-MetadataLayout
-make_parking_layout()
-{
-    // X-Change's hot line plus the payload-park ticket. The ticket
-    // occupies bytes 60..63; that aliases the tail of the (unused)
-    // kMbufPtr slot at 53 — one-line layouts never dereference the
-    // mbuf pointer, so the overlap is deliberate and keeps the whole
-    // object inside a single cache line.
-    MetadataLayout l = make_xchg_layout();
-    l.name = "parking(header-only 64B)";
-    place(l, Field::kParkTicket, 60);
+    place(l, Field::kParkTicket, 60);  // Parking; alias of kMbufPtr tail
     return l;
 }
 

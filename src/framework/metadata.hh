@@ -92,18 +92,13 @@ MetadataLayout make_copying_layout();
 MetadataLayout make_overlay_layout();
 
 /**
- * The X-Change layout: only the fields an NF needs, packed into one
- * cache line (64 B).
+ * The X-Change layout, which the Parking model shares: only the fields
+ * an NF needs, packed into one cache line (64 B). The payload-park
+ * ticket (Field::kParkTicket) sits at offset 60, in the tail of the
+ * kMbufPtr slot: one-line layouts never dereference the mbuf pointer,
+ * so the overlap keeps the object inside the line.
  */
 MetadataLayout make_xchg_layout();
-
-/**
- * The Parking layout: the X-Change line plus a payload-park ticket
- * (Field::kParkTicket) at offset 60. Still one cache line (64 B); the
- * ticket reuses bytes of the unused kMbufPtr tail (documented
- * aliasing — one-line layouts never dereference kMbufPtr).
- */
-MetadataLayout make_parking_layout();
 
 } // namespace pmill
 

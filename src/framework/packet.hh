@@ -17,6 +17,7 @@
 #include "src/common/types.hh"
 #include "src/framework/metadata.hh"
 #include "src/mem/access_sink.hh"
+#include "src/mem/payload_park.hh"
 
 namespace pmill {
 
@@ -34,22 +35,19 @@ struct PacketHandle {
 
     void *backing = nullptr;  ///< datapath-private (mbuf / xchg pkt)
 
-    /// @name Parking model: parked-payload view (zero when nothing is
-    /// parked — always the case outside MetadataModel::kParking). The
-    /// buffer then holds only the first len - park_len header bytes;
+    /// Parking model: the parked payload (zero when nothing is parked,
+    /// always the case outside MetadataModel::kParking). The buffer
+    /// then holds only the first len - park.len header bytes;
     /// consumers needing payload bytes (e.g. flow steering) must
     /// materialize them via ExecContext::materialize_payload.
-    /// @{
-    Addr park_addr = 0;                      ///< park-arena sim address
-    const std::uint8_t *park_host = nullptr; ///< park-slot host backing
-    std::uint32_t park_len = 0;              ///< parked payload bytes
-    /// @}
+    ParkRef park;
 
     TimeNs arrival_ns = 0;    ///< wire arrival (latency bookkeeping)
     std::uint64_t trace_id = 0;  ///< tracer packet id; 0 = unsampled
     std::uint8_t out_port = 0;  ///< routing decision of the last element
     bool dropped = false;
 };
+static_assert(sizeof(PacketHandle) <= 96, "PacketHandle must not grow");
 
 /** A batch of packets processed together (FastClick-style). */
 struct PacketBatch {

@@ -22,8 +22,8 @@ layout_for(MetadataModel model)
     switch (model) {
       case MetadataModel::kCopying: return make_copying_layout();
       case MetadataModel::kOverlaying: return make_overlay_layout();
-      case MetadataModel::kXchange: return make_xchg_layout();
-      case MetadataModel::kParking: return make_parking_layout();
+      case MetadataModel::kXchange:
+      case MetadataModel::kParking: return make_xchg_layout();
     }
     panic("bad model");
 }

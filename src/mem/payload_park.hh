@@ -32,6 +32,19 @@
 
 namespace pmill {
 
+/**
+ * One parked payload as it rides a packet and its TX descriptor: the
+ * ticket, the parked byte count, and the slot's simulated address and
+ * host backing. All zero when nothing is parked; the frame's buffer
+ * then holds all of it, otherwise only its first (length - len) bytes.
+ */
+struct ParkRef {
+    std::uint32_t ticket = 0;
+    std::uint32_t len = 0;
+    Addr addr = 0;
+    const std::uint8_t *host = nullptr;
+};
+
 class PayloadPark {
   public:
     /** Lifecycle counters (see file comment for the invariant). */

@@ -73,10 +73,6 @@ NicDevice::admit(std::uint32_t queue, TimeNs now)
 {
     PMILL_ASSERT(queue < queues_.size(), "bad queue");
     Queue &q = queues_[queue];
-    // Every path from here bumps some counter; invalidate the summed
-    // snapshot (relaxed: recomputation happens at serial points only).
-    snap_dirty_.store(true, std::memory_order_relaxed);
-
     if (q.rx_free.empty()) {
         ++q.rx_stats.rx_drops_no_desc;
         PMILL_TRACE(tracer_, TraceEventKind::kDrop, now, 0, 0, trace_span_,
@@ -180,25 +176,6 @@ NicDevice::stats() const
     return s;
 }
 
-const NicStats &
-NicDevice::stats_snapshot() const
-{
-    if (snap_dirty_.load(std::memory_order_relaxed)) {
-        snap_ = stats();
-        snap_dirty_.store(false, std::memory_order_relaxed);
-    }
-    return snap_;
-}
-
-void
-NicDevice::stats_reset()
-{
-    tx_frames_ = tx_bytes_ = 0;
-    for (Queue &q : queues_)
-        q.rx_stats = NicStats{};
-    snap_dirty_.store(true, std::memory_order_relaxed);
-}
-
 std::uint32_t
 NicDevice::rx_poll(std::uint32_t queue, TimeNs now, Cqe *out,
                    std::uint32_t max)
@@ -248,17 +225,14 @@ void
 NicDevice::register_metrics(MetricsRegistry &reg,
                             const std::string &prefix) const
 {
-    // All rate counters read the shared shard-summed snapshot: one
-    // observation recomputes the O(queues) sum at most once, instead
-    // of once per column.
     reg.add_probe_counter(prefix + "rx_frames", [this] {
-        return static_cast<double>(stats_snapshot().rx_frames);
+        return static_cast<double>(stats().rx_frames);
     });
     reg.add_probe_counter(prefix + "tx_frames", [this] {
-        return static_cast<double>(stats_snapshot().tx_frames);
+        return static_cast<double>(stats().tx_frames);
     });
     reg.add_probe_counter(prefix + "rx_drops", [this] {
-        const NicStats &s = stats_snapshot();
+        const NicStats s = stats();
         return static_cast<double>(s.rx_drops_no_desc + s.rx_drops_pcie);
     });
     reg.add_gauge(prefix + "rx_ring_occupancy",
@@ -339,25 +313,15 @@ NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out)
 
         const std::uint32_t qi =
             static_cast<std::uint32_t>(next - queues_.data());
-        TxCompletion c;
-        c.buf_addr = head.buf_addr;
-        c.buf_host = head.buf_host;
-        c.len = head.len;
-        c.arrival_ns = head.arrival_ns;
-        c.departure_ns = departure;
+        TxCompletion &c = out.emplace_back(TxCompletion{
+            head, departure,
+            tx_desc_addr(qi, next->tx_pending.next_pop_slot())});
         c.queue = qi;
-        c.desc_addr = tx_desc_addr(qi, next->tx_pending.next_pop_slot());
-        c.park_addr = head.park_addr;
-        c.park_len = head.park_len;
-        c.park_ticket = head.park_ticket;
-        c.park_host = head.park_host;
-        out.push_back(c);
 
         pcie_tx_free_ = dma_done;
         wire_tx_free_ = departure;
         ++tx_frames_;
         tx_bytes_ += head.len;
-        snap_dirty_.store(true, std::memory_order_relaxed);
 
         TxDescriptor sent;
         next->tx_pending.pop(sent);

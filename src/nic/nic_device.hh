@@ -19,7 +19,6 @@
 #ifndef PMILL_NIC_NIC_DEVICE_HH
 #define PMILL_NIC_NIC_DEVICE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,13 +26,13 @@
 #include "src/common/ring.hh"
 #include "src/common/types.hh"
 #include "src/mem/cache.hh"
+#include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
 #include "src/net/flow.hh"
 
 namespace pmill {
 
 class MetricsRegistry;
-class PayloadPark;
 class Tracer;
 
 /** Wire-level framing overhead: preamble(8) + IFG(12) + FCS(4). */
@@ -73,41 +72,27 @@ struct TxDescriptor {
     Addr buf_addr = 0;
     std::uint8_t *buf_host = nullptr;
     std::uint32_t len = 0;
+    std::uint32_t queue = 0;  ///< TX queue; drain_tx fills it in
     TimeNs arrival_ns = 0;  ///< original wire arrival (for latency)
     TimeNs post_ns = 0;     ///< when the core posted the descriptor
-    /// Parking model: TX gathers len - park_len buffer bytes plus
-    /// park_len payload bytes from park_addr (0/0/0 otherwise).
-    /// park_host is the payload's host backing — the buffer holds
+    /// Parking model: TX gathers len - park.len buffer bytes plus the
+    /// parked payload. park.host is its host backing: the buffer holds
     /// only the header, so frame-byte consumers gather through it.
-    Addr park_addr = 0;
-    std::uint32_t park_len = 0;
-    std::uint32_t park_ticket = 0;
-    const std::uint8_t *park_host = nullptr;
+    ParkRef park;
 };
 
-/** Completion of a transmitted frame (buffer ownership returns). */
-struct TxCompletion {
-    Addr buf_addr = 0;
-    std::uint8_t *buf_host = nullptr;
-    std::uint32_t len = 0;
-    TimeNs arrival_ns = 0;
+/**
+ * Completion of a transmitted frame: the descriptor it completes
+ * (buffer ownership returns), stamped with its queue, its departure
+ * and the TX slot the device read it from (see drain_tx).
+ */
+struct TxCompletion : TxDescriptor {
     TimeNs departure_ns = 0;  ///< wire serialization end
-    std::uint32_t queue = 0;  ///< TX queue the frame was posted on
-    /// Sim address of the drained TX descriptor slot. Lets a caller
-    /// that drained with deferred DMA replay the device's descriptor
-    /// and frame reads on the owning core's hierarchy later (epoch
-    /// scheduler: the reads move to the core's worker thread).
-    Addr desc_addr = 0;
-    /// Parking model: the gather this completion's DMA performed (or,
-    /// deferred, the one the caller must replay) — len - park_len
-    /// buffer bytes as DevRead plus park_len bytes from park_addr as
-    /// ParkRead. park_ticket lets the datapath release the slot;
-    /// park_host lets TX capture assemble the full frame host-side.
-    Addr park_addr = 0;
-    std::uint32_t park_len = 0;
-    std::uint32_t park_ticket = 0;
-    const std::uint8_t *park_host = nullptr;
+    Addr desc_addr = 0;       ///< sim address of the drained TX slot
 };
+static_assert(sizeof(Cqe) <= 56 && sizeof(TxDescriptor) <= 64 &&
+                  sizeof(TxCompletion) <= 80,
+              "per-frame NIC records must not grow");
 
 /** Static NIC parameters. */
 struct NicConfig {
@@ -179,17 +164,6 @@ class NicDevice {
      * value.
      */
     NicStats stats() const;
-    void stats_reset();
-
-    /**
-     * Shard-summed counters, recomputed only when a counter has
-     * changed since the last call (a relaxed dirty flag set at every
-     * mutation site). The metric closures read this so one sampler
-     * observation sums the per-queue shards once, not once per
-     * column. Valid only at serial points (epoch edges / the serial
-     * loop), which is when sampling happens.
-     */
-    const NicStats &stats_snapshot() const;
 
     /**
      * Register this device's telemetry under @p prefix: frame/drop
@@ -274,9 +248,9 @@ class NicDevice {
      * departures <= @p now of one post-ordered sequence.
      *
      * The descriptor and frame device reads are not performed here:
-     * the caller replays them from the completion's desc_addr/
-     * buf_addr/park_addr on the owning core's hierarchy, which keeps
-     * every cache access core-local.
+     * the caller replays them from the completion's desc_addr,
+     * buf_addr and park.addr on the owning core's hierarchy, which
+     * keeps every cache access core-local.
      */
     void drain_tx(TimeNs now, std::vector<TxCompletion> &out);
 
@@ -394,11 +368,6 @@ class NicDevice {
     std::vector<Queue> queues_;
     std::uint64_t tx_frames_ = 0;
     std::uint64_t tx_bytes_ = 0;
-    /// Shard-summed stats() cache behind a relaxed dirty flag (shards
-    /// mutate on worker threads; the flag is atomic so those stores
-    /// are race-free, and recomputation happens at serial points).
-    mutable NicStats snap_;
-    mutable std::atomic<bool> snap_dirty_{true};
     Tracer *tracer_ = nullptr;
     std::uint16_t trace_span_ = 0;
     TimeNs pcie_tx_free_ = 0;  ///< next instant the TX PCIe pipe frees

@@ -879,13 +879,13 @@ Engine::idle_spin(Core &core, TimeNs until)
 void
 Engine::capture_tx(const TxCompletion &c)
 {
-    if (c.park_len == 0) {
+    if (c.park.len == 0) {
         tx_capture_(c.buf_host, c.len);
         return;
     }
-    const std::uint32_t hdr = c.len - c.park_len;
+    const std::uint32_t hdr = c.len - c.park.len;
     std::memcpy(cap_buf_.data(), c.buf_host, hdr);
-    std::memcpy(cap_buf_.data() + hdr, c.park_host, c.park_len);
+    std::memcpy(cap_buf_.data() + hdr, c.park.host, c.park.len);
     tx_capture_(cap_buf_.data(), c.len);
 }
 
@@ -1096,9 +1096,9 @@ Engine::run(const RunConfig &rc)
                       AccessType::kDevRead);
             // Parking: the buffer holds only the header prefix; the
             // payload is gathered from the park arena.
-            qc.access(c.buf_addr, c.len - c.park_len, AccessType::kDevRead);
-            if (c.park_len != 0)
-                qc.access(c.park_addr, c.park_len, AccessType::kParkRead);
+            qc.access(c.buf_addr, c.len - c.park.len, AccessType::kDevRead);
+            if (c.park.len != 0)
+                qc.access(c.park.addr, c.park.len, AccessType::kParkRead);
             queue_dp_[p.nic][c.queue]->on_tx_complete(c);
         }
         fx.clear();

@@ -173,6 +173,11 @@ parse_run_flags(int argc, const char *const *argv, RunFlags *out,
     if (!f.workload.empty() && f.verify)
         return fail("--verify replays a trace and cannot be combined with "
                     "--workload");
+    if (f.json && (f.verify || f.report || f.explain))
+        return fail(strprintf(
+            "--json cannot be combined with %s (--json prints only the "
+            "meta and summary JSON Lines)",
+            f.verify ? "--verify" : f.report ? "--report" : "--explain"));
     *out = std::move(f);
     return true;
 }

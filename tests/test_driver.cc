@@ -14,6 +14,7 @@
 #include "src/driver/mempool.hh"
 #include "src/driver/pmd.hh"
 #include "src/mem/cache.hh"
+#include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
 #include "src/net/packet_builder.hh"
 #include "src/nic/nic_device.hh"
@@ -256,10 +257,14 @@ TEST(SourceContract, RefusedFrameIsNeverWritten)
     EXPECT_EQ(s.rx_frames, 4u);
 }
 
-/** Minimal adapter for PmdXchg tests: a fixed array of slots. */
+/**
+ * Minimal adapter for PmdXchg tests: a fixed array of slots, and the
+ * NIC queue's park dock when one is bound.
+ */
 class TestAdapter : public XchgAdapter {
   public:
-    explicit TestAdapter(SimMemory &mem)
+    explicit TestAdapter(SimMemory &mem, PayloadPark *park = nullptr)
+        : park_(park)
     {
         bufs_ = mem.alloc(kCount * 2048, 64, Region::kPacketData);
         for (std::uint32_t i = 0; i < kCount; ++i)
@@ -271,6 +276,7 @@ class TestAdapter : public XchgAdapter {
         std::uint8_t *host = nullptr;
         std::uint32_t len = 0;
         TimeNs ts = 0;
+        ParkRef park;
     };
 
     bool
@@ -307,6 +313,14 @@ class TestAdapter : public XchgAdapter {
         static_cast<Pkt *>(pkt)->ts = t;
     }
     void set_packet_type(void *, std::uint32_t, AccessSink *) override {}
+    void
+    set_park(void *pkt, std::uint32_t ticket, std::uint32_t len,
+             AccessSink *) override
+    {
+        static_cast<Pkt *>(pkt)->park =
+            ParkRef{ticket, len, park_->slot_addr(ticket),
+                    park_->slot_host(ticket)};
+    }
 
     Addr
     tx_buffer_addr(void *pkt, AccessSink *) override
@@ -328,6 +342,19 @@ class TestAdapter : public XchgAdapter {
     {
         return static_cast<Pkt *>(pkt)->ts;
     }
+    ParkRef
+    tx_park(void *pkt) override
+    {
+        return static_cast<Pkt *>(pkt)->park;
+    }
+    void
+    release_parked(void *pkt) override
+    {
+        ParkRef &p = static_cast<Pkt *>(pkt)->park;
+        if (p.ticket != 0)
+            park_->release(p.ticket, /*dropped=*/true);
+        p = ParkRef{};
+    }
     void
     recycle_buffer(Addr a, std::uint8_t *, AccessSink *) override
     {
@@ -341,6 +368,7 @@ class TestAdapter : public XchgAdapter {
     static constexpr std::uint32_t kPkts = 64;
 
   private:
+    PayloadPark *park_;
     MemHandle bufs_;
     std::vector<std::uint32_t> spares_;
     Pkt pkts_[kPkts];
@@ -383,6 +411,81 @@ TEST(PmdXchg, ExchangesBuffersWithoutAPool)
     pmd.on_tx_complete(done[0]);
     pmd.tx_burst(pkts, 0, 0, nullptr);  // triggers recycle
     EXPECT_EQ(adapter.spare_count(), spares_after_setup);
+}
+
+// A burst larger than the free TX ring posts what fits and frees the
+// rest back to the pool at once (a driver-side drop).
+TEST(PmdStandard, TxRingOverflowFreesTheRest)
+{
+    SimMemory mem;
+    CacheHierarchy caches;
+    NicConfig nc;
+    nc.tx_ring_size = 4;
+    NicDevice nic(nc, caches, mem);
+    Mempool pool(mem, 64);
+    PmdStandard pmd(nic, pool, 0);
+
+    MbufRef burst[8];
+    for (MbufRef &m : burst) {
+        m = pool.alloc(nullptr);
+        ASSERT_TRUE(m);
+        m.m->data_len = 128;
+    }
+    const std::size_t free_before = pool.free_count();
+    EXPECT_EQ(pmd.tx_burst(burst, 8, 100.0, nullptr), 4u);
+    EXPECT_EQ(pool.free_count(), free_before + 4);
+
+    std::vector<TxCompletion> done;
+    nic.drain_tx(1e9, done);
+    ASSERT_EQ(done.size(), 4u);
+    for (std::size_t i = 0; i < done.size(); ++i)
+        EXPECT_EQ(done[i].buf_addr, burst[i].m->frame_addr()) << i;
+}
+
+// The X-Change driver hands what does not fit back to the application:
+// each buffer becomes a spare again and each parked payload's ticket
+// is released as dropped, so none leaks. The posted frames' tickets
+// ride their descriptors to the completions.
+TEST(PmdXchg, TxRingOverflowRecyclesAndReleasesTickets)
+{
+    SimMemory mem;
+    CacheHierarchy caches;
+    NicConfig nc;
+    nc.rx_ring_size = 32;
+    nc.tx_ring_size = 4;
+    NicDevice nic(nc, caches, mem);
+    PayloadPark park(mem, 32, kMbufDataRoomBytes);
+    nic.bind_queue_park(0, &park, 96);
+    TestAdapter adapter(mem, &park);
+    PmdXchg pmd(nic, adapter, 0);
+    ASSERT_EQ(pmd.setup_rx(32), 32u);
+
+    FrameSpec spec;
+    spec.frame_len = 512;
+    const auto f = build_frame(spec);
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(nic.deliver(0, 512, 10.0 * i, [&] { return f.data(); }));
+    void *pkts[8];
+    ASSERT_EQ(pmd.rx_burst(1e9, pkts, 8, nullptr), 8u);
+    ASSERT_EQ(park.stats().outstanding, 8u);
+    const std::size_t spares = adapter.spare_count();
+
+    EXPECT_EQ(pmd.tx_burst(pkts, 8, 2000.0, nullptr), 4u);
+    EXPECT_EQ(adapter.spare_count(), spares + 4);
+    PayloadPark::Stats st = park.stats();
+    EXPECT_EQ(st.dropped, 4u);
+    EXPECT_EQ(st.outstanding, 4u);
+
+    std::vector<TxCompletion> done;
+    nic.drain_tx(1e12, done);
+    ASSERT_EQ(done.size(), 4u);
+    for (const TxCompletion &c : done) {
+        EXPECT_EQ(c.park.len, 512u - 96u);
+        park.release(c.park.ticket, /*dropped=*/false);
+    }
+    st = park.stats();
+    EXPECT_EQ(st.rejoined, 4u);
+    EXPECT_EQ(st.outstanding, 0u);
 }
 
 TEST(NicDevice, TxSerializationOrdersDepartures)
@@ -509,43 +612,6 @@ TEST(RssMapping, LegacyModuloPinned)
     EXPECT_EQ(nic1.rss_queue(extract_tuple(
                   f.data(), static_cast<std::uint32_t>(f.size()))),
               0u);
-}
-
-// The per-metric rate helpers read one cached summed snapshot instead
-// of re-summing the per-queue shards on every call; the cache must be
-// indistinguishable from a fresh stats() sum at any serial point.
-TEST(NicDevice, StatsSnapshotMatchesFreshSum)
-{
-    SimMemory mem;
-    CacheHierarchy caches;
-    NicConfig nc;
-    nc.num_queues = 2;
-    NicDevice nic(nc, caches, mem);
-
-    // No posted RX descriptors: every delivery is a no-desc drop,
-    // which still dirties the snapshot.
-    for (int i = 0; i < 5; ++i) {
-        FrameSpec spec;
-        spec.flow.src_port = static_cast<std::uint16_t>(5000 + i);
-        const auto f = build_frame(spec);
-        const auto len = static_cast<std::uint32_t>(f.size());
-        nic.deliver(nic.rss_queue(extract_tuple(f.data(), len)), len,
-                    1000.0 * i, [&] { return f.data(); });
-    }
-
-    const NicStats fresh = nic.stats();
-    const NicStats &snap = nic.stats_snapshot();
-    EXPECT_EQ(snap.rx_frames, fresh.rx_frames);
-    EXPECT_EQ(snap.rx_bytes, fresh.rx_bytes);
-    EXPECT_EQ(snap.rx_drops_no_desc, fresh.rx_drops_no_desc);
-    EXPECT_EQ(snap.rx_drops_pcie, fresh.rx_drops_pcie);
-    EXPECT_EQ(snap.tx_frames, fresh.tx_frames);
-    EXPECT_EQ(snap.tx_bytes, fresh.tx_bytes);
-    EXPECT_EQ(fresh.rx_drops_no_desc, 5u);
-
-    nic.stats_reset();
-    EXPECT_EQ(nic.stats_snapshot().rx_drops_no_desc, 0u);
-    EXPECT_EQ(nic.stats().rx_drops_no_desc, 0u);
 }
 
 } // namespace

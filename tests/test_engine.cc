@@ -93,6 +93,37 @@ TEST(EngineRun, TxCaptureSeesTransformedFrames)
     EXPECT_TRUE(swapped_ok);
 }
 
+// TX drains only at epoch edges, so an 8-slot TX ring overflows every
+// epoch at 100 Gbps of 1024-B frames: the X-Change driver drops what
+// does not fit at post time and must release those frames' parked
+// payloads. run() hard-asserts ticket conservation; the same run on
+// the default ring drops nothing, so the drops are the overflow's.
+TEST(EngineRun, ParkingTxRingOverflowReleasesTickets)
+{
+    auto run = [](std::uint32_t tx_ring_size, RunResult *r) {
+        MachineConfig m;
+        m.nic.tx_ring_size = tx_ring_size;
+        Engine engine(m, router_config(), opts_model(MetadataModel::kParking),
+                      make_fixed_size_trace(1024, 256, 32));
+        RunConfig rc;
+        rc.offered_gbps = 100.0;
+        rc.warmup_us = 100;
+        rc.duration_us = 300;
+        rc.sample_interval_us = 50;
+        *r = engine.run(rc);
+        EXPECT_LT(r->tx_pkts, engine.nic().stats().rx_frames);
+        const Timeline &tl = engine.timeline();
+        double dropped = 0;
+        for (std::size_t i = 0; i < tl.rows.size(); ++i)
+            dropped += tl.value(i, "park_dropped");
+        return dropped;
+    };
+    RunResult overflow, roomy;
+    EXPECT_GT(run(8, &overflow), 0.0);
+    EXPECT_EQ(run(NicConfig{}.tx_ring_size, &roomy), 0.0);
+    EXPECT_LT(overflow.tx_pkts, roomy.tx_pkts);
+}
+
 TEST(EngineRun, ResultFieldsAreConsistent)
 {
     Trace t = make_fixed_size_trace(1024, 512, 64);

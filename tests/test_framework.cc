@@ -259,8 +259,7 @@ TEST(Pipeline, BuildRejectsUnreadDeviceKeywords)
 TEST(MetadataLayout, AllFieldsHaveDistinctOffsets)
 {
     for (const MetadataLayout &l :
-         {make_copying_layout(), make_overlay_layout(), make_xchg_layout(),
-          make_parking_layout()}) {
+         {make_copying_layout(), make_overlay_layout(), make_xchg_layout()}) {
         for (std::size_t i = 0; i < kNumFields; ++i) {
             for (std::size_t j = i + 1; j < kNumFields; ++j) {
                 const Field a = static_cast<Field>(i);
@@ -284,10 +283,13 @@ TEST(MetadataLayout, AllFieldsHaveDistinctOffsets)
     }
 }
 
+// X-Change's line is Parking's too: the park ticket sits at offset 60,
+// inside the one line.
 TEST(MetadataLayout, XchgFitsOneLine)
 {
     MetadataLayout l = make_xchg_layout();
     EXPECT_EQ(l.total_bytes, 64u);
+    EXPECT_EQ(l.offset_of(Field::kParkTicket), 60u);
     std::vector<Field> all;
     for (std::size_t i = 0; i < kNumFields; ++i)
         all.push_back(static_cast<Field>(i));
@@ -309,8 +311,7 @@ TEST(MetadataLayout, FactoriesPlaceEveryFieldWithinBounds)
     for (std::size_t i = 0; i < kNumFields; ++i)
         all.push_back(static_cast<Field>(i));
     for (const MetadataLayout &l :
-         {make_copying_layout(), make_overlay_layout(), make_xchg_layout(),
-          make_parking_layout()}) {
+         {make_copying_layout(), make_overlay_layout(), make_xchg_layout()}) {
         EXPECT_FALSE(l.name.empty());
         EXPECT_GT(l.total_bytes, 0u) << l.name;
         for (Field f : all)
@@ -318,24 +319,6 @@ TEST(MetadataLayout, FactoriesPlaceEveryFieldWithinBounds)
                 << l.name << ": " << field_name(f)
                 << " extends past the object";
     }
-}
-
-TEST(MetadataLayout, ParkingIsXchgPlusTicket)
-{
-    const MetadataLayout x = make_xchg_layout();
-    const MetadataLayout p = make_parking_layout();
-    EXPECT_EQ(p.total_bytes, 64u);
-    for (std::size_t i = 0; i < kNumFields; ++i) {
-        const Field f = static_cast<Field>(i);
-        if (f == Field::kParkTicket)
-            continue;
-        EXPECT_EQ(p.offset_of(f), x.offset_of(f)) << field_name(f);
-    }
-    EXPECT_EQ(p.offset_of(Field::kParkTicket), 60u);
-    std::vector<Field> all;
-    for (std::size_t i = 0; i < kNumFields; ++i)
-        all.push_back(static_cast<Field>(i));
-    EXPECT_EQ(p.lines_spanned(all), 1u);
 }
 
 TEST(MetadataLayout, LinesSpannedEdgeCases)
@@ -361,8 +344,7 @@ TEST(MetadataLayout, LinesSpannedEdgeCases)
 TEST(PacketView, RoundTripsValuesThroughAnyLayout)
 {
     for (const MetadataLayout &l :
-         {make_copying_layout(), make_overlay_layout(), make_xchg_layout(),
-          make_parking_layout()}) {
+         {make_copying_layout(), make_overlay_layout(), make_xchg_layout()}) {
         std::uint8_t backing[192] = {};
         PacketHandle h;
         h.meta_host = backing;

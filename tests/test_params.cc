@@ -162,6 +162,23 @@ TEST(RunFlags, ModelAndParkSplitOverrideTheOptLevel)
               PipelineOpts{}.park_split_bytes);
 }
 
+// --json prints JSON Lines alone, so a flag that prints text or runs a
+// check after the run contradicts it; at the parent --json returned
+// before the --verify check and after --report's text.
+TEST(RunFlags, JsonRefusesTheTextOutputFlags)
+{
+    for (const char *flag : {"--verify", "--report", "--explain"}) {
+        RunFlags f;
+        std::string err;
+        EXPECT_FALSE(parse({"--json", flag}, &f, &err)) << flag;
+        EXPECT_EQ(err, std::string("--json cannot be combined with ") +
+                           flag +
+                           " (--json prints only the meta and summary "
+                           "JSON Lines)");
+        EXPECT_TRUE(parse({flag}, &f, &err)) << err;
+    }
+}
+
 TEST(RunFlags, CommandLineShapeErrorsPrintTheUsage)
 {
     RunFlags f;
