@@ -138,8 +138,8 @@ main()
     BenchReport rep(
         "scaling_curve",
         "Many-core scale-out: steered router, 6 Gbps offered per core, "
-        "1 -> 32 cores (2 sockets at 16+); eq_ columns golden-gated "
-        "bit-for-bit, steer_/numa_/acct_ columns informational");
+        "1 -> 32 cores (2 sockets at 16+); every column but wall_ms "
+        "golden-gated bit-for-bit");
     rep.header({"Workload", "Cores", "NICs", "Sockets", "wall_ms", "eq_frames",
                 "eq_gbps", "eq_p50_us", "eq_p99_us", "eq_drops",
                 "eq_steer_handoffs", "eq_acct_total", "steer_delivered",

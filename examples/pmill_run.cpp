@@ -231,7 +231,7 @@ main(int argc, char **argv)
             .num("median_latency_us", r.median_latency_us)
             .num("p99_latency_us", r.p99_latency_us)
             .uint64("tx_pkts", r.tx_pkts).uint64("rx_drops", r.rx_drops)
-            .num("ipc", r.ipc)
+            .uint64("tx_drops", r.tx_drops).num("ipc", r.ipc)
             .num("llc_kloads_per_100ms", r.llc_kloads_per_100ms)
             .num("llc_kmisses_per_100ms", r.llc_kmisses_per_100ms).end();
     };
@@ -353,8 +353,9 @@ main(int argc, char **argv)
                 r.throughput_gbps, r.goodput_gbps, r.mpps);
     std::printf("latency:    mean %.2f / median %.2f / p99 %.2f us\n",
                 r.mean_latency_us, r.median_latency_us, r.p99_latency_us);
-    std::printf("drops:      %llu\n",
-                static_cast<unsigned long long>(r.rx_drops));
+    std::printf("drops:      %llu rx / %llu tx\n",
+                static_cast<unsigned long long>(r.rx_drops),
+                static_cast<unsigned long long>(r.tx_drops));
     std::printf("llc:        %.0f kilo-loads, %.1f kilo-misses per "
                 "100 ms; IPC %.2f\n",
                 r.llc_kloads_per_100ms, r.llc_kmisses_per_100ms, r.ipc);

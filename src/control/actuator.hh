@@ -84,7 +84,7 @@ class Actuator {
         (void)idx;
         (void)queue;
     }
-    /** Bucket selections since the last reset_rss_entry_loads(). */
+    /** Frames of bucket @p idx since the last reset_rss_entry_loads(). */
     virtual std::uint64_t
     rss_entry_load(std::uint32_t idx) const
     {

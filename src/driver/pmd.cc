@@ -162,6 +162,7 @@ PmdStandard::tx_burst(MbufRef *pkts, std::uint32_t n, TimeNs now,
             // TX ring full: drop remaining packets (free immediately).
             for (std::uint32_t j = i; j < n; ++j)
                 pool_.free(pkts[j], sink);
+            nic_.drop_tx(queue_, n - i);
             return sent;
         }
         ++sent;
@@ -172,6 +173,7 @@ PmdStandard::tx_burst(MbufRef *pkts, std::uint32_t n, TimeNs now,
 void
 PmdStandard::on_tx_complete(const TxCompletion &c)
 {
+    nic_.reclaim_tx(queue_);
     to_free_.push_back(pool_.owner_of(c.buf_addr));
 }
 
@@ -306,6 +308,7 @@ PmdXchg::tx_burst(void **pkts, std::uint32_t n, TimeNs now,
                     adapter_.tx_buffer_addr(pkts[j], sink),
                     adapter_.tx_buffer_host(pkts[j]), sink);
             }
+            nic_.drop_tx(queue_, n - i);
             return sent;
         }
         ++sent;
@@ -316,6 +319,7 @@ PmdXchg::tx_burst(void **pkts, std::uint32_t n, TimeNs now,
 void
 PmdXchg::on_tx_complete(const TxCompletion &c)
 {
+    nic_.reclaim_tx(queue_);
     to_recycle_.push_back(c);
 }
 

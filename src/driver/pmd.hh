@@ -56,12 +56,17 @@ class PmdStandard {
     /**
      * Transmit @p n mbufs: frees previously completed TX mbufs back
      * to the pool (free-threshold behaviour), then posts descriptors.
-     * @return packets actually queued (ring-full drops the rest).
+     * @return packets actually queued (ring-full drops the rest and
+     *         counts them in the device's tx_drops).
      */
     std::uint32_t tx_burst(MbufRef *pkts, std::uint32_t n, TimeNs now,
                            AccessSink *sink);
 
-    /** Engine callback: buffer finished serializing on the wire. */
+    /**
+     * Engine callback: the completion of a frame that left the wire
+     * takes effect. The descriptor slot is reclaimed at once; the
+     * buffer returns to the pool at the next tx_burst.
+     */
     void on_tx_complete(const TxCompletion &c);
 
     /**
@@ -120,7 +125,11 @@ class PmdXchg {
     std::uint32_t tx_burst(void **pkts, std::uint32_t n, TimeNs now,
                            AccessSink *sink);
 
-    /** Engine callback: buffer finished serializing on the wire. */
+    /**
+     * Engine callback: the completion of a frame that left the wire
+     * takes effect. The descriptor slot is reclaimed at once; the
+     * buffer returns to the application at the next tx_burst.
+     */
     void on_tx_complete(const TxCompletion &c);
 
     /** Register this queue's RX-ring occupancy gauge under @p prefix. */

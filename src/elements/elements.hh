@@ -377,9 +377,9 @@ class WorkPackage : public Element {
  * flow table on each packet's RSS hash; packets whose home core is
  * this core pass through, the rest are copied into the home core's
  * handoff ring and released locally. The engine binds each core's
- * instance to the shared SteerFabric after the pipeline is built and
- * re-injects staged frames on the destination core at deterministic
- * serial points.
+ * instance to the shared SteerFabric after the pipeline is built, and
+ * the destination core lands each staged frame on its own queue the
+ * fabric's latency after it was staged.
  *
  * Unbound (e.g. in a verification build without an engine) the
  * element is a transparent no-op.

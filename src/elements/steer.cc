@@ -30,10 +30,15 @@ FlowSteer::process(PacketBatch &batch, ExecContext &ctx)
         // plus the branch deciding home vs. handoff.
         ctx.load(fabric_->table_addr(idx), 4);
         ctx.on_compute(3, 8);
-        fabric_->note_entry_load(core_, idx);
         const std::uint32_t dst = fabric_->entry(idx);
 
         if (dst == core_) {
+            // A bucket's load counts each frame once, on the core that
+            // processes it: a handed-off frame passes FlowSteer again
+            // on its home core, so counting at the source as well
+            // would double a moved bucket and make the controller
+            // move it again.
+            fabric_->note_entry_load(core_, idx);
             fabric_->note_pass(core_);
             if (kept != i)
                 batch[kept] = h;
@@ -66,7 +71,7 @@ FlowSteer::process(PacketBatch &batch, ExecContext &ctx)
         const Addr slot = fabric_->ring_slot_addr(core_, dst);
         ctx.store(slot, h.len);
         ctx.on_compute(2, 4);
-        fabric_->stage(core_, dst, frame, h.len, h.arrival_ns);
+        fabric_->stage(core_, dst, frame, h.len, h.arrival_ns, ctx.now_ns());
         release_.push_back(h);
     }
     batch.count = kept;

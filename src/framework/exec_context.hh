@@ -262,6 +262,14 @@ class ExecContext final : public AccessSink {
                c_.wall_ns;
     }
 
+    /**
+     * Simulated time now: the time base plus elapsed_ns(). The engine
+     * sets the base before each poll step, so elements can stamp what
+     * they hand to other cores (FlowSteer) and trace records.
+     */
+    TimeNs now_ns() const { return time_base_ + elapsed_ns(); }
+    void set_time_base(TimeNs base) { time_base_ = base; }
+
     const ExecCounters &counters() const { return c_; }
 
     /** Zero the counters (cache state stays warm). */
@@ -282,6 +290,7 @@ class ExecContext final : public AccessSink {
     PipelineOpts opts_;
     double freq_ghz_;
     std::uint32_t burst_ = 32;
+    TimeNs time_base_ = 0;
     ExecCounters c_;
     CycleAccount acct_;
     double acct_tlb_cycles_ = 0;

@@ -274,8 +274,7 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
         if (tron) {
             for (std::uint32_t i = 0; i < batch.count; ++i)
                 if (batch[i].trace_id)
-                    tracer_->record(TraceEventKind::kDrop,
-                                    trace_base_ns_ + ctx.elapsed_ns(),
+                    tracer_->record(TraceEventKind::kDrop, ctx.now_ns(),
                                     batch[i].trace_id, trace_batch_, 0,
                                     kDropPipeline);
         }
@@ -291,9 +290,8 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
     // boundary and the element's own work to its ElementStats entry.
     const ExecCounters c0 = ctx.counters();
     if (tron)
-        tracer_->record(TraceEventKind::kElementEnter,
-                        trace_base_ns_ + ctx.elapsed_ns(), 0, trace_batch_,
-                        span, batch.count);
+        tracer_->record(TraceEventKind::kElementEnter, ctx.now_ns(), 0,
+                        trace_batch_, span, batch.count);
     const std::uint32_t before = batch.count;
     {
         // Attribute the same window ElementStats measures — dispatch,
@@ -320,7 +318,7 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
         // Exit carries the batch's full cost deltas; each sampled
         // packet additionally gets its per-packet share so lifecycle
         // reconstruction needs no batch join.
-        const TimeNs t_exit = trace_base_ns_ + ctx.elapsed_ns();
+        const TimeNs t_exit = ctx.now_ns();
         const double ddur =
             ((c1.compute_cycles + c1.access_cycles) -
              (c0.compute_cycles + c0.access_cycles)) /
@@ -345,8 +343,7 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
             } else {
                 ++dropped_;
                 if (tron && batch[i].trace_id)
-                    tracer_->record(TraceEventKind::kDrop,
-                                    trace_base_ns_ + ctx.elapsed_ns(),
+                    tracer_->record(TraceEventKind::kDrop, ctx.now_ns(),
                                     batch[i].trace_id, trace_batch_, span,
                                     kDropPipeline);
             }
@@ -358,8 +355,7 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
     if (tron) {
         for (std::uint32_t i = 0; i < batch.count; ++i)
             if (batch[i].dropped && batch[i].trace_id)
-                tracer_->record(TraceEventKind::kDrop,
-                                trace_base_ns_ + ctx.elapsed_ns(),
+                tracer_->record(TraceEventKind::kDrop, ctx.now_ns(),
                                 batch[i].trace_id, trace_batch_, span,
                                 kDropPipeline);
     }

@@ -111,13 +111,6 @@ class Pipeline {
      */
     void set_tracer(Tracer *t);
 
-    /**
-     * Simulated time at which the current step's ExecContext counters
-     * started; event timestamps are base + ctx.elapsed_ns(). Set by
-     * the engine before each process() call.
-     */
-    void set_trace_time_base(TimeNs base) { trace_base_ns_ = base; }
-
   private:
     Pipeline() = default;
 
@@ -157,7 +150,6 @@ class Pipeline {
 
     Tracer *tracer_ = nullptr;
     bool tron_ = false;  ///< tracing live for the current process()
-    TimeNs trace_base_ns_ = 0;
     std::uint32_t trace_batch_ = 0;  ///< current pipeline-invocation id
     std::vector<std::uint16_t> trace_spans_;  ///< per-element span ids
 };

@@ -5,14 +5,17 @@
 namespace pmill {
 
 SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
-                         std::uint32_t ring_capacity, SimMemory &mem,
+                         std::uint32_t ring_capacity, TimeNs latency_ns,
+                         SimMemory &mem,
                          const std::vector<std::uint32_t> *ring_sockets)
-    : num_cores_(num_cores), ring_capacity_(ring_capacity)
+    : num_cores_(num_cores), ring_capacity_(ring_capacity),
+      latency_ns_(latency_ns)
 {
     PMILL_ASSERT(num_cores >= 1, "steer fabric needs at least one core");
     PMILL_ASSERT(table_size >= 1 && is_pow2(table_size),
                  "steer table size must be a power of two");
     PMILL_ASSERT(ring_capacity >= 1, "steer ring capacity must be >= 1");
+    PMILL_ASSERT(latency_ns > 0, "steer latency must be positive");
     PMILL_ASSERT(!ring_sockets || ring_sockets->size() >= num_cores,
                  "ring_sockets must cover every core");
     mask_ = table_size - 1;
@@ -27,7 +30,7 @@ SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
         table_[i] = i % num_cores;
 
     // The table's and rings' simulated addresses feed the cache model;
-    // their contents live in table_ and the staging vectors, so
+    // their contents live in table_ and the handoff vectors, so
     // neither gets host pages.
     const std::uint32_t old_home = mem.home_socket();
     table_mem_ = mem.alloc_sparse(std::uint64_t(table_size) * 4,
@@ -46,31 +49,34 @@ SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
     mem.set_home_socket(old_home);
 
     cursors_.assign(std::size_t(num_cores) * num_cores, 0);
-    staging_.resize(std::size_t(num_cores) * num_cores);
+    in_flight_.resize(std::size_t(num_cores) * num_cores);
+    outbox_.resize(num_cores);
     shards_.resize(num_cores);
     load_shards_.assign(num_cores,
                         std::vector<std::uint64_t>(table_size, 0));
-    src_staged_.assign(num_cores, 0);
 }
 
 bool
 SteerFabric::stage(std::uint32_t src, std::uint32_t dst,
                    const std::uint8_t *frame, std::uint32_t len,
-                   TimeNs arrival_ns)
+                   TimeNs arrival_ns, TimeNs now_ns)
 {
     PMILL_ASSERT(src < num_cores_ && dst < num_cores_, "bad steer core");
-    auto &row = staging_[src * num_cores_ + dst];
-    if (row.size() >= ring_capacity_) {
+    // A source's stage times rise, so its in-flight records are in due
+    // order and every landed one sits at the front.
+    std::deque<TimeNs> &flying = in_flight_[src * num_cores_ + dst];
+    while (!flying.empty() && flying.front() <= now_ns)
+        flying.pop_front();
+    if (flying.size() >= ring_capacity_) {
         ++shards_[src].stage_drops;
         return false;
     }
-    StagedFrame f;
-    f.bytes.assign(frame, frame + len);
-    f.len = len;
-    f.arrival_ns = arrival_ns;
-    row.push_back(std::move(f));
+    const TimeNs due = now_ns + latency_ns_;
+    flying.push_back(due);
+    outbox_[src].push_back(
+        Handoff{std::vector<std::uint8_t>(frame, frame + len), src, dst,
+                arrival_ns, due});
     ++shards_[src].steered;
-    src_staged_[src] = 1;
     return true;
 }
 
@@ -102,6 +108,7 @@ SteerFabric::stats() const
         s.stage_drops += sh.stage_drops;
         s.ring_drops += sh.ring_drops;
     }
+    s.in_flight = s.steered - s.delivered - s.ring_drops;
     return s;
 }
 

@@ -6,21 +6,26 @@
  *
  * The fabric sits between the FlowSteer element (which consults the
  * table on each core and stages frames whose home core differs) and
- * the engine's conductor (which merges the staged frames into the
- * destination cores' NIC queues at deterministic serial points).
+ * the destination cores, which land each handoff on their NIC queue
+ * a fixed latency after it was staged. The engine takes the staged
+ * handoffs at each epoch edge and lands them from the destinations'
+ * inboxes (src/runtime/engine.cc).
  *
  * Concurrency contract (mirrors the epoch scheduler's): during the
- * parallel phase a core touches only its own row of the staging
- * matrix, its own stats shard, and its own per-bucket load shard; the
- * shared table is read-only. All writes to shared state (table
- * reprogramming, drain) happen at serial points in config-core order,
- * so results are bit-identical for every host thread count.
+ * parallel phase a source core touches only its own outbox, its own
+ * in-flight records, its own stats shard and its own per-bucket load
+ * shard, and a destination core only its own stats shard; the shared
+ * table is read-only. Taking the outboxes and reprogramming the table
+ * happen at serial points, and every handoff is due at least one
+ * latency after it was staged, so results are bit-identical for every
+ * host thread count and every epoch up to that latency.
  */
 
 #ifndef PMILL_NET_STEERING_HH
 #define PMILL_NET_STEERING_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "src/common/log.hh"
@@ -36,16 +41,23 @@ struct SteerStats {
     std::uint64_t delivered = 0;   ///< frames landed on the target queue
     std::uint64_t stage_drops = 0; ///< handoff ring full at the source
     std::uint64_t ring_drops = 0;  ///< target queue refused the frame
+    /// Staged frames not yet landed or refused at their destination
+    /// (steered - delivered - ring_drops). Engine::run asserts after
+    /// every run that exactly this many wait in the destinations'
+    /// inboxes, each due at or after the run's end.
+    std::uint64_t in_flight = 0;
 };
 
-/** One staged handoff frame (host-side copy; the source's mbuf is
- * released as soon as the frame is staged). */
-struct StagedFrame {
+/** One handoff frame (host-side copy; the source's buffer is released
+ * as soon as the frame is staged). */
+struct Handoff {
     std::vector<std::uint8_t> bytes;
-    std::uint32_t len = 0;
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
     TimeNs arrival_ns = 0;  ///< original wire arrival (latency keeps
                             ///< charging from the wire, so handoff
                             ///< queueing delay stays visible in p99)
+    TimeNs due_ns = 0;      ///< staging time + the fabric's latency
 };
 
 class SteerFabric {
@@ -55,8 +67,11 @@ class SteerFabric {
 
     /**
      * @param table_size power-of-two bucket count (like the NIC RETA).
-     * @param ring_capacity per-(src,dst) staging bound; overflow is a
-     *        deterministic steer drop, like a full hardware ring.
+     * @param ring_capacity per-(src,dst) bound on handoffs in flight
+     *        (staged and not yet due); overflow is a deterministic
+     *        steer drop, like a full hardware ring.
+     * @param latency_ns delay from staging to landing on the
+     *        destination's queue.
      * @param ring_sockets optional per-core NUMA homes: destination
      *        core c's handoff ring is allocated with home socket
      *        ring_sockets[c], so a cross-socket handoff's stores pay
@@ -66,7 +81,8 @@ class SteerFabric {
      * costs flow through the cache model.
      */
     SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
-                std::uint32_t ring_capacity, SimMemory &mem,
+                std::uint32_t ring_capacity, TimeNs latency_ns,
+                SimMemory &mem,
                 const std::vector<std::uint32_t> *ring_sockets = nullptr);
 
     std::uint32_t num_cores() const { return num_cores_; }
@@ -123,21 +139,23 @@ class SteerFabric {
         return a;
     }
 
-    /// @name Parallel-phase, source-core-private operations.
+    /// @name Parallel phase, source-core-private operations.
     /// @{
 
     /**
-     * Stage a frame from @p src for @p dst. @return false when src's
-     * staging row for dst is at ring capacity (counted as a stage
-     * drop; the caller still releases the packet).
+     * Stage a frame from @p src for @p dst at simulated time @p now_ns;
+     * it lands on dst at now_ns + the fabric latency. @return false
+     * when ring_capacity handoffs from src to dst are still in flight
+     * at now_ns (counted as a stage drop; the caller still releases
+     * the packet).
      */
     bool stage(std::uint32_t src, std::uint32_t dst,
                const std::uint8_t *frame, std::uint32_t len,
-               TimeNs arrival_ns);
+               TimeNs arrival_ns, TimeNs now_ns);
 
     void note_pass(std::uint32_t core) { ++shards_[core].passed; }
 
-    /** Record a bucket selection in @p core 's load shard. */
+    /** Record one frame of bucket @p idx processed on @p core. */
     void
     note_entry_load(std::uint32_t core, std::uint32_t idx)
     {
@@ -145,53 +163,36 @@ class SteerFabric {
     }
     /// @}
 
+    /** Count @p dst 's landing of a handoff: @p delivered, or refused
+     * by its queue (a ring drop). Destination-core-private. */
+    void
+    note_landing(std::uint32_t dst, bool delivered)
+    {
+        if (delivered)
+            ++shards_[dst].delivered;
+        else
+            ++shards_[dst].ring_drops;
+    }
+
     /// @name Serial-point operations (conductor / controller).
     /// @{
 
     /**
-     * Deliver every staged frame in deterministic order (destination
-     * ascending, then source ascending, then FIFO). @p deliver is
-     * called as deliver(dst, frame, len, arrival_ns) and returns
-     * false when the destination queue refuses the frame (counted as
-     * a ring drop). Staging rows are emptied.
+     * Pass every staged handoff to @p take, sources in ascending core
+     * order and each source's in staging order, and empty the outboxes.
      */
     template <typename Fn>
     void
-    drain(Fn &&deliver)
+    take_staged(Fn &&take)
     {
-        if (!has_staged())
-            return;
-        for (std::uint32_t dst = 0; dst < num_cores_; ++dst) {
-            for (std::uint32_t src = 0; src < num_cores_; ++src) {
-                auto &row = staging_[src * num_cores_ + dst];
-                for (StagedFrame &f : row) {
-                    if (deliver(dst, f.bytes.data(), f.len, f.arrival_ns))
-                        ++shards_[dst].delivered;
-                    else
-                        ++shards_[dst].ring_drops;
-                }
-                row.clear();
-            }
+        for (std::vector<Handoff> &out : outbox_) {
+            for (Handoff &h : out)
+                take(std::move(h));
+            out.clear();
         }
-        for (std::uint32_t c = 0; c < num_cores_; ++c)
-            src_staged_[c] = 0;
     }
 
-    /**
-     * True when any frame is staged. Serial points only: ORs the
-     * per-source flags (each written only by its owning core during
-     * the parallel phase).
-     */
-    bool
-    has_staged() const
-    {
-        for (std::uint32_t c = 0; c < num_cores_; ++c)
-            if (src_staged_[c])
-                return true;
-        return false;
-    }
-
-    /** Total bucket selections for @p idx (summed over core shards). */
+    /** Total frames of bucket @p idx (summed over core shards). */
     std::uint64_t entry_load(std::uint32_t idx) const;
 
     void reset_entry_loads();
@@ -203,16 +204,17 @@ class SteerFabric {
     std::uint32_t num_cores_;
     std::uint32_t mask_;
     std::uint32_t ring_capacity_;
+    TimeNs latency_ns_;
     std::vector<std::uint32_t> table_;
     MemHandle table_mem_;
     std::vector<MemHandle> ring_mem_;        ///< one region per dst
     std::vector<std::uint32_t> cursors_;     ///< per (src,dst) slot cursor
-    std::vector<std::vector<StagedFrame>> staging_;  ///< per (src,dst)
+    /// Per (src,dst): due times of the handoffs src staged for dst,
+    /// in staging order, trimmed to those still in flight.
+    std::vector<std::deque<TimeNs>> in_flight_;
+    std::vector<std::vector<Handoff>> outbox_;   ///< per src, staged
     std::vector<SteerStats> shards_;         ///< per core
     std::vector<std::vector<std::uint64_t>> load_shards_;  ///< per core
-    /// Per-source "I staged something" flags (core-owned cells, so
-    /// the parallel phase stays race-free; ORed at serial points).
-    std::vector<std::uint8_t> src_staged_;
 };
 
 } // namespace pmill

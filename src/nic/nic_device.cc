@@ -74,13 +74,13 @@ NicDevice::admit(std::uint32_t queue, TimeNs now)
     PMILL_ASSERT(queue < queues_.size(), "bad queue");
     Queue &q = queues_[queue];
     if (q.rx_free.empty()) {
-        ++q.rx_stats.rx_drops_no_desc;
+        ++q.counters.rx_drops_no_desc;
         PMILL_TRACE(tracer_, TraceEventKind::kDrop, now, 0, 0, trace_span_,
                     kDropNoRxDesc);
         return false;
     }
     if (q.completions.full()) {
-        ++q.rx_stats.rx_drops_pcie;
+        ++q.counters.rx_drops_pcie;
         PMILL_TRACE(tracer_, TraceEventKind::kDrop, now, 0, 0, trace_span_,
                     kDropPcie);
         return false;
@@ -102,8 +102,8 @@ NicDevice::accept(std::uint32_t queue, const std::uint8_t *frame,
     q.pcie_rx_free = dma_done;
 
     land(queue, frame, len, dma_done);
-    ++q.rx_stats.rx_frames;
-    q.rx_stats.rx_bytes += len;
+    ++q.counters.rx_frames;
+    q.counters.rx_bytes += len;
 }
 
 void
@@ -168,10 +168,11 @@ NicDevice::stats() const
     s.tx_frames = tx_frames_;
     s.tx_bytes = tx_bytes_;
     for (const Queue &q : queues_) {
-        s.rx_frames += q.rx_stats.rx_frames;
-        s.rx_bytes += q.rx_stats.rx_bytes;
-        s.rx_drops_no_desc += q.rx_stats.rx_drops_no_desc;
-        s.rx_drops_pcie += q.rx_stats.rx_drops_pcie;
+        s.rx_frames += q.counters.rx_frames;
+        s.rx_bytes += q.counters.rx_bytes;
+        s.rx_drops_no_desc += q.counters.rx_drops_no_desc;
+        s.rx_drops_pcie += q.counters.rx_drops_pcie;
+        s.tx_drops += q.counters.tx_drops;
     }
     return s;
 }
@@ -261,11 +262,25 @@ bool
 NicDevice::post_tx(std::uint32_t queue, const TxDescriptor &desc)
 {
     Queue &q = queues_[queue];
+    if (q.tx_held == cfg_.tx_ring_size)
+        return false;
+    // tx_pending holds the held slots the device has not yet sent.
     const bool was_empty = q.tx_pending.empty();
     const bool ok = q.tx_pending.push(desc);
-    if (ok && was_empty)
+    PMILL_ASSERT(ok, "TX ring overflow despite a free slot");
+    ++q.tx_held;
+    if (was_empty)
         q.tx_bound = 0;
-    return ok;
+    return true;
+}
+
+void
+NicDevice::reclaim_tx(std::uint32_t queue)
+{
+    Queue &q = queues_[queue];
+    PMILL_ASSERT(q.tx_held > q.tx_pending.size(),
+                 "TX reclaim on queue %u without a sent descriptor", queue);
+    --q.tx_held;
 }
 
 TimeNs

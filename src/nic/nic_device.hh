@@ -38,6 +38,20 @@ class Tracer;
 /** Wire-level framing overhead: preamble(8) + IFG(12) + FCS(4). */
 inline constexpr std::uint32_t kWireOverheadBytes = 24;
 
+/**
+ * Modeled delay (ns) from a frame's wire departure to its TX
+ * completion taking effect on the core that owns the queue: the
+ * device's reads of the descriptor and the frame, then the driver's
+ * reclaim of the slot and the buffer. mlx5 asks for one completion
+ * per batch of descriptors and frees sent buffers in a later
+ * tx_burst, so completions reach the driver microseconds late: one
+ * 32-descriptor batch at the 8-13 Mpps one PacketMill core forwards
+ * is 2.5-4 us. The low end keeps the section 4.1 reordering gain,
+ * which delays of 3 us and more erode (EXPERIMENTS.md). The delay is
+ * also the epoch scheduler's lookahead (DESIGN.md section 9).
+ */
+inline constexpr TimeNs kTxCompletionLatencyNs = 2500.0;
+
 /** Completion-queue entry (accounted as one 64-B line, like mlx5). */
 struct Cqe {
     Addr buf_addr = 0;          ///< data buffer the frame was DMAed to
@@ -98,6 +112,8 @@ static_assert(sizeof(Cqe) <= 56 && sizeof(TxDescriptor) <= 64 &&
 struct NicConfig {
     std::uint32_t num_queues = 1;
     std::uint32_t rx_ring_size = 2048;  ///< descriptors per RX queue
+    /// Descriptors per TX queue. A slot is held from post_tx until the
+    /// driver reclaims its completion (reclaim_tx).
     std::uint32_t tx_ring_size = 1024;
     double link_gbps = 100.0;
     /// Effective PCIe payload bandwidth per direction (bytes/s).
@@ -114,6 +130,7 @@ struct NicStats {
     std::uint64_t rx_drops_pcie = 0;     ///< PCIe backlog overflow
     std::uint64_t tx_frames = 0;
     std::uint64_t tx_bytes = 0;
+    std::uint64_t tx_drops = 0;  ///< TX ring full at post (driver drop)
 };
 
 /**
@@ -158,10 +175,10 @@ class NicDevice {
 
     const NicConfig &config() const { return cfg_; }
     /**
-     * Aggregate device counters. RX counters accumulate per queue (so
-     * concurrent worker threads never touch a shared cell); this sums
-     * them with the device-level TX counters on every call, hence by
-     * value.
+     * Aggregate device counters. RX counters and TX drops accumulate
+     * per queue (so concurrent worker threads never touch a shared
+     * cell); this sums them with the device-level TX counters on every
+     * call, hence by value.
      */
     NicStats stats() const;
 
@@ -235,8 +252,32 @@ class NicDevice {
     /** Free descriptor count of @p queue (for tests/diagnostics). */
     std::size_t rx_free_descs(std::uint32_t queue) const;
 
-    /** Driver-side: enqueue a frame for transmission. */
+    /**
+     * Driver-side: enqueue a frame for transmission. @return false,
+     * leaving the frame with the caller, when every slot of @p queue 's
+     * TX ring is held (posted and not yet reclaimed).
+     */
     bool post_tx(std::uint32_t queue, const TxDescriptor &desc);
+
+    /**
+     * Driver-side: the driver dropped @p n frames that @p queue 's full
+     * TX ring refused (the one post_tx returned false for and the rest
+     * of its burst). Counted in NicStats::tx_drops.
+     */
+    void
+    drop_tx(std::uint32_t queue, std::uint32_t n)
+    {
+        queues_[queue].counters.tx_drops += n;
+    }
+
+    /**
+     * Driver-side: the driver processed one of @p queue 's TX
+     * completions, so its descriptor slot is free for post_tx again.
+     * The ring occupancy post_tx sees is thus a function of the
+     * owning core's own sequence of posts and reclaims, never of when
+     * drain_tx ran.
+     */
+    void reclaim_tx(std::uint32_t queue);
 
     /**
      * Engine-side: serialize pending TX frames onto the wire up to
@@ -250,7 +291,8 @@ class NicDevice {
      * The descriptor and frame device reads are not performed here:
      * the caller replays them from the completion's desc_addr,
      * buf_addr and park.addr on the owning core's hierarchy, which
-     * keeps every cache access core-local.
+     * keeps every cache access core-local, kTxCompletionLatencyNs
+     * after the departure.
      */
     void drain_tx(TimeNs now, std::vector<TxCompletion> &out);
 
@@ -321,9 +363,11 @@ class NicDevice {
         MemHandle txd_mem;  ///< TX descriptor ring backing
         /// Next instant this queue's RX PCIe pipe frees.
         TimeNs pcie_rx_free = 0;
-        /// RX counters (summed into stats() on read). Writable from
-        /// the queue's worker thread.
-        NicStats rx_stats;
+        /// RX counters and TX drops (summed into stats() on read).
+        /// Writable from the queue's worker thread.
+        NicStats counters;
+        /// TX slots posted and not yet reclaimed by the driver.
+        std::uint32_t tx_held = 0;
         /// Per-queue lower bound on this queue's next TX completion
         /// time (see drain_tx); the device-level early-out is the min
         /// over queues. Reset to 0 when a post lands on a previously

@@ -21,9 +21,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Flow-steering fabric geometry, used only when the pipeline contains
 /// a FlowSteer element: power-of-two bucket count of the shared
-/// steering table, and the per-(src,dst) handoff staging bound.
+/// steering table, and the per-(src,dst) bound on handoffs in flight.
 constexpr std::uint32_t kSteerTableSize = 256;
 constexpr std::uint32_t kSteerRingCapacity = 512;
+/// Modeled delay (ns) from FlowSteer staging a frame to the frame
+/// landing on its home core's queue: the enqueue into a shared-memory
+/// ring, the destination's next poll of it, and the copy engine's
+/// write. It bounds the epoch of every run that steers (section 9 of
+/// DESIGN.md).
+constexpr TimeNs kSteerLatencyNs = 1000.0;
 
 /// Range (us) of the per-run latency histogram.
 constexpr double kLatencyRangeUs = 4000.0;
@@ -82,21 +88,24 @@ arrival_key(TimeNs t)
 }
 
 /**
- * One drawn wire arrival, RSS-routed to its core's list by the
+ * One drawn wire arrival, RSS-routed to its core's inbox by the
  * conductor and consumed by the owning core's worker thread, which
  * writes the frame's bytes only if its NIC queue accepts it.
  */
 struct PendingArrival {
-    TimeNs start = 0;       ///< generator emission time (event order key)
+    TimeNs start = 0;       ///< generator emission time (its due time)
     FrameDraw draw;         ///< length, tuple and what write() needs
     std::uint32_t nic = 0;  ///< ingress device
 };
 
-/** One epoch's arrivals for one core, in emission order. */
-struct ArrivalList {
-    std::vector<PendingArrival> list;
-    std::size_t next = 0;  ///< first arrival not yet delivered
+/** One TX completion, routed to the core that owns its queue. */
+struct PendingTx {
+    std::uint32_t nic = 0;  ///< completing device
+    TxCompletion c;
+
+    TimeNs due() const { return c.departure_ns + kTxCompletionLatencyNs; }
 };
+
 
 /** One cyclic replay of @p trace per NIC, all sharing the frames. */
 std::vector<std::unique_ptr<FrameSource>>
@@ -147,6 +156,21 @@ barrier_relax(unsigned &spins)
 }
 
 } // namespace
+
+/**
+ * What the conductor hands one core: its drawn arrivals (this epoch's
+ * only), its TX completions and the steering handoffs for it, each
+ * list in due order. The core applies the three merged by due time,
+ * ties in InboxKind order.
+ */
+struct Engine::Inbox {
+    std::vector<PendingArrival> arrivals;
+    std::size_t next_arrival = 0;
+    std::vector<PendingTx> completions;
+    std::size_t next_completion = 0;
+    std::vector<Handoff> handoffs;
+    std::size_t next_handoff = 0;
+};
 
 Engine::Engine(const MachineConfig &machine, const std::string &config_text,
                const PipelineOpts &opts, Trace trace)
@@ -262,8 +286,8 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
         for (std::uint32_t c = 0; c < machine.num_cores; ++c)
             ring_sockets[c] = core_socket(c);
         steer_ = std::make_unique<SteerFabric>(
-            machine.num_cores, kSteerTableSize, kSteerRingCapacity, *mem_,
-            &ring_sockets);
+            machine.num_cores, kSteerTableSize, kSteerRingCapacity,
+            kSteerLatencyNs, *mem_, &ring_sockets);
         for (std::uint32_t c = 0; c < machine.num_cores; ++c)
             for (FlowSteer *fs : cores_[c]->steer_elems)
                 fs->bind(steer_.get(), c);
@@ -278,6 +302,7 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
     gens_.resize(machine.num_nics);
     for (std::uint32_t n = 0; n < machine.num_nics; ++n)
         gens_[n].source = std::move(sources[n]);
+    inboxes_.resize(machine.num_cores);
 
     register_telemetry();
 }
@@ -733,14 +758,13 @@ Engine::step_core(Core &core)
     ExecContext &ctx = *core.ctx;
     bool any = false;
 
+    // Time inside the step is base + ctx.elapsed_ns(); at step entry
+    // elapsed == last_elapsed and sim time == clock.
+    ctx.set_time_base(core.clock - core.last_elapsed);
     const bool tron = PMILL_TRACE_ON(tracer_.get());
     if (tron) {
-        // Event time inside the pipeline is reconstructed as
-        // base + ctx.elapsed_ns(); at step entry elapsed ==
-        // last_elapsed and sim time == clock.
         tracer_->set_core(core.index);
         tracer_->set_now(core.clock);
-        core.pipe->set_trace_time_base(core.clock - core.last_elapsed);
     }
 
     for (std::size_t k = 0; k < core.dps.size(); ++k) {
@@ -889,27 +913,34 @@ Engine::capture_tx(const TxCompletion &c)
     tx_capture_(cap_buf_.data(), c.len);
 }
 
-void
-Engine::flush_steering()
+TimeNs
+Engine::lookahead_ns() const
 {
-    if (!steer_ || !steer_->has_staged())
-        return;
-    // Deterministic merge order (dst asc, src asc, FIFO) into NIC 0's
-    // queue for the destination core. deliver_handoff consumes a
-    // posted RX descriptor and lands the frame + CQE with DDIO on the
-    // destination's hierarchy, skipping the PCIe pipes — the frame is
-    // already host-side. The CQE keeps the original wire arrival so
-    // end-to-end latency includes the handoff queueing delay.
-    steer_->drain([this](std::uint32_t dst, const std::uint8_t *frame,
-                         std::uint32_t len, TimeNs arrival_ns) {
-        return nics_[0]->deliver_handoff(dst, frame, len, arrival_ns);
-    });
+    return steer_ ? std::min(kTxCompletionLatencyNs, kSteerLatencyNs)
+                  : kTxCompletionLatencyNs;
+}
+
+NicStats
+Engine::nic_totals() const
+{
+    NicStats t;
+    for (const auto &nic : nics_) {
+        const NicStats s = nic->stats();
+        t.rx_frames += s.rx_frames;
+        t.rx_bytes += s.rx_bytes;
+        t.rx_drops_no_desc += s.rx_drops_no_desc;
+        t.rx_drops_pcie += s.rx_drops_pcie;
+        t.tx_frames += s.tx_frames;
+        t.tx_bytes += s.tx_bytes;
+        t.tx_drops += s.tx_drops;
+    }
+    return t;
 }
 
 void
 Engine::begin_measuring(std::vector<ExecCounters> &exec_base,
                         std::vector<MemStats> &mem_base,
-                        std::uint64_t *drops_base, TimeNs warm_end)
+                        NicStats *nic_base, TimeNs warm_end)
 {
     measuring_ = true;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
@@ -918,11 +949,7 @@ Engine::begin_measuring(std::vector<ExecCounters> &exec_base,
         acct_base_[c] = cores_[c]->ctx->account().snapshot();
         acct_clock_base_[c] = cores_[c]->clock;
     }
-    *drops_base = 0;
-    for (auto &nic : nics_) {
-        const NicStats s = nic->stats();
-        *drops_base += s.rx_drops_no_desc + s.rx_drops_pcie;
-    }
+    *nic_base = nic_totals();
     latency_->clear();
     tx_pkts_ = 0;
     tx_wire_bits_ = tx_frame_bits_ = 0;
@@ -987,8 +1014,18 @@ Engine::run(const RunConfig &rc)
         nthreads = 1;
     }
 
-    const double epoch_ns = rc.epoch_us * 1000.0;
-    PMILL_ASSERT(epoch_ns >= 1.0, "epoch_us must be at least 0.001 (1 ns)");
+    // Every effect one core has on another's state falls due at least
+    // one lookahead after its cause, so an epoch no longer than the
+    // lookahead hands each effect over before any core can need it.
+    const TimeNs lookahead = lookahead_ns();
+    PMILL_ASSERT(rc.epoch_us == 0 ||
+                     (rc.epoch_us >= 0.001 &&
+                      rc.epoch_us * 1000.0 <= lookahead),
+                 "epoch_us %g outside [0.001, %g], the run's lookahead "
+                 "(0 runs at the lookahead)",
+                 rc.epoch_us, lookahead / 1000.0);
+    const double epoch_ns = rc.epoch_us > 0 ? rc.epoch_us * 1000.0
+                                            : lookahead;
 
     // Edge grid: every instant the conductor must own all shared
     // state — the epoch multiples, the measuring flip, each sampler
@@ -1016,7 +1053,7 @@ Engine::run(const RunConfig &rc)
 
     std::vector<ExecCounters> exec_base(cores_.size());
     std::vector<MemStats> mem_base(cores_.size());
-    std::uint64_t drops_base = 0;
+    NicStats nic_base;
     acct_base_.assign(cores_.size(), CycleAccount::Snapshot{});
     acct_clock_base_.assign(cores_.size(), 0.0);
 
@@ -1024,18 +1061,8 @@ Engine::run(const RunConfig &rc)
                                 ? warm_end + rc.generator_stop_us * 1000.0
                                 : kInf;
 
-    // Per-core work queues, all filled by the conductor at edges and
-    // drained by the owning core's worker inside the epoch: arrivals
-    // (RSS pre-routed; queue q == core q on every NIC) and
-    // TX-completion effects (deferred DMA replays + buffer returns,
-    // in drain order, tagged with the completing device).
-    struct PendingFx {
-        std::uint32_t nic = 0;
-        TxCompletion c;
-    };
-    std::vector<ArrivalList> arrivals(cores_.size());
-    std::vector<std::vector<PendingFx>> pending_tx(cores_.size());
     std::vector<TxCompletion> drained;
+    std::vector<std::size_t> first_new(cores_.size());
 
     // Draw every arrival in [gen.next_start, hi), merging the per-NIC
     // generators by emission time (ties resolve to the lower NIC
@@ -1046,11 +1073,11 @@ Engine::run(const RunConfig &rc)
     // one arrival at a time. The bytes are written later, by the
     // owning core, and only for frames its queue accepts.
     auto pregen = [&](TimeNs hi) {
-        for (ArrivalList &al : arrivals) {
-            PMILL_ASSERT(al.next == al.list.size(),
+        for (Inbox &in : inboxes_) {
+            PMILL_ASSERT(in.next_arrival == in.arrivals.size(),
                          "arrival left undelivered across an epoch edge");
-            al.list.clear();
-            al.next = 0;
+            in.arrivals.clear();
+            in.next_arrival = 0;
         }
         for (;;) {
             std::uint32_t gi = 0;
@@ -1069,7 +1096,8 @@ Engine::run(const RunConfig &rc)
             const PendingArrival pa{gen.next_start,
                                     gen.source->draw(&gap_scale), gi};
             ++gen.frames;
-            arrivals[nics_[gi]->rss_queue(pa.draw.tuple)].list.push_back(pa);
+            inboxes_[nics_[gi]->rss_queue(pa.draw.tuple)]
+                .arrivals.push_back(pa);
             const double offered =
                 (load_step_gbps_ > 0 && gen.next_start >= load_step_at_)
                     ? load_step_gbps_
@@ -1080,61 +1108,109 @@ Engine::run(const RunConfig &rc)
         }
     };
 
-    // Apply core @p ci's TX-completion effects from the last edge, in
-    // drain order: the deferred device reads (descriptor, then frame)
-    // on the core's own hierarchy, then the buffer return. Runs on
-    // the worker at epoch start — the same position in the core's
-    // access sequence for every thread count.
-    auto apply_tx_effects = [&](std::uint32_t ci) {
-        std::vector<PendingFx> &fx = pending_tx[ci];
-        if (fx.empty())
-            return;
-        CacheHierarchy &qc = *cores_[ci]->caches;
-        for (const PendingFx &p : fx) {
-            const TxCompletion &c = p.c;
-            qc.access(c.desc_addr, NicDevice::kDescBytes,
-                      AccessType::kDevRead);
-            // Parking: the buffer holds only the header prefix; the
-            // payload is gathered from the park arena.
-            qc.access(c.buf_addr, c.len - c.park.len, AccessType::kDevRead);
-            if (c.park.len != 0)
-                qc.access(c.park.addr, c.park.len, AccessType::kParkRead);
-            queue_dp_[p.nic][c.queue]->on_tx_complete(c);
-        }
-        fx.clear();
+    // Due times at the heads of a core's three inbox lists (+inf when
+    // a list is empty).
+    auto completion_head = [&](const Inbox &in) {
+        return in.next_completion < in.completions.size()
+                   ? in.completions[in.next_completion].due()
+                   : kInf;
+    };
+    auto handoff_head = [&](const Inbox &in) {
+        return in.next_handoff < in.handoffs.size()
+                   ? in.handoffs[in.next_handoff].due_ns
+                   : kInf;
+    };
+    auto arrival_head = [&](const Inbox &in) {
+        return in.next_arrival < in.arrivals.size()
+                   ? in.arrivals[in.next_arrival].start
+                   : kInf;
     };
 
-    // Advance core @p ci to (at least) @p t1. Touches only the core's
-    // own state, its queues on every NIC, and its arrival list — safe
-    // to run concurrently with other cores' segments.
+    // Apply core @p ci 's inbox entries due before @p limit (also at
+    // it when @p inclusive), in due order. Touches only the core's own
+    // inbox, hierarchy, datapaths, queues and steering stats shard.
+    auto apply_due = [&](std::uint32_t ci, TimeNs limit, bool inclusive) {
+        Inbox &in = inboxes_[ci];
+        CacheHierarchy &qc = *cores_[ci]->caches;
+        std::uint8_t frame_buf[kMaxFrameLen];
+        auto is_due = [&](TimeNs t) {
+            return t < limit || (inclusive && t == limit);
+        };
+        for (;;) {
+            const TimeNs tc = completion_head(in);
+            const TimeNs th = handoff_head(in);
+            TimeNs due;
+            const InboxKind kind =
+                inbox_next(tc, th, arrival_head(in), &due);
+            if (!is_due(due))
+                return;
+            if (kind == InboxKind::kCompletion) {
+                // The device reads the descriptor, then the frame
+                // (Parking: the header prefix from the buffer and the
+                // payload from the park arena); the driver reclaims.
+                const PendingTx &p = in.completions[in.next_completion++];
+                const TxCompletion &c = p.c;
+                qc.access(c.desc_addr, NicDevice::kDescBytes,
+                          AccessType::kDevRead);
+                qc.access(c.buf_addr, c.len - c.park.len,
+                          AccessType::kDevRead);
+                if (c.park.len != 0)
+                    qc.access(c.park.addr, c.park.len,
+                              AccessType::kParkRead);
+                queue_dp_[p.nic][c.queue]->on_tx_complete(c);
+            } else if (kind == InboxKind::kHandoff) {
+                // The frame is already host-side: it lands on NIC 0's
+                // queue for this core past the wire and the PCIe pipe,
+                // keeping its wire arrival so p99 sees the handoff.
+                const Handoff &h = in.handoffs[in.next_handoff++];
+                steer_->note_landing(
+                    ci, nics_[0]->deliver_handoff(
+                            ci, h.bytes.data(),
+                            static_cast<std::uint32_t>(h.bytes.size()),
+                            h.arrival_ns));
+            } else {
+                // Arrivals are most of the inbox: deliver the run of
+                // them due strictly before the completion and handoff
+                // heads (which win ties and which an arrival cannot
+                // move), with one comparison against each bound.
+                const TimeNs other = std::min(tc, th);
+                for (;;) {
+                    const PendingArrival &pa =
+                        in.arrivals[in.next_arrival++];
+                    NicDevice &nic = *nics_[pa.nic];
+                    const FrameSource &src = *gens_[pa.nic].source;
+                    nic.deliver(ci, pa.draw.len,
+                                pa.start + nic.wire_time_ns(pa.draw.len),
+                                [&] {
+                                    return src.write(pa.draw, frame_buf);
+                                });
+                    if (in.next_arrival == in.arrivals.size())
+                        break;
+                    const TimeNs next = in.arrivals[in.next_arrival].start;
+                    if (!(next < other) || !is_due(next))
+                        break;
+                }
+            }
+        }
+    };
+
+    // Advance core @p ci to (at least) @p t1. Before each step the
+    // core applies every inbox entry due by its clock; before it
+    // leaves, every entry due before t1, so the state at the edge
+    // holds each effect before the edge and none after it. Touches
+    // only the core's own state — safe to run concurrently with other
+    // cores' segments.
     auto run_core_epoch = [&](std::uint32_t ci, TimeNs t1) {
         Core &core = *cores_[ci];
-        apply_tx_effects(ci);
-        ArrivalList &al = arrivals[ci];
         const bool tron = PMILL_TRACE_ON(tracer_.get());
-        std::uint8_t frame_buf[kMaxFrameLen];
         for (;;) {
-            // Deliver every arrival the core has reached, writing its
-            // bytes only once the queue accepts it. Arrival wins ties
-            // with the poll at the same instant.
-            while (al.next < al.list.size() &&
-                   al.list[al.next].start <= core.clock) {
-                const PendingArrival &pa = al.list[al.next++];
-                NicDevice &nic = *nics_[pa.nic];
-                const FrameSource &src = *gens_[pa.nic].source;
-                nic.deliver(ci, pa.draw.len,
-                            pa.start + nic.wire_time_ns(pa.draw.len),
-                            [&] { return src.write(pa.draw, frame_buf); });
+            if (core.clock >= t1) {
+                apply_due(ci, t1, false);
+                return;
             }
-            if (core.clock >= t1)
-                break;
-            TimeNs until = t1;
-            if (al.next < al.list.size())
-                until = std::min(until, al.list[al.next].start);
-            // Idle fast-forward (bit-identical spin replay) whenever
-            // this core's queues are dry: drains and sampling only
-            // happen at edges, and other cores cannot reach this one
-            // mid-epoch.
+            apply_due(ci, core.clock, true);
+            // Idle fast-forward (bit-identical spin replay) to the next
+            // inbox entry whenever this core's queues are dry.
             bool can_ff = !tron;
             if (can_ff) {
                 for (const auto &bq : core.dps) {
@@ -1144,10 +1220,15 @@ Engine::run(const RunConfig &rc)
                     }
                 }
             }
-            if (can_ff)
-                idle_spin(core, until);
-            else
+            if (can_ff) {
+                const Inbox &in = inboxes_[ci];
+                TimeNs due;
+                inbox_next(completion_head(in), handoff_head(in),
+                           arrival_head(in), &due);
+                idle_spin(core, std::min(t1, due));
+            } else {
                 step_core(core);
+            }
         }
     };
 
@@ -1161,8 +1242,8 @@ Engine::run(const RunConfig &rc)
 
     // Epoch barrier: the conductor publishes the epoch target then
     // bumps `go` (release); workers acquire it, run their share, and
-    // bump `done`. All cross-thread data passed through the work
-    // queues is ordered by these two edges.
+    // bump `done`. All cross-thread data passed through the inboxes
+    // and the steering fabric is ordered by these two edges.
     std::atomic<std::uint64_t> go{0};
     std::atomic<std::uint32_t> done{0};
     std::atomic<bool> quit{false};
@@ -1202,14 +1283,26 @@ Engine::run(const RunConfig &rc)
             barrier_relax(spins);
     };
 
+    // Drop the applied prefix of an inbox list; return where the
+    // conductor's new entries will start.
+    auto trim = [](auto &list, std::size_t &next) {
+        list.erase(list.begin(),
+                   list.begin() + static_cast<std::ptrdiff_t>(next));
+        next = 0;
+        return list.size();
+    };
+
     // Conductor-side edge work: drain the wire up to @p now, routing
-    // each completion's core-side effects (device reads, buffer
-    // return) to its owner and folding the telemetry. NIC index
-    // order, completion order within the drain. Telemetry counters
-    // are summed locally and published once per drain: integer sums
-    // are order-independent, so this equals per-completion increments.
+    // each completion to the inbox of the core that owns its queue
+    // and folding the telemetry. NIC index order, completion order
+    // within the drain. Telemetry counters are summed locally and
+    // published once per drain: integer sums are order-independent,
+    // so this equals per-completion increments.
     auto drain_edge = [&](TimeNs now) {
         const bool tron = PMILL_TRACE_ON(tracer_.get());
+        for (std::size_t ci = 0; ci < inboxes_.size(); ++ci)
+            first_new[ci] = trim(inboxes_[ci].completions,
+                                 inboxes_[ci].next_completion);
         for (std::uint32_t n = 0;
              n < static_cast<std::uint32_t>(nics_.size()); ++n) {
             drained.clear();
@@ -1220,7 +1313,7 @@ Engine::run(const RunConfig &rc)
             std::uint64_t wire_bits = 0;
             std::uint64_t frame_bits = 0;
             for (const TxCompletion &c : drained) {
-                pending_tx[c.queue].push_back(PendingFx{n, c});
+                inboxes_[c.queue].completions.push_back(PendingTx{n, c});
                 if (PMILL_UNLIKELY(tron) && !inflight_.empty()) {
                     auto it = inflight_.find(arrival_key(c.arrival_ns));
                     if (it != inflight_.end()) {
@@ -1238,8 +1331,8 @@ Engine::run(const RunConfig &rc)
                     frame_bits += c.len * 8ull;
                     latency_->record((c.departure_ns - c.arrival_ns) /
                                      1000.0);
-                    // Ticket release happens later, at the owning
-                    // core's apply_tx_effects, so the park slot is
+                    // The completion takes effect later, on the
+                    // owning core, so a parked payload's ticket is
                     // still held here.
                     if (tx_capture_)
                         capture_tx(c);
@@ -1253,11 +1346,35 @@ Engine::run(const RunConfig &rc)
                 tx_frame_bits_ += frame_bits;
             }
         }
+        // Each device drains in departure order; with several devices
+        // a core's new completions merge by due time (ties to the
+        // lower device).
+        for (std::size_t ci = 0; ci < inboxes_.size(); ++ci)
+            inbox_merge(inboxes_[ci].completions, first_new[ci],
+                        [](const PendingTx &a, const PendingTx &b) {
+                            return a.due() < b.due();
+                        });
+    };
+
+    // Conductor-side handoff routing: move every staged handoff into
+    // its destination's inbox. A source that overshot the edge may
+    // have staged handoffs due after ones staged next epoch, so the
+    // new ones merge with those still waiting.
+    auto route_handoffs = [&] {
+        for (std::size_t ci = 0; ci < inboxes_.size(); ++ci)
+            first_new[ci] = trim(inboxes_[ci].handoffs,
+                                 inboxes_[ci].next_handoff);
+        steer_->take_staged([&](Handoff &&h) {
+            inboxes_[h.dst].handoffs.push_back(std::move(h));
+        });
+        for (std::size_t ci = 0; ci < inboxes_.size(); ++ci)
+            inbox_merge(inboxes_[ci].handoffs, first_new[ci],
+                        handoff_earlier);
     };
 
     // Zero warm-up: the window opens at t=0, before the first epoch.
     if (!measuring_ && warm_end <= 0)
-        begin_measuring(exec_base, mem_base, &drops_base, warm_end);
+        begin_measuring(exec_base, mem_base, &nic_base, warm_end);
 
     for (std::size_t i = 0; i < edges.size(); ++i) {
         const TimeNs t1 = edges[i];
@@ -1269,19 +1386,14 @@ Engine::run(const RunConfig &rc)
         // 3) Serial edge phase, fixed order: wire drain (pre-flip at
         //    the warm_end edge, so the measured window is departures
         //    in (warm_end, end] for every thread count), then the
-        //    steering merge, then the measuring flip, then
-        //    sampling + control.
+        //    handoff routing, then the measuring flip, then
+        //    sampling + control. Effects due at or after the end stay
+        //    in flight.
         drain_edge(t1);
-        flush_steering();
+        if (steer_)
+            route_handoffs();
         if (!measuring_ && t1 >= warm_end)
-            begin_measuring(exec_base, mem_base, &drops_base, warm_end);
-        if (last) {
-            // Final effects are applied by the conductor (core order)
-            // so end-of-run state — pool occupancies, ledgers — does
-            // not depend on a worker that never runs again.
-            for (std::uint32_t ci = 0; ci < ncores; ++ci)
-                apply_tx_effects(ci);
-        }
+            begin_measuring(exec_base, mem_base, &nic_base, warm_end);
         if (sampler_ && measuring_) {
             if (last)
                 sampler_->finish(end);
@@ -1298,13 +1410,13 @@ Engine::run(const RunConfig &rc)
             t.join();
     }
 
-    return finish_run(exec_base, mem_base, drops_base, warm_end, end);
+    return finish_run(exec_base, mem_base, nic_base, warm_end, end);
 }
 
 RunResult
 Engine::finish_run(const std::vector<ExecCounters> &exec_base,
                    const std::vector<MemStats> &mem_base,
-                   std::uint64_t drops_base, TimeNs warm_end, TimeNs end)
+                   const NicStats &nic_base, TimeNs warm_end, TimeNs end)
 {
     RunResult r;
     r.duration_ns = end - warm_end;
@@ -1320,10 +1432,8 @@ Engine::finish_run(const std::vector<ExecCounters> &exec_base,
     // Frame ledger, per NIC: every frame its generator emitted was
     // delivered to a queue within its epoch and either accepted or
     // refused there (no descriptor / CQ full).
-    std::uint64_t drops = 0;
     for (std::uint32_t n = 0; n < nics_.size(); ++n) {
         const NicStats s = nics_[n]->stats();
-        drops += s.rx_drops_no_desc + s.rx_drops_pcie;
         PMILL_ASSERT(gens_[n].frames ==
                          s.rx_frames + s.rx_drops_no_desc + s.rx_drops_pcie,
                      "frame ledger violated on nic%u: generated=%llu "
@@ -1333,14 +1443,46 @@ Engine::finish_run(const std::vector<ExecCounters> &exec_base,
                      static_cast<unsigned long long>(s.rx_drops_no_desc),
                      static_cast<unsigned long long>(s.rx_drops_pcie));
     }
-    r.rx_drops = drops - drops_base;
+    // Every effect left in an inbox falls due at or after the end: an
+    // epoch within the lookahead hands each one over before its core
+    // can need it (DESIGN.md section 9), so an earlier one was lost.
+    // The handoffs waiting are exactly the fabric's in-flight count.
+    std::uint64_t handoffs_waiting = 0;
+    for (std::size_t c = 0; c < inboxes_.size(); ++c) {
+        const Inbox &in = inboxes_[c];
+        for (std::size_t i = in.next_completion; i < in.completions.size();
+             ++i)
+            PMILL_ASSERT(in.completions[i].due() >= end,
+                         "TX completion due at %.17g ns left unapplied on "
+                         "core %zu (run end %.17g ns)",
+                         in.completions[i].due(), c, end);
+        for (std::size_t i = in.next_handoff; i < in.handoffs.size(); ++i)
+            PMILL_ASSERT(in.handoffs[i].due_ns >= end,
+                         "handoff due at %.17g ns left unlanded on core "
+                         "%zu (run end %.17g ns)",
+                         in.handoffs[i].due_ns, c, end);
+        handoffs_waiting += in.handoffs.size() - in.next_handoff;
+    }
+    if (steer_) {
+        const SteerStats st = steer_->stats();
+        PMILL_ASSERT(st.in_flight == handoffs_waiting,
+                     "steering ledger violated: %llu handoffs in flight, "
+                     "%llu waiting in inboxes",
+                     static_cast<unsigned long long>(st.in_flight),
+                     static_cast<unsigned long long>(handoffs_waiting));
+    }
+
+    const NicStats nic = nic_totals();
+    r.rx_drops = (nic.rx_drops_no_desc + nic.rx_drops_pcie) -
+                 (nic_base.rx_drops_no_desc + nic_base.rx_drops_pcie);
+    r.tx_drops = nic.tx_drops - nic_base.tx_drops;
 
     // Parking-model ticket conservation, checked after every run:
     // each queue's PayloadPark::stats() hard-asserts that the
     // lifecycle counters match the free list (leak detection), and
     // every ticket handed out must be accounted as rejoined, dropped,
     // or still attached to a frame legitimately in flight at the end
-    // edge (RX rings / handoff rings / TX rings).
+    // edge (RX rings / TX rings / completions not yet due).
     for (const auto &core : cores_) {
         for (const auto &bq : core->dps) {
             PayloadPark::Stats st;

@@ -14,6 +14,7 @@
 #ifndef PMILL_RUNTIME_ENGINE_HH
 #define PMILL_RUNTIME_ENGINE_HH
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
@@ -29,6 +30,7 @@
 #include "src/framework/pipeline.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/sim_memory.hh"
+#include "src/net/steering.hh"
 #include "src/nic/nic_device.hh"
 #include "src/runtime/cost_model.hh"
 #include "src/telemetry/metrics.hh"
@@ -91,14 +93,73 @@ struct RunConfig {
     /// runs on the calling thread. Must not exceed the simulated core
     /// count.
     std::uint32_t host_threads = 0;
-    /// Epoch length (simulated us). Results do not depend on the host
-    /// thread count for any epoch length, and wire departures do not
-    /// depend on it at all (the NIC drains TX in post order); the
-    /// length trades conductor overhead against how promptly TX
-    /// completions return buffers to the cores.
-    double epoch_us = 1.0;
+    /// Epoch length (simulated us); 0 (the default) runs at the
+    /// lookahead, Engine::lookahead_ns(). Every epoch up to the
+    /// lookahead gives bit-identical results, and a longer one is
+    /// refused (DESIGN.md section 9): the length only trades barrier
+    /// count against how far cores may run apart.
+    double epoch_us = 0.0;
     /// @}
 };
+
+/**
+ * Kinds of effect in a core's inbox (DESIGN.md section 9), in their
+ * order at equal due times: a completion frees a slot before a handoff
+ * or an arrival takes one, and a handoff's frame reached the wire
+ * before any arrival due with it.
+ */
+enum class InboxKind : std::uint8_t { kCompletion, kHandoff, kArrival };
+
+/**
+ * The entry a core applies next, given the due time at the head of each
+ * of its three due-ordered lists (+inf when empty): the earliest, ties
+ * in InboxKind order. @p due receives its due time.
+ */
+inline InboxKind
+inbox_next(TimeNs completion, TimeNs handoff, TimeNs arrival, TimeNs *due)
+{
+    if (completion <= handoff && completion <= arrival) {
+        *due = completion;
+        return InboxKind::kCompletion;
+    }
+    if (handoff <= arrival) {
+        *due = handoff;
+        return InboxKind::kHandoff;
+    }
+    *due = arrival;
+    return InboxKind::kArrival;
+}
+
+/**
+ * Order of handoffs in a destination's inbox: by due time, ties to the
+ * lower source core. Merged stably, a source's own handoffs keep their
+ * staging order.
+ */
+inline bool
+handoff_earlier(const Handoff &a, const Handoff &b)
+{
+    return a.due_ns < b.due_ns || (a.due_ns == b.due_ns && a.src < b.src);
+}
+
+/**
+ * Keep one of a core's inbox lists in due order as the conductor
+ * appends to it at an edge: the entries from @p first_new on are
+ * sorted by @p earlier, stably so equal ones keep their append order,
+ * and merged behind the earlier entries, which go first on ties.
+ * Appends already in order (the common case) cost one scan.
+ */
+template <typename T, typename Earlier>
+void
+inbox_merge(std::vector<T> &list, std::size_t first_new, Earlier earlier)
+{
+    const auto mid = list.begin() + static_cast<std::ptrdiff_t>(first_new);
+    if (mid == list.end())
+        return;
+    if (!std::is_sorted(mid, list.end(), earlier))
+        std::stable_sort(mid, list.end(), earlier);
+    if (mid != list.begin() && earlier(*mid, *(mid - 1)))
+        std::inplace_merge(list.begin(), mid, list.end(), earlier);
+}
 
 /** Results of one run (the quantities the paper's figures report). */
 struct RunResult {
@@ -109,7 +170,8 @@ struct RunResult {
     double median_latency_us = 0;
     double p99_latency_us = 0;
     std::uint64_t tx_pkts = 0;
-    std::uint64_t rx_drops = 0;
+    std::uint64_t rx_drops = 0;  ///< refused at RX (no descriptor, PCIe)
+    std::uint64_t tx_drops = 0;  ///< refused at post by a full TX ring
     double duration_ns = 0;
 
     // perf-style microarchitectural metrics over the measured window
@@ -150,6 +212,14 @@ class Engine : public Actuator {
 
     /** Execute one run (warm-up + measurement). */
     RunResult run(const RunConfig &rc);
+
+    /**
+     * The schedule's lookahead: the shortest modeled delay of an
+     * effect one core's work has on another's state — a TX completion
+     * (kTxCompletionLatencyNs) and, when the config steers, a
+     * FlowSteer handoff. The longest epoch run() accepts.
+     */
+    TimeNs lookahead_ns() const;
 
     /**
      * Install a hook receiving every transmitted frame's bytes at
@@ -367,6 +437,9 @@ class Engine : public Actuator {
         std::vector<FlowSteer *> steer_elems;
     };
 
+    /// One core's inbox of effects due at modeled times (engine.cc).
+    struct Inbox;
+
     /// One traffic generator per NIC: its frame source, the emission
     /// time of its next frame, and the frames emitted so far (the
     /// generated side of the per-NIC frame ledger).
@@ -391,20 +464,15 @@ class Engine : public Actuator {
      * the same clock arithmetic, the same round-robin advance — so the
      * core's counters and clock are bit-identical to having stepped
      * through each spin. Valid only while the core's queues hold no
-     * completion and no arrival reaches it before @p until.
+     * completion and no inbox entry falls due before @p until.
      */
     void idle_spin(Core &core, TimeNs until);
 
     /** Register the engine-level aggregate metrics (ctor helper). */
     void register_telemetry();
 
-    /**
-     * Merge every staged handoff frame into its home core's NIC queue
-     * (serial points only). Frames land on NIC 0's queue for the
-     * destination core via the PCIe-skipping handoff path; a refused
-     * frame (no RX descriptor / CQ full) is a steer ring drop.
-     */
-    void flush_steering();
+    /** NicStats summed over the devices. */
+    NicStats nic_totals() const;
 
     /// @name run() helpers.
     /// @{
@@ -415,12 +483,12 @@ class Engine : public Actuator {
      */
     void begin_measuring(std::vector<ExecCounters> &exec_base,
                          std::vector<MemStats> &mem_base,
-                         std::uint64_t *drops_base, TimeNs warm_end);
+                         NicStats *nic_base, TimeNs warm_end);
 
     /** Assemble the RunResult + conservation asserts. */
     RunResult finish_run(const std::vector<ExecCounters> &exec_base,
                          const std::vector<MemStats> &mem_base,
-                         std::uint64_t drops_base, TimeNs warm_end,
+                         const NicStats &nic_base, TimeNs warm_end,
                          TimeNs end);
     /// @}
 
@@ -440,6 +508,10 @@ class Engine : public Actuator {
     std::vector<std::unique_ptr<NicDevice>> nics_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<Generator> gens_;
+    /// Per-core inboxes, filled by the conductor at edges and consumed
+    /// by the owning core inside epochs. Effects due after a run's end
+    /// stay here, so a later run() still applies them.
+    std::vector<Inbox> inboxes_;
     /// Map (nic, queue) -> datapath for TX-completion routing.
     std::vector<std::vector<Datapath *>> queue_dp_;
 

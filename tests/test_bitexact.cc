@@ -75,32 +75,33 @@ expect_bitexact(const RunResult &r, const Expected &e)
 TEST(BitExact, VanillaRouterSingleCore)
 {
     expect_bitexact(run_fixed(PipelineOpts::vanilla(), 1),
-                    {13312, 12064, 12064, 320736, 279553, 21585,
-                     311.94132024591619, 351.31652832031244,
-                     314.42253931410278, 28.540928000000001,
-                     1.7825943553094776});
+                    {13290, 12064, 12064, 320736, 279552, 20758,
+                     312.27579116821289, 351.80816650390625,
+                     314.77841499403962, 28.493760000000002,
+                     1.780730972237339});
 }
 
 TEST(BitExact, PacketMillRouterSingleCore)
 {
     expect_bitexact(run_fixed(PipelineOpts::packetmill(), 1),
                     {26106, 0, 0, 448250, 365120, 14466,
-                     158.85726804655741, 159.19633653428818,
-                     156.30084762592102, 55.971263999999998,
-                     2.5129303399807994});
+                     158.84935798461325, 159.19198107363573,
+                     156.29093487061323, 55.971263999999998,
+                     2.5130560762089571});
 }
 
-// The 4-core router on the epoch schedule, the only schedule: the
-// values must not depend on the host thread count (0 and 1 both run
-// every core on the calling thread; test_parallel.cc pins 1 == N on
-// more configurations), and pinning them here keeps a schedule change
-// from hiding behind thread invariance.
+// The 4-core router on the epoch schedule, the only schedule, at the
+// default epoch (the lookahead): the values must not depend on the
+// host thread count (0 and 1 both run every core on the calling
+// thread; test_parallel.cc pins 1 == N, and every epoch up to the
+// lookahead, on more configurations), and pinning them here keeps a
+// schedule change from hiding behind those invariances.
 TEST(BitExact, EpochSchedulerRouterRss4Cores)
 {
-    const Expected e = {32652, 32652, 32651, 949380, 685669, 22440,
-                        0.3189573526925541, 0.94129060444078938,
-                        0.38324597212215888, 70.005887999999999,
-                        1.3660624282800928};
+    const Expected e = {32652, 32654, 32651, 949278, 685668, 22833,
+                        0.31924942164745146, 0.94356282552083326,
+                        0.38362089307666342, 70.005887999999999,
+                        1.366669550479809};
     for (std::uint32_t threads : {0u, 1u, 4u})
         expect_bitexact(run_fixed(PipelineOpts::vanilla(), 4, threads), e);
 }

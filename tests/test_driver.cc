@@ -414,7 +414,7 @@ TEST(PmdXchg, ExchangesBuffersWithoutAPool)
 }
 
 // A burst larger than the free TX ring posts what fits and frees the
-// rest back to the pool at once (a driver-side drop).
+// rest back to the pool at once (a driver-side drop the device counts).
 TEST(PmdStandard, TxRingOverflowFreesTheRest)
 {
     SimMemory mem;
@@ -434,6 +434,7 @@ TEST(PmdStandard, TxRingOverflowFreesTheRest)
     const std::size_t free_before = pool.free_count();
     EXPECT_EQ(pmd.tx_burst(burst, 8, 100.0, nullptr), 4u);
     EXPECT_EQ(pool.free_count(), free_before + 4);
+    EXPECT_EQ(nic.stats().tx_drops, 4u);
 
     std::vector<TxCompletion> done;
     nic.drain_tx(1e9, done);
@@ -472,6 +473,7 @@ TEST(PmdXchg, TxRingOverflowRecyclesAndReleasesTickets)
 
     EXPECT_EQ(pmd.tx_burst(pkts, 8, 2000.0, nullptr), 4u);
     EXPECT_EQ(adapter.spare_count(), spares + 4);
+    EXPECT_EQ(nic.stats().tx_drops, 4u);
     PayloadPark::Stats st = park.stats();
     EXPECT_EQ(st.dropped, 4u);
     EXPECT_EQ(st.outstanding, 4u);

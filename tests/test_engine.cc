@@ -93,11 +93,14 @@ TEST(EngineRun, TxCaptureSeesTransformedFrames)
     EXPECT_TRUE(swapped_ok);
 }
 
-// TX drains only at epoch edges, so an 8-slot TX ring overflows every
-// epoch at 100 Gbps of 1024-B frames: the X-Change driver drops what
-// does not fit at post time and must release those frames' parked
-// payloads. run() hard-asserts ticket conservation; the same run on
-// the default ring drops nothing, so the drops are the overflow's.
+// A TX slot is held from post until its completion takes effect
+// kTxCompletionLatencyNs after departure, so at 100 Gbps of 1024-B
+// frames (about 12 frames per us, dozens within that latency) an
+// 8-slot TX ring overflows: the X-Change driver drops what does not
+// fit at post time, the device counts it, and the driver must release
+// those frames' parked payloads. run() hard-asserts ticket
+// conservation; the same run on the default ring drops nothing, so the
+// drops are the overflow's.
 TEST(EngineRun, ParkingTxRingOverflowReleasesTickets)
 {
     auto run = [](std::uint32_t tx_ring_size, RunResult *r) {
@@ -122,6 +125,8 @@ TEST(EngineRun, ParkingTxRingOverflowReleasesTickets)
     EXPECT_GT(run(8, &overflow), 0.0);
     EXPECT_EQ(run(NicConfig{}.tx_ring_size, &roomy), 0.0);
     EXPECT_LT(overflow.tx_pkts, roomy.tx_pkts);
+    EXPECT_GT(overflow.tx_drops, 0u);
+    EXPECT_EQ(roomy.tx_drops, 0u);
 }
 
 TEST(EngineRun, ResultFieldsAreConsistent)

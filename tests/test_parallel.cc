@@ -11,13 +11,19 @@
  * deliberately: the schedule is deterministic IEEE arithmetic in a
  * fixed order, so any deviation is a semantic race, not noise.
  *
- * Epoch-boundary edge cases ride along: arrivals landing exactly on
- * an epoch edge, edges that collide (warm-up/sampler boundaries on
- * the epoch grid dedupe rather than creating zero-length epochs), one
- * epoch covering the whole run, and a zero-length warm-up.
+ * The same contract holds for every epoch up to the run's lookahead
+ * (EpochEdge.*): TX completions and steering handoffs fall due at
+ * modeled times, at least one lookahead after their cause. Edge
+ * cases ride along: arrivals landing exactly on an epoch edge, edges
+ * that collide (warm-up/sampler boundaries on the epoch grid dedupe
+ * rather than creating zero-length epochs), an epoch above the
+ * lookahead (refused), and a zero-length warm-up.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
 
 #include "src/pmill.hh"
 
@@ -181,11 +187,12 @@ TEST(EpochEdge, ArrivalsExactlyOnEdges)
     expect_bitexact(t1, t4);
 }
 
-// Wire departures follow the device-wide post order, so the drain
-// cadence (one drain per epoch edge) no longer shapes the results: the
-// BitExact 4-core router sends the same frames at 1-us and 0.1-us
-// epochs, carries the offered 70 Gbps, and keeps p99 near the
-// unloaded latency.
+// TX completions take effect kTxCompletionLatencyNs after departure,
+// on the owning core, so the drain cadence does not shape the
+// results: the BitExact 4-core router gives the same snapshot at the
+// default epoch (the lookahead, kTxCompletionLatencyNs) and at the
+// lookahead, 1 and 0.1 us, carries the offered 70 Gbps, and keeps p99
+// near the unloaded latency.
 TEST(EpochEdge, DrainCadenceDoesNotShapeResults)
 {
     auto run_one = [](double epoch_us) {
@@ -193,34 +200,130 @@ TEST(EpochEdge, DrainCadenceDoesNotShapeResults)
         m.num_cores = 4;
         Engine engine(m, router_config(), PipelineOpts::vanilla(),
                       make_fixed_size_trace(512, 2048, 512));
+        EXPECT_EQ(engine.lookahead_ns(), kTxCompletionLatencyNs);
         RunConfig rc;
         rc.offered_gbps = 70.0;
         rc.warmup_us = 500;
         rc.duration_us = 2000;
-        rc.sample_interval_us = 0;
+        rc.sample_interval_us = 100;
         rc.host_threads = 1;
         rc.epoch_us = epoch_us;
-        return engine.run(rc);
+        return snapshot(engine, rc);
     };
-    const RunResult coarse = run_one(1.0);
-    const RunResult fine = run_one(0.1);
-    EXPECT_EQ(coarse.tx_pkts, fine.tx_pkts);
-    for (const RunResult &r : {coarse, fine}) {
-        EXPECT_GE(r.throughput_gbps, 69.9);
-        EXPECT_LT(r.p99_latency_us, 2.0);
+    const Snap lookahead = run_one(0.0);
+    EXPECT_GT(lookahead.r.tx_pkts, 0u);
+    EXPECT_GE(lookahead.r.throughput_gbps, 69.9);
+    EXPECT_LT(lookahead.r.p99_latency_us, 2.0);
+    for (double epoch_us : {kTxCompletionLatencyNs / 1000.0, 1.0, 0.1}) {
+        SCOPED_TRACE(epoch_us);
+        expect_bitexact(lookahead, run_one(epoch_us));
     }
 }
 
-// One epoch covering the whole run: the only edges are the warm-up
-// flip, the sampler boundaries, and the end. Cores run the entire
-// window in one parallel segment each.
-TEST(EpochEdge, SingleEpochCoversRun)
+// The lookahead bounds the epoch: with a FlowSteer element it is the
+// 1-us handoff latency, otherwise the completion latency. A longer
+// epoch could hand a core an effect it should already have applied,
+// so run() refuses it.
+TEST(EpochEdge, EpochAboveTheLookaheadIsRefused)
 {
-    RunConfig rc = base_rc(1, 1e6);
-    const Snap t1 = run_router_campus(1, rc);
-    const Snap t4 = run_router_campus(4, rc);
-    EXPECT_GT(t1.r.tx_pkts, 0u);
-    expect_bitexact(t1, t4);
+    auto run_one = [](const std::string &config, double epoch_us) {
+        MachineConfig m;
+        m.num_cores = 2;
+        Engine engine(m, config, opts_packetmill(), default_campus_trace());
+        RunConfig rc;
+        rc.warmup_us = 10.0;
+        rc.duration_us = 10.0;
+        rc.epoch_us = epoch_us;
+        engine.run(rc);
+    };
+    EXPECT_DEATH(run_one(router_config(),
+                         kTxCompletionLatencyNs / 1000.0 + 0.001),
+                 "lookahead");
+    EXPECT_DEATH(run_one(router_config(), 1e6), "lookahead");
+    EXPECT_DEATH(run_one(steered_router_config(), 1.5), "lookahead");
+    EXPECT_DEATH(run_one(router_config(), -1.0), "lookahead");
+}
+
+// Steered handoffs land on the destination core at staging time + the
+// 1-us fabric latency, so the steered 8-core router with a
+// reprogrammed table (about half the buckets hand off) gives one
+// snapshot at every epoch up to that lookahead.
+TEST(EpochEdge, SteeredHandoffsDoNotDependOnTheEpoch)
+{
+    auto run_one = [](double epoch_us, SteerStats *st) {
+        WorkloadSpec spec;
+        std::string err;
+        EXPECT_TRUE(spec.parse("zipf:flows=100000,skew=1.1,burst=8", &err))
+            << err;
+        MachineConfig m;
+        m.num_cores = 8;
+        Engine engine(m, steered_router_config(), opts_packetmill(), spec);
+        EXPECT_EQ(engine.lookahead_ns(), 1000.0);
+        const std::uint32_t tsize = engine.rss_table_size();
+        for (std::uint32_t i = 0; i < tsize; i += 2)
+            engine.set_rss_table_entry(i, (engine.rss_table_entry(i) + 3) %
+                                              engine.num_cores());
+        RunConfig rc = base_rc(1, epoch_us);
+        rc.offered_gbps = 30.0;
+        Snap s = snapshot(engine, rc);
+        *st = engine.steering()->stats();
+        return s;
+    };
+    SteerStats st1, st;
+    const Snap coarse = run_one(0.0, &st1);
+    EXPECT_GT(coarse.r.tx_pkts, 0u);
+    EXPECT_GT(st1.delivered, 0u);
+    for (double epoch_us : {1.0, 0.5, 0.1}) {
+        SCOPED_TRACE(epoch_us);
+        expect_bitexact(coarse, run_one(epoch_us, &st));
+        EXPECT_EQ(st.steered, st1.steered);
+        EXPECT_EQ(st.delivered, st1.delivered);
+        EXPECT_EQ(st.in_flight, st1.in_flight);
+    }
+}
+
+// Parking holds a payload's ticket until its TX completion takes
+// effect, so the park arena's LIFO slot sequence follows completion
+// times: 1024-B frames park every payload, and the snapshot is the
+// same at every epoch up to the lookahead.
+TEST(EpochEdge, ParkingDoesNotDependOnTheEpoch)
+{
+    auto run_one = [](double epoch_us) {
+        MachineConfig m;
+        m.num_cores = 2;
+        Engine engine(m, router_config(),
+                      opts_model(MetadataModel::kParking),
+                      make_fixed_size_trace(1024, 512, 64));
+        RunConfig rc = base_rc(1, epoch_us);
+        rc.offered_gbps = 90.0;
+        return snapshot(engine, rc);
+    };
+    const Snap coarse = run_one(kTxCompletionLatencyNs / 1000.0);
+    EXPECT_GT(coarse.r.tx_pkts, 0u);
+    EXPECT_GT(coarse.r.mem.park_fills, 0u);
+    for (double epoch_us : {0.0, 1.0, 0.1}) {
+        SCOPED_TRACE(epoch_us);
+        expect_bitexact(coarse, run_one(epoch_us));
+    }
+}
+
+// At one instant a core applies its TX completion before its arrival
+// (and a handoff between them): the completion frees a TX slot, a
+// buffer or a park slot that the arrival may take.
+TEST(EpochEdge, CompletionBeforeArrivalAtTheSameInstant)
+{
+    constexpr TimeNs inf = std::numeric_limits<double>::infinity();
+    TimeNs due = 0;
+    EXPECT_EQ(inbox_next(500.0, inf, 500.0, &due), InboxKind::kCompletion);
+    EXPECT_EQ(due, 500.0);
+    EXPECT_EQ(inbox_next(500.0, 500.0, 500.0, &due), InboxKind::kCompletion);
+    EXPECT_EQ(inbox_next(inf, 500.0, 500.0, &due), InboxKind::kHandoff);
+    EXPECT_EQ(inbox_next(500.5, inf, 500.0, &due), InboxKind::kArrival);
+    EXPECT_EQ(due, 500.0);
+    EXPECT_EQ(inbox_next(400.0, 300.0, 500.0, &due), InboxKind::kHandoff);
+    EXPECT_EQ(due, 300.0);
+    inbox_next(inf, inf, inf, &due);
+    EXPECT_EQ(due, inf);
 }
 
 // Warm-up end exactly on the epoch grid (300 us on a 1-us grid) is

@@ -8,8 +8,8 @@
  * The determinism contract from test_parallel.cc extends to all of
  * it: steered runs, multi-socket runs, and controlled runs with
  * mid-run steering-table rewrites are bit-identical for every host
- * thread count, because every piece of shared steering state is only
- * written at serial points in config-core order.
+ * thread count, because shared steering state is written only at
+ * serial points and every handoff lands at a modeled time.
  */
 
 #include <gtest/gtest.h>
@@ -68,6 +68,7 @@ expect_bitexact(const Snap &a, const Snap &b)
     EXPECT_EQ(a.steer.delivered, b.steer.delivered);
     EXPECT_EQ(a.steer.stage_drops, b.steer.stage_drops);
     EXPECT_EQ(a.steer.ring_drops, b.steer.ring_drops);
+    EXPECT_EQ(a.steer.in_flight, b.steer.in_flight);
 
     EXPECT_EQ(a.decisions, b.decisions);
 
@@ -88,7 +89,7 @@ expect_bitexact(const Snap &a, const Snap &b)
 TEST(SteerFabric, DefaultTableIsModuloForPow2Cores)
 {
     SimMemory mem;
-    SteerFabric fab(4, 8, 16, mem);
+    SteerFabric fab(4, 8, 16, 1000.0, mem);
     ASSERT_EQ(fab.table_size(), 8u);
     for (std::uint32_t i = 0; i < 8; ++i)
         EXPECT_EQ(fab.entry(i), i % 4);
@@ -98,61 +99,91 @@ TEST(SteerFabric, DefaultTableIsModuloForPow2Cores)
         EXPECT_EQ(fab.target_of(h), h % 4);
 }
 
-TEST(SteerFabric, DrainOrderIsDstThenSrcThenFifo)
+// Each destination lands its handoffs by due time (stage time + the
+// fabric latency), ties to the lower source, then in staging order —
+// whether the conductor takes the staged handoffs once or between the
+// stages, merging them into the destinations' inbox lists as
+// Engine::run does. Here source 3 stages late in one epoch and source
+// 1 earlier times in the next, the way a core that overshoots an edge
+// does.
+TEST(SteerFabric, HandoffsLandInDueOrderWhateverTheRouting)
 {
-    SimMemory mem;
-    SteerFabric fab(4, 8, 16, mem);
     auto frame = [](std::uint8_t tag) {
-        std::vector<std::uint8_t> f(64, tag);
-        return f;
+        return std::vector<std::uint8_t>(64, tag);
     };
-    // Staged out of drain order on purpose.
     const auto f_a = frame(0xa), f_b = frame(0xb), f_c = frame(0xc),
                f_d = frame(0xd);
-    ASSERT_TRUE(fab.stage(0, 2, f_c.data(), 64, 300.0));
-    ASSERT_TRUE(fab.stage(3, 0, f_d.data(), 64, 400.0));
-    ASSERT_TRUE(fab.stage(1, 0, f_a.data(), 64, 100.0));
-    ASSERT_TRUE(fab.stage(1, 0, f_b.data(), 64, 200.0));
-    ASSERT_TRUE(fab.has_staged());
-
-    std::vector<std::pair<std::uint32_t, std::uint8_t>> seen;
-    fab.drain([&](std::uint32_t dst, const std::uint8_t *f,
-                  std::uint32_t len, TimeNs) {
-        EXPECT_EQ(len, 64u);
-        seen.emplace_back(dst, f[0]);
-        return f[0] != 0xd;  // refuse one frame -> ring drop
-    });
-
-    // dst 0 first (src 1 FIFO, then src 3), then dst 2.
-    const std::vector<std::pair<std::uint32_t, std::uint8_t>> want = {
-        {0, 0xa}, {0, 0xb}, {0, 0xd}, {2, 0xc}};
-    EXPECT_EQ(seen, want);
-    EXPECT_FALSE(fab.has_staged());
-
-    const SteerStats s = fab.stats();
-    EXPECT_EQ(s.steered, 4u);
-    EXPECT_EQ(s.delivered, 3u);
-    EXPECT_EQ(s.ring_drops, 1u);
-    EXPECT_EQ(s.stage_drops, 0u);
+    auto run = [&](bool route_between, SteerStats *st) {
+        SimMemory mem;
+        SteerFabric fab(4, 8, 16, 1000.0, mem);
+        std::vector<std::vector<Handoff>> inbox(4);
+        auto route = [&] {
+            std::vector<std::size_t> first_new(4);
+            for (std::size_t c = 0; c < 4; ++c)
+                first_new[c] = inbox[c].size();
+            fab.take_staged([&](Handoff &&h) {
+                inbox[h.dst].push_back(std::move(h));
+            });
+            for (std::size_t c = 0; c < 4; ++c)
+                inbox_merge(inbox[c], first_new[c], handoff_earlier);
+        };
+        EXPECT_TRUE(fab.stage(3, 0, f_d.data(), 64, 10.0, 450.0));
+        EXPECT_TRUE(fab.stage(0, 2, f_c.data(), 64, 20.0, 300.0));
+        if (route_between)
+            route();
+        EXPECT_TRUE(fab.stage(1, 0, f_a.data(), 64, 30.0, 400.0));
+        EXPECT_TRUE(fab.stage(1, 0, f_b.data(), 64, 40.0, 450.0));
+        route();
+        EXPECT_EQ(inbox[2].size(), 1u);
+        EXPECT_EQ(inbox[2][0].due_ns, 1300.0);
+        std::vector<std::pair<TimeNs, std::uint8_t>> seen;
+        for (const Handoff &h : inbox[0]) {
+            EXPECT_EQ(h.bytes.size(), 64u);
+            seen.emplace_back(h.due_ns, h.bytes[0]);
+            fab.note_landing(0, h.bytes[0] != 0xd);  // one ring drop
+        }
+        *st = fab.stats();
+        return seen;
+    };
+    const std::vector<std::pair<TimeNs, std::uint8_t>> want = {
+        {1400.0, 0xa}, {1450.0, 0xb}, {1450.0, 0xd}};
+    SteerStats once, twice;
+    EXPECT_EQ(run(false, &once), want);
+    EXPECT_EQ(run(true, &twice), want);
+    for (const SteerStats &s : {once, twice}) {
+        EXPECT_EQ(s.steered, 4u);
+        EXPECT_EQ(s.delivered, 2u);
+        EXPECT_EQ(s.ring_drops, 1u);
+        EXPECT_EQ(s.in_flight, 1u);  // 0xc, not landed on core 2
+        EXPECT_EQ(s.stage_drops, 0u);
+    }
 }
 
+// The bound counts handoffs still in flight: a source may have at most
+// ring_capacity of them staged for one destination and not yet due.
 TEST(SteerFabric, StageDropsAtRingCapacity)
 {
     SimMemory mem;
-    SteerFabric fab(2, 4, 2, mem);
+    SteerFabric fab(2, 4, 2, 1000.0, mem);
     const std::vector<std::uint8_t> f(64, 0x5a);
-    EXPECT_TRUE(fab.stage(0, 1, f.data(), 64, 1.0));
-    EXPECT_TRUE(fab.stage(0, 1, f.data(), 64, 2.0));
-    EXPECT_FALSE(fab.stage(0, 1, f.data(), 64, 3.0));
+    EXPECT_TRUE(fab.stage(0, 1, f.data(), 64, 0.0, 1.0));
+    EXPECT_TRUE(fab.stage(0, 1, f.data(), 64, 0.0, 2.0));
+    EXPECT_FALSE(fab.stage(0, 1, f.data(), 64, 0.0, 3.0));
+    // Another destination has its own bound.
+    EXPECT_TRUE(fab.stage(0, 0, f.data(), 64, 0.0, 3.0));
+    // The first handoff lands at 1001 ns, which frees its slot.
+    EXPECT_FALSE(fab.stage(0, 1, f.data(), 64, 0.0, 1000.5));
+    EXPECT_TRUE(fab.stage(0, 1, f.data(), 64, 0.0, 1001.0));
     const SteerStats s = fab.stats();
-    EXPECT_EQ(s.steered, 2u);
-    EXPECT_EQ(s.stage_drops, 1u);
+    EXPECT_EQ(s.steered, 4u);
+    EXPECT_EQ(s.stage_drops, 2u);
+    EXPECT_EQ(s.in_flight, 4u);
 }
 
 TEST(SteerFabric, EntryLoadShardsSumAndReset)
 {
     SimMemory mem;
-    SteerFabric fab(4, 8, 16, mem);
+    SteerFabric fab(4, 8, 16, 1000.0, mem);
     fab.note_entry_load(0, 5);
     fab.note_entry_load(0, 5);
     fab.note_entry_load(2, 5);
@@ -233,10 +264,10 @@ TEST(Steering, MillionFlowHandoffThreadInvariant)
     EXPECT_GT(t1.r.tx_pkts, 0u);
     EXPECT_GT(t1.steer.steered, 0u);
     EXPECT_GT(t1.steer.delivered, 0u);
-    // Conservation: every staged frame is either delivered to its
-    // home queue or refused by it; nothing is left in flight.
-    EXPECT_EQ(t1.steer.steered,
-              t1.steer.delivered + t1.steer.ring_drops);
+    // Conservation: every staged frame is delivered to its home
+    // queue, refused by it, or still in flight at the end.
+    EXPECT_EQ(t1.steer.steered, t1.steer.delivered + t1.steer.ring_drops +
+                                    t1.steer.in_flight);
     const Snap t2 = run_steered_zipf(2, true);
     const Snap t4 = run_steered_zipf(4, true);
     const Snap t8 = run_steered_zipf(8, true);
