@@ -1,5 +1,9 @@
 #include "src/mem/cache.hh"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "src/common/log.hh"
 
 namespace pmill {
@@ -57,46 +61,64 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t ways,
 void
 CacheLevel::resig(std::uint8_t *blk, std::uint64_t set)
 {
-    const std::uint32_t *tg = tags(blk);
-    std::uint32_t vm = meta(blk).valid;
     std::uint64_t m = 0;
-    while (vm) {
-        const std::uint32_t w = static_cast<std::uint32_t>(
-            __builtin_ctz(vm));
-        vm &= vm - 1;
-        m |= sig_bit(tg[w]);
-    }
+    for (std::uint32_t w = 0; w < ways_; ++w)
+        if (tags(blk)[w] != kInvalidTag)
+            m |= sig_bit(tags(blk)[w]);
     sig_[set] = m;
+}
+
+inline std::uint64_t
+CacheLevel::perm_touch(std::uint64_t perm, std::uint32_t w)
+{
+    // Locate w's nibble: XOR makes it the unique zero nibble, and the
+    // borrow of the per-nibble zero test only propagates upward, so
+    // the lowest flagged nibble is the true match.
+    const std::uint64_t x = perm ^ (0x1111111111111111ull * w);
+    const std::uint64_t zero =
+        (x - 0x1111111111111111ull) & ~x & 0x8888888888888888ull;
+    const std::uint32_t p =
+        static_cast<std::uint32_t>(__builtin_ctzll(zero)) >> 2;
+    // Keep nibbles above p, shift nibbles below p up one, put w in
+    // front. Shift counts stay <= 60 for p <= 15.
+    const std::uint64_t lo = (1ull << (4 * p)) - 1;
+    const std::uint64_t hi = ~lo & ~(0xFull << (4 * p));
+    return (perm & hi) | ((perm & lo) << 4) | w;
+}
+
+inline std::uint32_t
+CacheLevel::match(const std::uint8_t *blk, std::uint32_t tag) const
+{
+    // The tags fill at most the block's first 64 bytes; the mask drops
+    // what lies past them (Meta, for fewer than 16 ways). A real tag
+    // matches at most one way (a line is inserted only when absent),
+    // and kInvalidTag matches exactly the invalid ways.
+#if defined(__SSE2__)
+    const __m128i t = _mm_set1_epi32(static_cast<int>(tag));
+    const __m128i *v = reinterpret_cast<const __m128i *>(blk);
+    auto eq = [&](int i) {
+        return static_cast<std::uint32_t>(_mm_movemask_ps(
+            _mm_castsi128_ps(_mm_cmpeq_epi32(_mm_load_si128(v + i), t))));
+    };
+    return (eq(0) | eq(1) << 4 | eq(2) << 8 | eq(3) << 12) &
+           ((1u << ways_) - 1u);
+#else
+    const std::uint32_t *tg = reinterpret_cast<const std::uint32_t *>(blk);
+    std::uint32_t m = 0;
+    for (std::uint32_t w = 0; w < ways_; ++w)
+        m |= static_cast<std::uint32_t>(tg[w] == tag) << w;
+    return m;
+#endif
 }
 
 bool
 CacheLevel::lookup_scan(std::uint8_t *blk, std::uint64_t line)
 {
-    const std::uint32_t *tg = tags(blk);
-    Meta &m = meta(blk);
-    const std::uint32_t tag = tag_of(line);
-    // The MRU way (checked inline) just missed. Sets with two hot
-    // lines alternate between the top recency slots, so probe the
-    // second slot before the full walk.
-    const std::uint32_t w2 =
-        static_cast<std::uint32_t>((m.perm >> 4) & 0xF);
-    if (tg[w2] == tag) {
-        m.perm = perm_touch(m.perm, w2);
-        return true;
-    }
-    // A line is inserted only when absent, so it matches at most one
-    // way and the visit order of the valid-bit walk is immaterial.
-    std::uint32_t vm = m.valid;
-    while (vm) {
-        const std::uint32_t w = static_cast<std::uint32_t>(
-            __builtin_ctz(vm));
-        vm &= vm - 1;
-        if (tg[w] == tag) {
-            m.perm = perm_touch(m.perm, w);
-            return true;
-        }
-    }
-    return false;
+    const std::uint32_t hit = match(blk, tag_of(line));
+    if (hit)
+        meta(blk).perm = perm_touch(
+            meta(blk).perm, static_cast<std::uint32_t>(__builtin_ctz(hit)));
+    return hit != 0;
 }
 
 void
@@ -104,43 +126,24 @@ CacheLevel::insert(std::uint64_t line, std::uint32_t way_limit,
                    bool cpu_fill)
 {
     std::uint8_t *blk = block(set_of(line));
-    const std::uint32_t *tg = tags(blk);
-    Meta &m = meta(blk);
-    const std::uint32_t tag = tag_of(line);
-
+    const std::uint32_t hit = match(blk, tag_of(line));
+    if (!hit)
+        return insert_absent(line, way_limit, cpu_fill);
     // Already present (e.g.\ DevWrite to a CPU-resident line): refresh
-    // recency and the demand-filled flag. MRU first — NIC descriptor
-    // lines are rewritten back-to-back (8 descriptors per line), and
-    // perm_touch of the MRU way is the identity.
-    const std::uint32_t mru = static_cast<std::uint32_t>(m.perm & 0xF);
-    if (PMILL_LIKELY(tg[mru] == tag)) {
-        m.cpu = static_cast<std::uint16_t>(
-            cpu_fill ? m.cpu | (1u << mru) : m.cpu & ~(1u << mru));
-        return;
-    }
-    std::uint32_t vm = m.valid & ~(1u << mru);
-    while (vm) {
-        const std::uint32_t w = static_cast<std::uint32_t>(
-            __builtin_ctz(vm));
-        vm &= vm - 1;
-        if (tg[w] == tag) {
-            m.perm = perm_touch(m.perm, w);
-            m.cpu = static_cast<std::uint16_t>(
-                cpu_fill ? m.cpu | (1u << w) : m.cpu & ~(1u << w));
-            return;
-        }
-    }
-
-    insert_absent(line, way_limit, cpu_fill);
+    // recency (the identity for the MRU way) and the demand-filled flag.
+    Meta &m = meta(blk);
+    const std::uint32_t w = static_cast<std::uint32_t>(__builtin_ctz(hit));
+    m.perm = perm_touch(m.perm, w);
+    m.cpu = static_cast<std::uint16_t>(cpu_fill ? m.cpu | (1u << w)
+                                                : m.cpu & ~(1u << w));
 }
 
 void
 CacheLevel::insert_absent(std::uint64_t line, std::uint32_t way_limit,
                           bool cpu_fill)
 {
-    // Contract: the line is not present (the caller's lookup just
-    // returned false, or insert()'s refresh scan found nothing), so
-    // only victim selection remains.
+    // Contract: the line is absent (the caller's lookup or insert()'s
+    // match just found nothing), so only victim selection remains.
     const std::uint64_t s = set_of(line);
     std::uint8_t *blk = block(s);
     Meta &m = meta(blk);
@@ -150,14 +153,12 @@ CacheLevel::insert_absent(std::uint64_t line, std::uint32_t way_limit,
     PMILL_ASSERT((line >> tag_shift_) < kInvalidTag,
                  "simulated address exceeds the 32-bit tag range");
 
-    // Victim priority: invalid > LRU streaming line > LRU overall.
-    // "First invalid way in index order" is ctz of the inverted valid
-    // mask; the recency walks below only run with every candidate way
-    // valid, exactly as in the reference scan (which breaks out at the
-    // first invalid way). The LRU-most candidate in the permutation is
-    // exactly the minimum-stamp candidate of the stamped model.
+    // Victim priority: invalid > LRU streaming line > LRU overall, as
+    // in the stamped model: the first invalid way in index order (a
+    // ctz), else the candidate nearest the permutation's LRU end, which
+    // is exactly the minimum-stamp candidate.
     std::uint32_t victim = 0;
-    const std::uint32_t invalid = ~m.valid & limit_mask;
+    const std::uint32_t invalid = match(blk, kInvalidTag) & limit_mask;
     if (invalid) {
         victim = static_cast<std::uint32_t>(__builtin_ctz(invalid));
     } else {
@@ -175,7 +176,6 @@ CacheLevel::insert_absent(std::uint64_t line, std::uint32_t way_limit,
     }
 
     tags(blk)[victim] = tag_of(line);
-    m.valid = static_cast<std::uint16_t>(m.valid | (1u << victim));
     m.cpu = static_cast<std::uint16_t>(
         cpu_fill ? m.cpu | (1u << victim) : m.cpu & ~(1u << victim));
     m.perm = perm_touch(m.perm, victim);
@@ -199,24 +199,15 @@ CacheLevel::invalidate(std::uint64_t line)
     if (!sig_.empty() && !(sig_[s] & sig_bit(tag)))
         return;
     std::uint8_t *blk = block(s);
-    std::uint32_t *tg = tags(blk);
-    Meta &m = meta(blk);
-    std::uint32_t vm = m.valid;
-    while (vm) {
-        const std::uint32_t w = static_cast<std::uint32_t>(
-            __builtin_ctz(vm));
-        vm &= vm - 1;
-        if (tg[w] == tag) {
-            // The way keeps its recency slot; the invalid-first victim
-            // rule reuses it (and re-MRUs it) on the next fill, just
-            // as the stamped model reused the first invalid way.
-            m.valid = static_cast<std::uint16_t>(m.valid & ~(1u << w));
-            tg[w] = kInvalidTag;
-            if (!sig_.empty())
-                resig(blk, s);
-            return;
-        }
-    }
+    const std::uint32_t hit = match(blk, tag);
+    if (!hit)
+        return;
+    // The way keeps its recency slot; the invalid-first victim rule
+    // reuses it (and re-MRUs it) on the next fill, just as the stamped
+    // model reused the first invalid way.
+    tags(blk)[__builtin_ctz(hit)] = kInvalidTag;
+    if (!sig_.empty())
+        resig(blk, s);
 }
 
 void
@@ -227,7 +218,7 @@ CacheLevel::flush()
         std::uint32_t *tg = tags(blk);
         for (std::uint32_t w = 0; w < ways_; ++w)
             tg[w] = kInvalidTag;
-        meta(blk) = Meta{kIdentityPerm, 0, 0};
+        meta(blk) = Meta{kIdentityPerm, 0};
     }
     if (!sig_.empty())
         sig_.assign(sets_, 0);
@@ -387,14 +378,10 @@ CacheHierarchy::access_range(std::uint64_t first, std::uint64_t last,
 {
     AccessResult total;
     for (std::uint64_t ln = first; ln <= last; ++ln) {
-        // Hide the host-cache miss on the next set block (the tag
-        // arrays of the larger levels dwarf the host's L1/L2) behind
-        // this line's model work.
-        if (ln < last) {
+        // Hide the host-cache miss on the next set block (the larger
+        // levels' tag arrays dwarf the host's L1/L2) behind this line.
+        if (ln < last)
             llc_.host_prefetch(ln + 1);
-            if (type == AccessType::kDevWrite)
-                l2_.host_prefetch(ln + 1);
-        }
         AccessResult r = access_line(ln, ln / kLinesPerPage, type);
         total.core_cycles += r.core_cycles;
         total.wall_ns += r.wall_ns;
@@ -456,83 +443,91 @@ CacheHierarchy::cpu_line_miss(std::uint64_t line, bool is_load,
     return r;
 }
 
+static const char *const kKindNames[] = {
+    "Load", "Store", "DevWrite", "DevRead", "Prefetch", "ParkWrite",
+    "ParkRead"};
+
 AccessResult
-CacheHierarchy::device_line(std::uint64_t line, AccessType type)
+CacheHierarchy::prefetch_line(std::uint64_t line, AccessType type)
 {
-    AccessResult r;
+    if (type != AccessType::kPrefetch)
+        panic("access() takes loads, stores and prefetches; %s is a "
+              "device kind, which takes dma()",
+              kKindNames[static_cast<int>(type)]);
+    ++stats_.prefetches;
+    // Fill the hierarchy without charging latency or demand-load
+    // counters: issued far enough ahead that the pipeline hides it.
+    if (!l1_.lookup(line)) {
+        if (!l2_.lookup(line)) {
+            if (!llc_.lookup(line))
+                llc_.insert_absent(line, 0, /*cpu_fill=*/false);
+            l2_.insert_absent(line);
+        }
+        l1_.insert_absent(line);
+    }
+    return AccessResult{};
+}
+
+void
+CacheHierarchy::dma(Addr addr, std::uint32_t len, AccessType type)
+{
+    PMILL_ASSERT(len > 0, "zero-size DMA");
+    const std::uint64_t first = line_of(addr);
+    const std::uint64_t last = line_of(addr + len - 1);
+    const std::uint64_t lines = last - first + 1;
     switch (type) {
-      case AccessType::kDevWrite: {
-        ++stats_.dev_writes;
-        // DDIO write: the line is updated/allocated in the LLC only,
-        // restricted to the DDIO way mask; stale copies in the core
-        // caches are invalidated (ownership moved to the IIO agent).
-        l1_.invalidate(line);
-        l2_.invalidate(line);
-        llc_.insert(line, cfg_.ddio_ways, /*cpu_fill=*/false);
-        r.level = HitLevel::kLlc;
-        return r;
-      }
-
-      case AccessType::kPrefetch: {
-        ++stats_.prefetches;
-        // Fill the hierarchy without charging latency or demand-load
-        // counters: issued far enough ahead that the pipeline hides it.
-        if (!l1_.lookup(line)) {
-            if (!l2_.lookup(line)) {
-                if (!llc_.lookup(line))
-                    llc_.insert_absent(line, 0, /*cpu_fill=*/false);
-                l2_.insert_absent(line);
-            }
-            l1_.insert_absent(line);
+      case AccessType::kDevWrite:
+        // DDIO: allocate in the LLC's DDIO ways only; stale core copies
+        // are invalidated (ownership moved to the IIO agent).
+        stats_.dev_writes += lines;
+        for (std::uint64_t ln = first; ln <= last; ++ln) {
+            if (ln < last)
+                llc_.host_prefetch(ln + 1);
+            l1_.invalidate(ln);
+            l2_.invalidate(ln);
+            llc_.insert(ln, cfg_.ddio_ways, /*cpu_fill=*/false);
         }
-        r.level = HitLevel::kL1;
-        return r;
-      }
+        return;
 
-      case AccessType::kDevRead: {
-        ++stats_.dev_reads;
-        // DMA read for TX: served from LLC when resident, else DRAM.
-        // No allocation on the read path.
-        if (llc_.lookup(line)) {
-            r.level = HitLevel::kLlc;
-        } else {
-            r.level = HitLevel::kDram;
-            ++stats_.dev_reads_dram;
+      case AccessType::kDevRead:
+        // TX read: from the LLC when resident, else DRAM; no allocation.
+        stats_.dev_reads += lines;
+        for (std::uint64_t ln = first; ln <= last; ++ln) {
+            if (ln < last)
+                llc_.host_prefetch(ln + 1);
+            if (!llc_.lookup(ln))
+                ++stats_.dev_reads_dram;
         }
-        return r;
-      }
+        return;
 
-      case AccessType::kParkWrite: {
-        ++stats_.park_fills;
-        // Parking a payload at RX goes straight to DRAM — unlike a
-        // DDIO DevWrite it allocates nothing in the LLC, which is the
-        // whole point: parked lines never evict the NF's working set.
-        // Stale core copies (a recycled buffer's previous payload)
-        // are invalidated like any device write.
-        l1_.invalidate(line);
-        l2_.invalidate(line);
-        llc_.invalidate(line);
-        r.level = HitLevel::kDram;
-        return r;
-      }
-
-      case AccessType::kParkRead: {
-        ++stats_.park_gathers;
-        // TX DMA gather from the park arena. Normally DRAM (park
-        // writes bypass the caches); LLC only if a core explicitly
-        // materialized the payload in between. No allocation.
-        if (llc_.lookup(line)) {
-            r.level = HitLevel::kLlc;
-        } else {
-            r.level = HitLevel::kDram;
+      case AccessType::kParkWrite:
+        // RX park: straight to DRAM, allocating nothing in the LLC;
+        // stale copies (a recycled slot's old payload) are invalidated.
+        stats_.park_fills += lines;
+        for (std::uint64_t ln = first; ln <= last; ++ln) {
+            if (ln < last)
+                llc_.host_prefetch(ln + 1);
+            l1_.invalidate(ln);
+            l2_.invalidate(ln);
+            llc_.invalidate(ln);
         }
-        return r;
-      }
+        return;
+
+      case AccessType::kParkRead:
+        // TX gather from the park arena: DRAM unless a core
+        // materialized the payload in the LLC meanwhile; no allocation.
+        stats_.park_gathers += lines;
+        for (std::uint64_t ln = first; ln <= last; ++ln) {
+            if (ln < last)
+                llc_.host_prefetch(ln + 1);
+            llc_.lookup(ln);
+        }
+        return;
 
       default:
-        break;
+        panic("dma() takes device kinds; %s is a CPU kind, which takes "
+              "access()", kKindNames[static_cast<int>(type)]);
     }
-    panic("unreachable access type");
 }
 
 void

@@ -15,15 +15,18 @@
  *  - wall_ns: LLC/DRAM/TLB time, fixed in nanoseconds.
  *
  * Host-side hot path: access() is the most frequently executed
- * function in the whole simulator (every simulated byte range flows
- * through it), so the common case — a single-line CPU load/store that
- * hits the MRU way of L1 behind an MRU TLB entry — is fully inline in
- * this header and never enters a set scan. The MRU filters are pure
- * host-side accelerators: a hit through the filter performs exactly
- * the state transition (LRU stamp refresh off the shared clock) that
- * the full scan would, so every simulated counter and every future
- * replacement decision is bit-identical to the scanning
- * implementation. Miss continuations live in cache.cc.
+ * function in the whole simulator (every simulated CPU byte range
+ * flows through it), so the common case — a single-line load/store
+ * that hits the MRU way of L1 behind an MRU TLB entry — is fully
+ * inline in this header. Behind it, every presence check (a lookup,
+ * an insert's refresh, an invalidation) is one compare of the set's
+ * tag block. Device DMA takes dma(): one call per descriptor, frame
+ * or CQE, with the same per-line transitions and counters but no
+ * per-line result or type dispatch. All of this is host-side only:
+ * every transition (LRU stamp refresh off the shared clock, victim
+ * choice) is the one the scanning implementation makes, so every
+ * simulated counter is bit-identical to it, which tests/test_mem.cc
+ * checks against a plain stamped model on a random stream.
  */
 
 #ifndef PMILL_MEM_CACHE_HH
@@ -155,8 +158,10 @@ struct MemStats {
  *    minimum stamp among candidates" is exactly "candidate closest to
  *    the permutation's LRU end" — every hit refresh and every victim
  *    choice is bit-identical to the stamped implementation;
- *  - valid and demand-filled become per-set bitmasks, making "first
- *    invalid way in index order" a ctz.
+ *  - an invalid way holds kInvalidTag, so one match() compare of the
+ *    set's tags decides presence, or finds the invalid ways ("first
+ *    invalid way in index order" is a ctz), with no valid flags;
+ *  - demand-filled becomes a per-set bitmask.
  * A lookup, insert, or invalidate therefore touches one line of host
  * memory per set (two for 16-way levels), which is what keeps several
  * per-core LLC tag arrays from thrashing the host's own cache.
@@ -241,40 +246,25 @@ class CacheLevel {
         /// their (unused, distinct) identity ids so the nibble-search
         /// in perm_touch never matches a phantom way.
         std::uint64_t perm;
-        std::uint16_t valid;  ///< valid-way bitmask
-        std::uint16_t cpu;    ///< demand-filled bitmask (scan-resistant)
+        std::uint16_t cpu;  ///< demand-filled bitmask (scan-resistant)
     };
 
     /// Identity permutation: nibble i = i.
     static constexpr std::uint64_t kIdentityPerm = 0xFEDCBA9876543210ull;
 
     /// Tag stored in invalid ways. Real tags are asserted strictly
-    /// below this on insert, so presence scans can compare every way
-    /// branchlessly (vectorizably) without consulting the valid mask:
-    /// an invalid way can never produce a match.
+    /// below this on insert, so a real tag never matches an invalid
+    /// way, and match(kInvalidTag) finds exactly the invalid ways.
     static constexpr std::uint32_t kInvalidTag = 0xFFFFFFFFu;
 
-    /** Move way @p w to the MRU end of @p perm (one nibble rotate). */
-    static std::uint64_t
-    perm_touch(std::uint64_t perm, std::uint32_t w)
-    {
-        // Locate w's nibble: XOR makes it the unique zero nibble, and
-        // the borrow of the per-nibble zero test only propagates
-        // upward, so the lowest flagged nibble is the true match.
-        const std::uint64_t x = perm ^ (0x1111111111111111ull * w);
-        const std::uint64_t zero = (x - 0x1111111111111111ull) & ~x &
-                                   0x8888888888888888ull;
-        const std::uint32_t p =
-            static_cast<std::uint32_t>(__builtin_ctzll(zero)) >> 2;
-        // Keep nibbles above p, shift nibbles below p up one, put w
-        // in front. Shift counts stay <= 60 for p <= 15.
-        const std::uint64_t lo = (1ull << (4 * p)) - 1;
-        const std::uint64_t hi = ~lo & ~(0xFull << (4 * p));
-        return (perm & hi) | ((perm & lo) << 4) | w;
-    }
+    /** Move way @p w to the MRU end of @p perm (cache.cc). */
+    static std::uint64_t perm_touch(std::uint64_t perm, std::uint32_t w);
 
-    /** Full way scan behind the MRU fast path (cache.cc). */
+    /** Non-MRU hit path: one match() and a recency touch (cache.cc). */
     bool lookup_scan(std::uint8_t *blk, std::uint64_t line);
+
+    /** Bitmask of the ways of @p blk holding @p tag (cache.cc). */
+    std::uint32_t match(const std::uint8_t *blk, std::uint32_t tag) const;
 
     std::uint64_t set_of(std::uint64_t line) const { return line & set_mask_; }
 
@@ -396,14 +386,15 @@ class CacheHierarchy {
     explicit CacheHierarchy(const CacheConfig &cfg = CacheConfig{});
 
     /**
-     * Perform an access of @p size bytes at simulated address @p addr.
-     * Accesses spanning multiple cache lines walk each line. The
-     * returned latency components are summed over lines; @p level is
-     * the deepest level touched.
+     * Perform a CPU access (load, store or prefetch; any other kind
+     * dies) of @p size bytes at simulated address @p addr. Accesses
+     * spanning multiple cache lines walk each line. The returned
+     * latency components are summed over lines; @p level is the
+     * deepest level touched.
      *
-     * Inline fast path: single-line CPU loads/stores (the vast
-     * majority of simulated accesses) resolve here; everything else
-     * takes the out-of-line continuations in cache.cc.
+     * Inline fast path: single-line loads/stores (the vast majority
+     * of simulated accesses) resolve here; everything else takes the
+     * out-of-line continuations in cache.cc.
      */
     AccessResult
     access(Addr addr, std::uint32_t size, AccessType type)
@@ -415,6 +406,14 @@ class CacheHierarchy {
             return access_line(first, first / kLinesPerPage, type);
         return access_range(first, last, type);
     }
+
+    /**
+     * Device DMA of @p len bytes at @p addr: kDevWrite, kDevRead,
+     * kParkWrite or kParkRead (any other kind dies). Walks the lines
+     * in order with each kind's per-line transitions and counters (see
+     * AccessType); DMA charges no core latency, so nothing is returned.
+     */
+    void dma(Addr addr, std::uint32_t len, AccessType type);
 
     /** Cumulative counters since construction (or last stats_reset). */
     const MemStats &stats() const { return stats_; }
@@ -450,7 +449,7 @@ class CacheHierarchy {
   private:
     /**
      * One line-granular walk. The L1-hit path is inline; misses and
-     * device/prefetch accesses continue out of line.
+     * prefetches continue out of line.
      */
     AccessResult
     access_line(std::uint64_t line, std::uint64_t page, AccessType type)
@@ -475,15 +474,15 @@ class CacheHierarchy {
             }
             return cpu_line_miss(line, is_load, r);
         }
-        return device_line(line, type);
+        return prefetch_line(line, type);
     }
 
     /** L1-miss continuation of the CPU load/store walk (cache.cc). */
     AccessResult cpu_line_miss(std::uint64_t line, bool is_load,
                                AccessResult r);
 
-    /** DevWrite / DevRead / Prefetch walk (cache.cc). */
-    AccessResult device_line(std::uint64_t line, AccessType type);
+    /** Prefetch walk; dies for a device kind (cache.cc). */
+    AccessResult prefetch_line(std::uint64_t line, AccessType type);
 
     /** Multi-line walk, line order preserved (cache.cc). */
     AccessResult access_range(std::uint64_t first, std::uint64_t last,

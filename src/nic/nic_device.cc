@@ -113,8 +113,8 @@ NicDevice::land(std::uint32_t qi, const std::uint8_t *frame,
     Queue &q = queues_[qi];
     CacheHierarchy &qcache = *queue_caches_[qi];
     // The NIC fetches the posted descriptor over PCIe.
-    qcache.access(rx_desc_addr(qi, q.rx_free.next_pop_slot()), kDescBytes,
-                  AccessType::kDevRead);
+    qcache.dma(rx_desc_addr(qi, q.rx_free.next_pop_slot()), kDescBytes,
+               AccessType::kDevRead);
     RxDescriptor desc;
     q.rx_free.pop(desc);
 
@@ -131,11 +131,11 @@ NicDevice::land(std::uint32_t qi, const std::uint8_t *frame,
         hdr_len = park_splits_[qi];
         cqe.park_len = len - hdr_len;
         cqe.park_ticket = park->park(frame + hdr_len, cqe.park_len);
-        qcache.access(park->slot_addr(cqe.park_ticket), cqe.park_len,
-                      AccessType::kParkWrite);
+        qcache.dma(park->slot_addr(cqe.park_ticket), cqe.park_len,
+                   AccessType::kParkWrite);
     }
     std::memcpy(desc.buf_host, frame, hdr_len);
-    qcache.access(desc.buf_addr, hdr_len, AccessType::kDevWrite);
+    qcache.dma(desc.buf_addr, hdr_len, AccessType::kDevWrite);
 
     cqe.buf_addr = desc.buf_addr;
     cqe.buf_host = desc.buf_host;
@@ -156,7 +156,7 @@ NicDevice::land(std::uint32_t qi, const std::uint8_t *frame,
 
     // The CQE line cycles through the CQ ring region.
     cqe.cqe_addr = cq_ring_addr(qi, q.completions.next_push_slot());
-    qcache.access(cqe.cqe_addr, kCqeBytes, AccessType::kDevWrite);
+    qcache.dma(cqe.cqe_addr, kCqeBytes, AccessType::kDevWrite);
     const bool pushed = q.completions.push(cqe);
     PMILL_ASSERT(pushed, "completion ring overflow despite check");
 }

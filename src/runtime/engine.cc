@@ -1150,13 +1150,11 @@ Engine::run(const RunConfig &rc)
                 // payload from the park arena); the driver reclaims.
                 const PendingTx &p = in.completions[in.next_completion++];
                 const TxCompletion &c = p.c;
-                qc.access(c.desc_addr, NicDevice::kDescBytes,
-                          AccessType::kDevRead);
-                qc.access(c.buf_addr, c.len - c.park.len,
-                          AccessType::kDevRead);
+                qc.dma(c.desc_addr, NicDevice::kDescBytes,
+                       AccessType::kDevRead);
+                qc.dma(c.buf_addr, c.len - c.park.len, AccessType::kDevRead);
                 if (c.park.len != 0)
-                    qc.access(c.park.addr, c.park.len,
-                              AccessType::kParkRead);
+                    qc.dma(c.park.addr, c.park.len, AccessType::kParkRead);
                 queue_dp_[p.nic][c.queue]->on_tx_complete(c);
             } else if (kind == InboxKind::kHandoff) {
                 // The frame is already host-side: it lands on NIC 0's

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/framework/pipeline.hh"
+#include "src/common/random.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
@@ -231,7 +234,8 @@ TEST(Cache, DeviceWriteLandsInLlcAndInvalidatesCore)
     // Warm the line into L1.
     ch.access(0x2000, 4, AccessType::kLoad);
     // Device writes the line (new packet arrives in the same buffer).
-    ch.access(0x2000, 4, AccessType::kDevWrite);
+    ch.dma(0x2000, 4, AccessType::kDevWrite);
+    EXPECT_EQ(ch.stats().dev_writes, 1u);
     // CPU load must now come from the LLC (core copies invalidated).
     AccessResult r = ch.access(0x2000, 4, AccessType::kLoad);
     EXPECT_EQ(r.level, HitLevel::kLlc);
@@ -247,21 +251,451 @@ TEST(Cache, DdioWayRestrictionThrashesWithManyLines)
     // Stream 8 distinct lines mapping to LLC set 0 via device writes;
     // only 2 ways are eligible, so older DDIO lines must be evicted.
     for (int i = 0; i < 8; ++i)
-        ch.access(static_cast<Addr>(i) * llc_sets * kCacheLineBytes, 1,
-                  AccessType::kDevWrite);
-    AccessResult oldest = ch.access(0, 1, AccessType::kDevRead);
-    EXPECT_EQ(oldest.level, HitLevel::kDram);
-    AccessResult newest = ch.access(7 * llc_sets * kCacheLineBytes, 1,
-                                    AccessType::kDevRead);
-    EXPECT_EQ(newest.level, HitLevel::kLlc);
+        ch.dma(static_cast<Addr>(i) * llc_sets * kCacheLineBytes, 1,
+               AccessType::kDevWrite);
+    // A device read that leaves the LLC counts in dev_reads_dram.
+    std::uint64_t before = ch.stats().dev_reads_dram;
+    ch.dma(0, 1, AccessType::kDevRead);
+    EXPECT_EQ(ch.stats().dev_reads_dram - before, 1u)
+        << "oldest DDIO line still in the LLC";
+    before = ch.stats().dev_reads_dram;
+    ch.dma(7 * llc_sets * kCacheLineBytes, 1, AccessType::kDevRead);
+    EXPECT_EQ(ch.stats().dev_reads_dram - before, 0u)
+        << "newest DDIO line left the LLC";
 }
 
 TEST(Cache, DevReadDoesNotAllocate)
 {
     CacheHierarchy ch(tiny_config());
-    ch.access(0x3000, 4, AccessType::kDevRead);
+    for (int i = 0; i < 2; ++i) {
+        const std::uint64_t before = ch.stats().dev_reads_dram;
+        ch.dma(0x3000, 4, AccessType::kDevRead);
+        EXPECT_EQ(ch.stats().dev_reads_dram - before, 1u) << "read " << i;
+    }
     AccessResult r = ch.access(0x3000, 4, AccessType::kLoad);
     EXPECT_EQ(r.level, HitLevel::kDram);
+}
+
+TEST(Cache, DeviceKindThroughAccessDies)
+{
+    CacheHierarchy ch(tiny_config());
+    EXPECT_DEATH(ch.access(0x100, 4, AccessType::kDevWrite),
+                 "DevWrite is a device kind");
+    EXPECT_DEATH(ch.access(0x100, 200, AccessType::kParkRead),
+                 "ParkRead is a device kind");
+}
+
+TEST(Cache, CpuKindThroughDmaDies)
+{
+    CacheHierarchy ch(tiny_config());
+    EXPECT_DEATH(ch.dma(0x100, 4, AccessType::kLoad), "Load is a CPU kind");
+    EXPECT_DEATH(ch.dma(0x100, 200, AccessType::kPrefetch),
+                 "Prefetch is a CPU kind");
+}
+
+// The semantics cache.hh compacts, written out plainly: per way a
+// line, an LRU stamp off the level's clock, and valid and
+// demand-filled flags, all found by full scans; victims are the first
+// invalid way, else the LRU streaming (not demand-filled) way, else
+// the LRU way, among the first way_limit ways.
+class RefLevel {
+  public:
+    RefLevel(std::uint64_t size, std::uint32_t ways)
+        : sets_(size / kCacheLineBytes / ways), ways_(ways),
+          w_(sets_ * ways)
+    {}
+
+    bool
+    lookup(std::uint64_t line)
+    {
+        Way *w = find(line);
+        if (w != nullptr)
+            w->stamp = ++clock_;
+        return w != nullptr;
+    }
+
+    void
+    insert(std::uint64_t line, std::uint32_t way_limit, bool cpu_fill)
+    {
+        Way *w = find(line);
+        if (w == nullptr) {
+            w = victim(line, way_limit);
+            w->line = line;
+            w->valid = true;
+        }
+        w->stamp = ++clock_;
+        w->cpu = cpu_fill;
+    }
+
+    void
+    invalidate(std::uint64_t line)
+    {
+        if (Way *w = find(line))
+            w->valid = false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &w : w_)
+            w = Way{};
+    }
+
+  private:
+    struct Way {
+        std::uint64_t line = 0;
+        std::uint64_t stamp = 0;
+        bool valid = false;
+        bool cpu = false;
+    };
+
+    Way *set(std::uint64_t line) { return &w_[(line % sets_) * ways_]; }
+
+    Way *
+    find(std::uint64_t line)
+    {
+        Way *s = set(line);
+        for (std::uint32_t i = 0; i < ways_; ++i)
+            if (s[i].valid && s[i].line == line)
+                return &s[i];
+        return nullptr;
+    }
+
+    Way *
+    victim(std::uint64_t line, std::uint32_t way_limit)
+    {
+        Way *s = set(line);
+        const std::uint32_t n =
+            (way_limit == 0 || way_limit > ways_) ? ways_ : way_limit;
+        for (std::uint32_t i = 0; i < n; ++i)
+            if (!s[i].valid)
+                return &s[i];
+        Way *lru = nullptr;
+        for (std::uint32_t i = 0; i < n; ++i)
+            if (!s[i].cpu && (lru == nullptr || s[i].stamp < lru->stamp))
+                lru = &s[i];
+        if (lru != nullptr)
+            return lru;
+        lru = &s[0];
+        for (std::uint32_t i = 1; i < n; ++i)
+            if (s[i].stamp < lru->stamp)
+                lru = &s[i];
+        return lru;
+    }
+
+    std::uint64_t sets_;
+    std::uint32_t ways_;
+    std::vector<Way> w_;
+    std::uint64_t clock_ = 0;
+};
+
+// A stamped fully associative TLB: a miss fills the first never-used
+// entry, else the least recently touched one.
+class RefTlb {
+  public:
+    explicit RefTlb(std::uint32_t entries) : e_(entries) {}
+
+    bool
+    access(std::uint64_t page)
+    {
+        for (Entry &e : e_) {
+            if (e.used && e.page == page) {
+                e.stamp = ++clock_;
+                return true;
+            }
+        }
+        Entry *v = nullptr;
+        for (Entry &e : e_) {
+            if (!e.used) {
+                v = &e;
+                break;
+            }
+        }
+        if (v == nullptr) {
+            v = &e_[0];
+            for (Entry &e : e_)
+                if (e.stamp < v->stamp)
+                    v = &e;
+        }
+        *v = Entry{page, ++clock_, true};
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Entry &e : e_)
+            e = Entry{};
+    }
+
+  private:
+    struct Entry {
+        std::uint64_t page = 0;
+        std::uint64_t stamp = 0;
+        bool used = false;
+    };
+
+    std::vector<Entry> e_;
+    std::uint64_t clock_ = 0;
+};
+
+// The hierarchy's walks over the reference levels, one line at a time
+// (no NUMA probe).
+class RefHierarchy {
+  public:
+    explicit RefHierarchy(const CacheConfig &c)
+        : c_(c), l1_(c.l1_size, c.l1_ways), l2_(c.l2_size, c.l2_ways),
+          llc_(c.llc_size, c.llc_ways), tlb_(c.tlb_entries)
+    {}
+
+    AccessResult
+    access(Addr addr, std::uint32_t size, AccessType type)
+    {
+        AccessResult total;
+        for (std::uint64_t ln = line_of(addr);
+             ln <= line_of(addr + size - 1); ++ln) {
+            const AccessResult r = cpu_line(ln, type);
+            total.core_cycles += r.core_cycles;
+            total.wall_ns += r.wall_ns;
+            total.tlb_misses += r.tlb_misses;
+            total.llc_trips += r.llc_trips;
+            total.dram_fills += r.dram_fills;
+            total.remote_fills += r.remote_fills;
+            total.level = std::max(total.level, r.level);
+        }
+        return total;
+    }
+
+    void
+    dma(Addr addr, std::uint32_t len, AccessType type)
+    {
+        for (std::uint64_t ln = line_of(addr); ln <= line_of(addr + len - 1);
+             ++ln) {
+            switch (type) {
+              case AccessType::kDevWrite:
+                ++s_.dev_writes;
+                l1_.invalidate(ln);
+                l2_.invalidate(ln);
+                llc_.insert(ln, c_.ddio_ways, false);
+                break;
+              case AccessType::kDevRead:
+                ++s_.dev_reads;
+                if (!llc_.lookup(ln))
+                    ++s_.dev_reads_dram;
+                break;
+              case AccessType::kParkWrite:
+                ++s_.park_fills;
+                l1_.invalidate(ln);
+                l2_.invalidate(ln);
+                llc_.invalidate(ln);
+                break;
+              case AccessType::kParkRead:
+                ++s_.park_gathers;
+                llc_.lookup(ln);
+                break;
+              default:
+                ADD_FAILURE() << "dma() of a CPU kind";
+                return;
+            }
+        }
+    }
+
+    const MemStats &stats() const { return s_; }
+    void stats_reset() { s_ = MemStats{}; }
+
+    void
+    flush()
+    {
+        l1_.flush();
+        l2_.flush();
+        llc_.flush();
+        tlb_.flush();
+    }
+
+  private:
+    AccessResult
+    cpu_line(std::uint64_t ln, AccessType type)
+    {
+        AccessResult r;
+        if (type == AccessType::kPrefetch) {
+            ++s_.prefetches;
+            if (!l1_.lookup(ln)) {
+                if (!l2_.lookup(ln)) {
+                    if (!llc_.lookup(ln))
+                        llc_.insert(ln, 0, false);
+                    l2_.insert(ln, 0, true);
+                }
+                l1_.insert(ln, 0, true);
+            }
+            return r;
+        }
+        const bool load = type == AccessType::kLoad;
+        if (c_.tlb_enable && !tlb_.access(ln / kLinesPerPage)) {
+            ++s_.tlb_misses;
+            r.wall_ns += c_.tlb_miss_ns;
+            ++r.tlb_misses;
+        }
+        ++(load ? s_.loads : s_.stores);
+        r.core_cycles += c_.l1_cycles;
+        if (l1_.lookup(ln))
+            return r;
+        ++(load ? s_.l1_load_misses : s_.l1_store_misses);
+        r.level = HitLevel::kL2;
+        r.core_cycles += c_.l2_cycles;
+        if (l2_.lookup(ln)) {
+            l1_.insert(ln, 0, true);
+            return r;
+        }
+        ++(load ? s_.l2_load_misses : s_.l2_store_misses);
+        r.level = HitLevel::kLlc;
+        r.wall_ns += c_.llc_ns;
+        ++r.llc_trips;
+        if (llc_.lookup(ln)) {
+            l2_.insert(ln, 0, true);
+            l1_.insert(ln, 0, true);
+            return r;
+        }
+        ++(load ? s_.llc_load_misses : s_.llc_store_misses);
+        r.level = HitLevel::kDram;
+        r.wall_ns += c_.dram_ns;
+        ++r.dram_fills;
+        llc_.insert(ln, 0, true);
+        l2_.insert(ln, 0, true);
+        l1_.insert(ln, 0, true);
+        return r;
+    }
+
+    CacheConfig c_;
+    RefLevel l1_, l2_, llc_;
+    RefTlb tlb_;
+    MemStats s_;
+};
+
+std::string
+result_diff(const AccessResult &a, const AccessResult &b)
+{
+    std::string d;
+    auto field = [&](const char *name, double x, double y) {
+        if (x != y)
+            d += std::string(name) + " " + std::to_string(x) + " vs " +
+                 std::to_string(y) + "; ";
+    };
+    field("level", static_cast<double>(a.level), static_cast<double>(b.level));
+    field("core_cycles", a.core_cycles, b.core_cycles);
+    field("wall_ns", a.wall_ns, b.wall_ns);
+    field("tlb_misses", a.tlb_misses, b.tlb_misses);
+    field("llc_trips", a.llc_trips, b.llc_trips);
+    field("dram_fills", a.dram_fills, b.dram_fills);
+    field("remote_fills", a.remote_fills, b.remote_fills);
+    return d;
+}
+
+void
+expect_same_stats(const MemStats &a, const MemStats &b, std::uint64_t step)
+{
+    const std::pair<const char *, std::uint64_t MemStats::*> fields[] = {
+        {"loads", &MemStats::loads},
+        {"stores", &MemStats::stores},
+        {"l1_load_misses", &MemStats::l1_load_misses},
+        {"l2_load_misses", &MemStats::l2_load_misses},
+        {"llc_load_misses", &MemStats::llc_load_misses},
+        {"l1_store_misses", &MemStats::l1_store_misses},
+        {"l2_store_misses", &MemStats::l2_store_misses},
+        {"llc_store_misses", &MemStats::llc_store_misses},
+        {"dev_writes", &MemStats::dev_writes},
+        {"dev_reads", &MemStats::dev_reads},
+        {"dev_reads_dram", &MemStats::dev_reads_dram},
+        {"tlb_misses", &MemStats::tlb_misses},
+        {"prefetches", &MemStats::prefetches},
+        {"numa_remote_fills", &MemStats::numa_remote_fills},
+        {"park_fills", &MemStats::park_fills},
+        {"park_gathers", &MemStats::park_gathers},
+    };
+    static_assert(sizeof(MemStats) == sizeof(fields) / sizeof(fields[0]) *
+                                          sizeof(std::uint64_t),
+                  "every MemStats field is compared");
+    for (const auto &[name, f] : fields)
+        EXPECT_EQ(a.*f, b.*f) << name << " at step " << step;
+}
+
+// Cross-checks the compacted model (set blocks, recency permutation,
+// one-compare match, the TLB's hash table and recency list, dma())
+// against the plain reference on one seeded stream over the tiny
+// geometry, where every level and the TLB evict: CPU loads, stores and
+// prefetches of one or many lines, device DMA ranges of all four kinds
+// over the same addresses, and the odd stats_reset and flush.
+TEST(Cache, MatchesStampedReferenceModel)
+{
+    CacheConfig cfg = tiny_config();
+    cfg.tlb_enable = true;
+    cfg.tlb_entries = 64;
+    CacheHierarchy ch(cfg);
+    RefHierarchy ref(cfg);
+    Xorshift64 rng(2021);
+    // Footprints past L1 (2 KiB), inside the LLC (48 KiB), just past
+    // the TLB's reach (80 pages) and past the LLC (1 MiB). One draw in
+    // four instead revisits the page of one of the last two addresses,
+    // so sets and the TLB see their MRU and second-MRU entries again.
+    const std::uint64_t spans[] = {2 << 10, 48 << 10, 80 * kPageBytes,
+                                   1 << 20};
+    Addr recent[2] = {};
+    const AccessType cpu[] = {AccessType::kLoad, AccessType::kStore,
+                              AccessType::kPrefetch};
+    const AccessType dev[] = {AccessType::kDevWrite, AccessType::kDevRead,
+                              AccessType::kParkWrite, AccessType::kParkRead};
+    std::uint64_t levels[4] = {};  // demand accesses by deepest level
+    std::uint64_t dev_reads = 0, dev_reads_dram = 0, tlb_misses = 0;
+    auto tally = [&] {
+        dev_reads += ch.stats().dev_reads;
+        dev_reads_dram += ch.stats().dev_reads_dram;
+        tlb_misses += ch.stats().tlb_misses;
+    };
+    for (std::uint64_t step = 0; step < 200000; ++step) {
+        const std::uint64_t pick = rng.next_below(8);
+        const Addr addr =
+            pick < 2 ? (recent[pick] & ~(kPageBytes - 1)) +
+                           rng.next_below(kPageBytes)
+                     : rng.next_below(spans[pick % 4]);
+        recent[1] = recent[0];
+        recent[0] = addr;
+        const std::uint64_t op = rng.next_below(1000);
+        if (op < 700) {
+            const AccessType type = cpu[op % 3];
+            const std::uint32_t size = static_cast<std::uint32_t>(
+                1 + rng.next_below(op % 4 == 0 ? 256 : 8));
+            const AccessResult got = ch.access(addr, size, type);
+            const AccessResult want = ref.access(addr, size, type);
+            ASSERT_EQ(result_diff(got, want), "")
+                << "step " << step << ": access(" << addr << ", " << size
+                << ", kind " << static_cast<int>(type) << ")";
+            if (type != AccessType::kPrefetch)
+                ++levels[static_cast<int>(got.level)];
+        } else if (op < 995) {
+            const AccessType type = dev[op % 4];
+            const std::uint32_t len =
+                static_cast<std::uint32_t>(1 + rng.next_below(1500));
+            ch.dma(addr, len, type);
+            ref.dma(addr, len, type);
+        } else if (op < 999) {
+            expect_same_stats(ch.stats(), ref.stats(), step);
+            tally();
+            ch.stats_reset();
+            ref.stats_reset();
+        } else {
+            ch.flush();
+            ref.flush();
+        }
+    }
+    expect_same_stats(ch.stats(), ref.stats(), 200000);
+    tally();
+    // The stream reaches every outcome the comparison should cover:
+    // each level serves demand accesses, the TLB misses, and device
+    // reads find lines both in the LLC and past it.
+    for (int l = 0; l < 4; ++l)
+        EXPECT_GT(levels[l], 1000u) << "level " << l;
+    EXPECT_GT(tlb_misses, 1000u);
+    EXPECT_GT(dev_reads_dram, 1000u);
+    EXPECT_GT(dev_reads - dev_reads_dram, 1000u);
 }
 
 TEST(Cache, StoreCountsSeparately)
