@@ -148,25 +148,18 @@ main()
                  strprintf("%lld", s.row.residual_fixed),
                  strprintf("%lld", s.row.total_fixed)});
 
-        if (CycleAccount::kCompiledIn) {
-            if (s.row.sum_minus_total != 0) {
-                std::fprintf(stderr,
-                             "cycle_accounting: %s leaks %lld fixed "
-                             "units (buckets do not tile the total)\n",
-                             s.name, s.row.sum_minus_total);
-                ok = false;
-            }
-            if (s.row.total_fixed <= 0 || agg.busy_cycles() <= 0) {
-                std::fprintf(stderr,
-                             "cycle_accounting: %s recorded no busy "
-                             "cycles\n",
-                             s.name);
-                ok = false;
-            }
-        } else {
+        if (s.row.sum_minus_total != 0) {
             std::fprintf(stderr,
-                         "cycle_accounting: accounting compiled out "
-                         "(PMILL_ACCT=OFF); columns are zero\n");
+                         "cycle_accounting: %s leaks %lld fixed units "
+                         "(buckets do not tile the total)\n",
+                         s.name, s.row.sum_minus_total);
+            ok = false;
+        }
+        if (s.row.total_fixed <= 0 || agg.busy_cycles() <= 0) {
+            std::fprintf(stderr,
+                         "cycle_accounting: %s recorded no busy cycles\n",
+                         s.name);
+            ok = false;
         }
     }
 

@@ -13,8 +13,8 @@
  * or a latency percentile fails the diff.
  *
  * Run lengths are pinned so the eq_ columns are identical on every
- * machine and in every build flavor (RelWithDebInfo vs Release+LTO,
- * PMILL_ACCT on/off).
+ * machine and in every build flavor (RelWithDebInfo, Release,
+ * Release+LTO).
  */
 
 #include <chrono>

@@ -81,8 +81,6 @@ AcctReport
 acct_report_from_engine(const Engine &engine)
 {
     AcctReport rep;
-    if (!CycleAccount::kCompiledIn)
-        return rep;
     const auto &per_core = engine.acct_breakdown();
     if (per_core.empty())
         return rep;
@@ -198,8 +196,7 @@ acct_render_report(const AcctReport &report, std::ostream &os,
                    std::size_t top_n)
 {
     if (report.empty()) {
-        os << "cycle accounting: no data (accounting compiled out or no "
-              "measured run)\n";
+        os << "cycle accounting: no data (no measured run)\n";
         return;
     }
     const AcctBreakdown &agg = report.aggregate;

@@ -72,8 +72,7 @@ struct AcctReport {
 
 /**
  * Build the report from @p engine 's most recent run (its measured
- * window). Empty when accounting is compiled out or run() has not
- * been called.
+ * window). Empty when run() has not been called.
  */
 AcctReport acct_report_from_engine(const Engine &engine);
 

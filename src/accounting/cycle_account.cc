@@ -42,8 +42,6 @@ acct_component_name(std::uint32_t component)
     }
 }
 
-#ifndef PMILL_ACCT_DISABLED
-
 CycleAccount::Fixed
 CycleAccount::Snapshot::sum_minus_total() const
 {
@@ -124,7 +122,5 @@ CycleAccount::grow(std::size_t index)
     const std::size_t scopes = index / kAcctNumComponents + 1;
     buckets_.resize(scopes * kAcctNumComponents, 0);
 }
-
-#endif // PMILL_ACCT_DISABLED
 
 } // namespace pmill

@@ -22,9 +22,9 @@
  * scope on exit, so nested attribution (mempool refill inside an RX
  * burst) lands in the innermost bucket.
  *
- * The whole subsystem compiles to nothing under -DPMILL_ACCT_DISABLED
- * (CMake -DPMILL_ACCT=OFF): charge() and the guards become empty
- * inline bodies and the ledger holds no storage.
+ * The ledger is always built in and is the only record of where a
+ * core's time went: pmill_explain's report, the controller's idle
+ * signal and the per-element stats all read it.
  */
 
 #ifndef PMILL_ACCOUNTING_CYCLE_ACCOUNT_HH
@@ -80,8 +80,6 @@ const char *acct_scope_name(std::uint16_t scope);
 /** Human name of a component. */
 const char *acct_component_name(std::uint32_t component);
 
-#ifndef PMILL_ACCT_DISABLED
-
 /**
  * The per-core ledger. Charges are 44.20 signed fixed point: 2^43
  * cycles (~64 min of simulated time at 2.3 GHz) before overflow,
@@ -94,6 +92,7 @@ class CycleAccount {
     static constexpr double kScale =
         static_cast<double>(std::int64_t(1) << kScaleBits);
 
+    /// Always true; kept only because perfbench/harness.cc reports it.
     static constexpr bool kCompiledIn = true;
 
     /** Cumulative ledger state (also usable as a baseline snapshot). */
@@ -222,56 +221,6 @@ class AcctScope {
     AccessSink *sink_;
     std::uint16_t prev_ = 0;
 };
-
-#else // PMILL_ACCT_DISABLED
-
-/** Compiled-out ledger: every operation is an empty inline body. */
-class CycleAccount {
-  public:
-    using Fixed = std::int64_t;
-    static constexpr int kScaleBits = 20;
-    static constexpr double kScale =
-        static_cast<double>(std::int64_t(1) << kScaleBits);
-
-    static constexpr bool kCompiledIn = false;
-
-    struct Snapshot {
-        std::vector<Fixed> buckets;
-        Fixed total = 0;
-
-        Fixed sum_minus_total() const { return 0; }
-        Snapshot delta_since(const Snapshot &) const { return Snapshot{}; }
-        Fixed bucket(std::uint16_t, std::uint32_t) const { return 0; }
-        Fixed scope_total(std::uint16_t) const { return 0; }
-        Fixed component_total(std::uint32_t) const { return 0; }
-        std::uint32_t num_scopes() const { return 0; }
-    };
-
-    static double cycles(Fixed f) { return static_cast<double>(f) / kScale; }
-    static Fixed
-    to_fixed(double cycles)
-    {
-        return static_cast<Fixed>(std::llrint(cycles * kScale));
-    }
-
-    void charge(std::uint16_t, std::uint32_t, double) {}
-    void charge_ns(std::uint16_t, std::uint32_t, double, double) {}
-    Fixed total_fixed() const { return 0; }
-    Snapshot snapshot() const { return Snapshot{}; }
-    Fixed sum_minus_total() const { return 0; }
-    Fixed scope_total(std::uint16_t) const { return 0; }
-    Fixed component_total(std::uint32_t) const { return 0; }
-};
-
-class AcctScope {
-  public:
-    AcctScope(AccessSink *, std::uint16_t) {}
-    AcctScope(AccessSink &, std::uint16_t) {}
-    AcctScope(const AcctScope &) = delete;
-    AcctScope &operator=(const AcctScope &) = delete;
-};
-
-#endif // PMILL_ACCT_DISABLED
 
 } // namespace pmill
 

@@ -76,12 +76,12 @@ Controller::distill(const Timeline &tl, std::size_t row) const
     obs.mpps = tl.value(row, "mpps");
     obs.rx_drops = tl.value(row, "rx_drops");
     obs.pipeline_drops = tl.value(row, "pipeline_drops");
-    // Idle fraction: cycles burned on dry polls / backoff sleeps over
-    // the interval's total core cycles (self-normalizing, so no
-    // frequency or core count is needed).
-    const double wait = tl.value(row, "poll_wait_cycles");
-    const double busy = tl.value(row, "cycles");
-    obs.idle_fraction = wait + busy > 0 ? wait / (wait + busy) : 0.0;
+    // Idle fraction: the ledger's idle cycles over its total in the
+    // interval (self-normalizing, so no frequency or core count is
+    // needed).
+    const double idle = tl.value(row, "acct_idle_cycles");
+    const double total = tl.value(row, "acct_total_cycles");
+    obs.idle_fraction = total > 0 ? idle / total : 0.0;
     return obs;
 }
 

@@ -46,9 +46,11 @@ struct ControlObservation {
     double mpps = 0;
     double rx_drops = 0;       ///< drops in this interval
     double pipeline_drops = 0;
-    /// Fraction of the interval's core cycles spent idle (dry polls +
-    /// backoff sleeps) — the Metronome-style load signal: near 0 when
-    /// the cores are saturated, near 1 when the queues are dry.
+    /// Fraction of the interval's core cycles spent idle — the
+    /// ledger's idle scope (empty polls, backoff sleeps, CQE
+    /// fast-forward) over its total, acct_idle_cycles /
+    /// acct_total_cycles. The Metronome-style load signal: near 0
+    /// when the cores are saturated, near 1 when the queues are dry.
     double idle_fraction = 0;
 };
 

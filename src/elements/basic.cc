@@ -290,20 +290,4 @@ Discard::process(PacketBatch &batch, ExecContext &ctx)
     ctx.on_compute(1.0 * batch.count, 2.0 * batch.count);
 }
 
-void
-Queue::process(PacketBatch &batch, ExecContext &ctx)
-{
-    // Run-to-completion stand-in: account the enqueue/dequeue stores
-    // against the queue's ring storage; packets pass through.
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-        PacketHandle &h = batch[i];
-        PacketView v = view(h, ctx);
-        v.write(Field::kNextPtr, 0);
-        const std::uint64_t slot = (cursor_++) % (state_.size / 8);
-        ctx.store(state_.addr + slot * 8, 8);
-        ctx.load(state_.addr + slot * 8, 8);
-        ctx.on_compute(4, 10);
-    }
-}
-
 } // namespace pmill

@@ -443,26 +443,6 @@ class Discard : public Element {
     void process(PacketBatch &, ExecContext &) override;
 };
 
-/**
- * Software queue (run-to-completion simplification: accounts the
- * enqueue/dequeue stores and passes the batch through). Args:
- * capacity (accepted for config compatibility).
- */
-class Queue : public Element {
-  public:
-    const char *class_name() const override { return "Queue"; }
-    bool
-    configure(const std::vector<std::string> &, std::string *) override
-    {
-        return true;
-    }
-    void process(PacketBatch &, ExecContext &) override;
-    std::uint32_t state_bytes() const override { return 4096; }
-
-  private:
-    std::uint64_t cursor_ = 0;
-};
-
 } // namespace pmill
 
 #endif // PMILL_ELEMENTS_ELEMENTS_HH

@@ -47,7 +47,6 @@ register_standard_elements()
         [] { return std::unique_ptr<Element>(new FlowSteer); });
     reg("Counter", [] { return std::unique_ptr<Element>(new Counter); });
     reg("Discard", [] { return std::unique_ptr<Element>(new Discard); });
-    reg("Queue", [] { return std::unique_ptr<Element>(new Queue); });
 }
 
 } // namespace pmill

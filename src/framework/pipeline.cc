@@ -127,7 +127,7 @@ Pipeline::build(const std::string &config_text, SimMemory &mem,
     if (!opts.static_graph)
         p->frag_ =
             mem.alloc_sparse(kFragRegionBytes, kPageBytes, Region::kHeap);
-    p->elem_stats_.resize(p->instances_.size());
+    p->elem_counts_.resize(p->instances_.size());
 
     // Resolve the executor's dispatch tables once: terminal flags
     // (instead of a dynamic_cast per invocation) and the successor of
@@ -150,9 +150,9 @@ Pipeline::build(const std::string &config_text, SimMemory &mem,
 }
 
 void
-Pipeline::reset_element_stats()
+Pipeline::reset_element_counts()
 {
-    elem_stats_.assign(instances_.size(), ElementStats{});
+    elem_counts_.assign(instances_.size(), ElementCounts{});
 }
 
 void
@@ -286,18 +286,19 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
         tron ? trace_spans_[static_cast<std::size_t>(idx)] : 0;
 
     // Element boundary: dispatch cost + the element's state line.
-    // The ExecContext counter deltas around the invocation charge the
-    // boundary and the element's own work to its ElementStats entry.
-    const ExecCounters c0 = ctx.counters();
-    if (tron)
+    // Trace records carry the ExecContext counter deltas around the
+    // invocation, so the snapshot is taken only when tracing.
+    ExecCounters c0;
+    if (tron) {
+        c0 = ctx.counters();
         tracer_->record(TraceEventKind::kElementEnter, ctx.now_ns(), 0,
                         trace_batch_, span, batch.count);
+    }
     const std::uint32_t before = batch.count;
     {
-        // Attribute the same window ElementStats measures — dispatch,
-        // state touch, and the element's own work — to the element's
-        // accounting scope. Table/sink charges made by the element
-        // inherit the scope through the shared ExecContext.
+        // Dispatch, state touch, and the element's own work are the
+        // element's accounting scope. Table/sink charges made by the
+        // element inherit the scope through the shared ExecContext.
         AcctScope elem_scope(ctx, static_cast<std::uint16_t>(
                                       kAcctElementBase + idx));
         ctx.dispatch(batch.count);
@@ -305,25 +306,20 @@ Pipeline::run_from(int idx, PacketBatch &batch, ExecContext &ctx,
         e->process(batch, ctx);
     }
 
-    const ExecCounters &c1 = ctx.counters();
-    ElementStats &es = elem_stats_[static_cast<std::size_t>(idx)];
-    const double dcycles = (c1.compute_cycles + c1.access_cycles) -
-                           (c0.compute_cycles + c0.access_cycles);
-    es.packets += before;
-    es.batches += 1;
-    es.cycles += dcycles;
-    es.mem_ns += c1.wall_ns - c0.wall_ns;
+    ElementCounts &ec = elem_counts_[static_cast<std::size_t>(idx)];
+    ec.packets += before;
+    ec.batches += 1;
 
     if (tron) {
         // Exit carries the batch's full cost deltas; each sampled
         // packet additionally gets its per-packet share so lifecycle
         // reconstruction needs no batch join.
+        const ExecCounters &c1 = ctx.counters();
+        const double dcycles = (c1.compute_cycles + c1.access_cycles) -
+                               (c0.compute_cycles + c0.access_cycles);
         const TimeNs t_exit = ctx.now_ns();
         const double ddur =
-            ((c1.compute_cycles + c1.access_cycles) -
-             (c0.compute_cycles + c0.access_cycles)) /
-                ctx.freq_ghz() +
-            (c1.wall_ns - c0.wall_ns);
+            dcycles / ctx.freq_ghz() + (c1.wall_ns - c0.wall_ns);
         tracer_->record(TraceEventKind::kElementExit, t_exit, 0,
                         trace_batch_, span, before, dcycles, ddur);
         const double inv = before ? 1.0 / before : 0.0;

@@ -29,11 +29,16 @@
 #include "src/framework/metadata.hh"
 #include "src/framework/packet.hh"
 #include "src/mem/sim_memory.hh"
-#include "src/telemetry/metrics.hh"
 
 namespace pmill {
 
 class Tracer;
+
+/** What the executor counts per element. */
+struct ElementCounts {
+    std::uint64_t packets = 0;  ///< packets entering the element
+    std::uint64_t batches = 0;  ///< invocations
+};
 
 class Pipeline {
   public:
@@ -84,18 +89,17 @@ class Pipeline {
     std::uint64_t dropped() const { return dropped_; }
 
     /**
-     * Per-element execution counters, indexed like elements(). The
-     * executor accounts every element invocation's packets, batches,
-     * core cycles, and memory-stall time from the ExecContext deltas
-     * around process().
+     * Packets and invocations per element, indexed like elements().
+     * Where the element's cycles went is in the core's ledger, under
+     * its kAcctElementBase + index scope.
      */
-    const std::vector<ElementStats> &element_stats() const
+    const std::vector<ElementCounts> &element_counts() const
     {
-        return elem_stats_;
+        return elem_counts_;
     }
 
     /** Zero the per-element counters (measurement-window alignment). */
-    void reset_element_stats();
+    void reset_element_counts();
 
     /**
      * Toggle per-rule hit counting on every element that exposes
@@ -138,7 +142,7 @@ class Pipeline {
     std::uint64_t frag_cursor_ = 0;
 
     std::uint64_t dropped_ = 0;
-    std::vector<ElementStats> elem_stats_;
+    std::vector<ElementCounts> elem_counts_;
 
     /// Host-side dispatch accelerators, resolved once at build time so
     /// the per-batch executor does no RTTI and no edge-list scans:

@@ -402,69 +402,57 @@ Engine::register_telemetry()
             v += core->poll_backoff_ns;
         return v / static_cast<double>(cores_.size());
     });
-    metrics_.add_probe_counter("poll_wait_cycles", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += core->poll_wait_cycles;
-        return v;
-    });
 
     // Cycle-accounting bucket columns (summed over cores, cumulative
     // cycles; the sampler turns them into per-interval shares). One
     // column per fixed scope, one per pipeline element, plus the
     // cross-scope stall components and the ledger total.
-    if (CycleAccount::kCompiledIn) {
-        auto sum_scope = [this](std::uint16_t scope) {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += CycleAccount::cycles(
-                    core->ctx->account().scope_total(scope));
-            return v;
-        };
-        for (std::uint16_t s = 0; s < kAcctNumFixedScopes; ++s) {
-            metrics_.add_probe_counter(
-                strprintf("acct_%s_cycles", acct_scope_name(s)),
-                [sum_scope, s] { return sum_scope(s); });
-        }
-        const auto acct_elems = cores_[0]->pipe->elements();
-        for (std::size_t ei = 0; ei < acct_elems.size(); ++ei) {
-            std::string label = acct_elems[ei]->name().empty()
-                                    ? acct_elems[ei]->class_name()
-                                    : acct_elems[ei]->name();
-            for (char &c : label)
-                if (!std::isalnum(static_cast<unsigned char>(c)))
-                    c = '_';
-            const std::uint16_t scope = static_cast<std::uint16_t>(
-                kAcctElementBase + ei);
-            metrics_.add_probe_counter(
-                strprintf("acct_el_%s_cycles", label.c_str()),
-                [sum_scope, scope] { return sum_scope(scope); });
-        }
-        auto sum_component = [this](std::uint32_t comp) {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += CycleAccount::cycles(
-                    core->ctx->account().component_total(comp));
-            return v;
-        };
-        metrics_.add_probe_counter("acct_llc_stall_cycles", [sum_component] {
-            return sum_component(kAcctLlcStall);
-        });
-        metrics_.add_probe_counter("acct_dram_stall_cycles",
-                                   [sum_component] {
-                                       return sum_component(kAcctDramStall);
-                                   });
-        metrics_.add_probe_counter("acct_tlb_stall_cycles", [sum_component] {
-            return sum_component(kAcctTlbStall);
-        });
-        metrics_.add_probe_counter("acct_total_cycles", [this] {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += CycleAccount::cycles(
-                    core->ctx->account().total_fixed());
-            return v;
-        });
+    auto sum_scope = [this](std::uint16_t scope) {
+        double v = 0;
+        for (const auto &core : cores_)
+            v += CycleAccount::cycles(core->ctx->account().scope_total(scope));
+        return v;
+    };
+    for (std::uint16_t s = 0; s < kAcctNumFixedScopes; ++s)
+        metrics_.add_probe_counter(
+            strprintf("acct_%s_cycles", acct_scope_name(s)),
+            [sum_scope, s] { return sum_scope(s); });
+    const auto acct_elems = cores_[0]->pipe->elements();
+    for (std::size_t ei = 0; ei < acct_elems.size(); ++ei) {
+        std::string label = acct_elems[ei]->name().empty()
+                                ? acct_elems[ei]->class_name()
+                                : acct_elems[ei]->name();
+        for (char &c : label)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        const std::uint16_t scope =
+            static_cast<std::uint16_t>(kAcctElementBase + ei);
+        metrics_.add_probe_counter(
+            strprintf("acct_el_%s_cycles", label.c_str()),
+            [sum_scope, scope] { return sum_scope(scope); });
     }
+    auto sum_component = [this](std::uint32_t comp) {
+        double v = 0;
+        for (const auto &core : cores_)
+            v += CycleAccount::cycles(
+                core->ctx->account().component_total(comp));
+        return v;
+    };
+    metrics_.add_probe_counter("acct_llc_stall_cycles", [sum_component] {
+        return sum_component(kAcctLlcStall);
+    });
+    metrics_.add_probe_counter("acct_dram_stall_cycles", [sum_component] {
+        return sum_component(kAcctDramStall);
+    });
+    metrics_.add_probe_counter("acct_tlb_stall_cycles", [sum_component] {
+        return sum_component(kAcctTlbStall);
+    });
+    metrics_.add_probe_counter("acct_total_cycles", [this] {
+        double v = 0;
+        for (const auto &core : cores_)
+            v += CycleAccount::cycles(core->ctx->account().total_fixed());
+        return v;
+    });
 
     // Flow-table state (NAT/conntrack): one prefixed group per
     // stateful element, summed/aggregated over per-core instances.
@@ -840,8 +828,6 @@ Engine::step_core(Core &core)
             // interval instead of spinning; packets that arrive
             // meanwhile wait in the ring until the next poll. The
             // slept time counts as idle cycles like a dry busy-poll.
-            core.poll_wait_cycles +=
-                core.poll_backoff_ns * machine_.freq_ghz;
             core.clock += core.poll_backoff_ns;
             // The sleep advances the clock outside the ExecContext, so
             // it is charged to the ledger directly (same ns * freq).
@@ -851,14 +837,12 @@ Engine::step_core(Core &core)
         } else {
             // Skip ahead to the next completion if the queues are dry
             // (busy-polling consumes no simulated events we care
-            // about); account the burned cycles for the telemetry.
+            // about); the burned cycles are idle time in the ledger.
             TimeNs next = kInf;
             for (auto &bq : core.dps)
                 next = std::min(next,
                                 nics_[bq.nic]->next_cqe_time(bq.queue));
             if (next > core.clock && next < kInf) {
-                core.poll_wait_cycles +=
-                    (next - core.clock) * machine_.freq_ghz;
                 ctx.account().charge_ns(kAcctIdle, kAcctCompute,
                                         next - core.clock,
                                         machine_.freq_ghz);
@@ -890,8 +874,6 @@ Engine::idle_spin(Core &core, TimeNs until)
         core.clock += dt;
         core.rr_cursor = (core.rr_cursor + 1) % ndp;
         if (core.poll_backoff_ns > 0) {
-            core.poll_wait_cycles +=
-                core.poll_backoff_ns * machine_.freq_ghz;
             core.clock += core.poll_backoff_ns;
             ctx.account().charge_ns(kAcctIdle, kAcctCompute,
                                     core.poll_backoff_ns,
@@ -957,7 +939,7 @@ Engine::begin_measuring(std::vector<ExecCounters> &exec_base,
     // restart and the sampler baselines every counter at the
     // nominal window start (sample boundaries at warm_end + k*T).
     for (auto &core : cores_)
-        core->pipe->reset_element_stats();
+        core->pipe->reset_element_counts();
     if (sampler_)
         sampler_->start(warm_end);
     // Restart the trace ring so it holds the measured window.
@@ -1511,19 +1493,16 @@ Engine::finish_run(const std::vector<ExecCounters> &exec_base,
         b.clock_cycles =
             (cores_[c]->clock - acct_clock_base_[c]) * machine_.freq_ghz;
         b.residual = b.delta.total - CycleAccount::to_fixed(b.clock_cycles);
-        if (CycleAccount::kCompiledIn) {
-            PMILL_ASSERT(b.delta.sum_minus_total() == 0,
-                         "cycle-accounting leak on core %zu: bucket sum "
-                         "differs from total by %lld fixed-point units",
-                         c,
-                         static_cast<long long>(b.delta.sum_minus_total()));
-            const double res_cycles = CycleAccount::cycles(b.residual);
-            PMILL_ASSERT(
-                std::fabs(res_cycles) <= 1.0 + 1e-5 * b.clock_cycles,
-                "cycle-accounting residual %g cycles on core %zu "
-                "(window %g cycles): a clock advance bypassed the ledger",
-                res_cycles, c, b.clock_cycles);
-        }
+        PMILL_ASSERT(b.delta.sum_minus_total() == 0,
+                     "cycle-accounting leak on core %zu: bucket sum "
+                     "differs from total by %lld fixed-point units",
+                     c, static_cast<long long>(b.delta.sum_minus_total()));
+        const double res_cycles = CycleAccount::cycles(b.residual);
+        PMILL_ASSERT(std::fabs(res_cycles) <= 1.0 + 1e-5 * b.clock_cycles,
+                     "cycle-accounting residual %g cycles on core %zu "
+                     "(window %g cycles): a clock advance bypassed the "
+                     "ledger",
+                     res_cycles, c, b.clock_cycles);
     }
 
     double instr = 0, cycles = 0;
@@ -1567,16 +1546,29 @@ Engine::timeline() const
 std::vector<ElementStats>
 Engine::element_stats() const
 {
-    std::vector<ElementStats> sum;
+    std::vector<ElementStats> sum(cores_[0]->pipe->element_counts().size());
     for (const auto &core : cores_) {
-        const auto &es = core->pipe->element_stats();
-        if (sum.size() < es.size())
-            sum.resize(es.size());
-        for (std::size_t i = 0; i < es.size(); ++i) {
-            sum[i].packets += es[i].packets;
-            sum[i].batches += es[i].batches;
-            sum[i].cycles += es[i].cycles;
-            sum[i].mem_ns += es[i].mem_ns;
+        const auto &counts = core->pipe->element_counts();
+        for (std::size_t i = 0; i < sum.size(); ++i) {
+            sum[i].packets += counts[i].packets;
+            sum[i].batches += counts[i].batches;
+        }
+    }
+    // Cycles and stall time are the element scopes' ledger buckets
+    // over the same measured window.
+    for (const AcctCoreBreakdown &b : acct_measured_) {
+        const CycleAccount::Snapshot &d = b.delta;
+        for (std::size_t i = 0; i < sum.size(); ++i) {
+            const auto scope =
+                static_cast<std::uint16_t>(kAcctElementBase + i);
+            const CycleAccount::Fixed busy =
+                d.bucket(scope, kAcctCompute) + d.bucket(scope, kAcctAccess);
+            const CycleAccount::Fixed stall =
+                d.bucket(scope, kAcctLlcStall) +
+                d.bucket(scope, kAcctDramStall) +
+                d.bucket(scope, kAcctTlbStall);
+            sum[i].cycles += CycleAccount::cycles(busy);
+            sum[i].mem_ns += CycleAccount::cycles(stall) / machine_.freq_ghz;
         }
     }
     return sum;

@@ -335,7 +335,10 @@ class Engine : public Actuator {
 
     /**
      * Per-element execution counters of the most recent run's
-     * measured window, summed over cores (config order).
+     * measured window, summed over cores (config order): the
+     * pipelines' packet and batch counts, and each element scope's
+     * ledger buckets from acct_breakdown() — compute + access as
+     * cycles, the stall components as nanoseconds.
      */
     std::vector<ElementStats> element_stats() const;
 
@@ -380,8 +383,10 @@ class Engine : public Actuator {
 
     /**
      * Per-core measured-window breakdowns of the most recent run
-     * (empty before the first run, or when accounting is compiled
-     * out). Bucket sums equal totals exactly; run() asserts it.
+     * (empty before the first run). Bucket sums equal totals exactly;
+     * run() asserts it. pmill_explain's report and element_stats()
+     * read these; the sampled acct_* columns, the controller's idle
+     * signal among them, read the same ledgers live.
      */
     const std::vector<AcctCoreBreakdown> &
     acct_breakdown() const
@@ -422,14 +427,10 @@ class Engine : public Actuator {
         TimeNs last_elapsed = 0;
         std::uint32_t rr_cursor = 0;
         std::uint8_t index = 0;  ///< stamped on trace records
-        /// @name Actuated knobs (closed-loop control).
-        /// @{
-        /// Metronome-style sleep when this core's queues are dry
-        /// (0 = classic busy-poll skipping to the next completion).
+        /// Actuated knob (closed-loop control): Metronome-style sleep
+        /// when this core's queues are dry (0 = classic busy-poll
+        /// skipping to the next completion).
         TimeNs poll_backoff_ns = 0;
-        /// Core cycles burned busy-polling dry queues (counter).
-        double poll_wait_cycles = 0;
-        /// @}
         /// FlowSteer instances of this core's pipeline (bound to the
         /// shared fabric; empty when the config has none). Their
         /// release lists are flushed through the owning datapath

@@ -157,9 +157,11 @@ class MetricsRegistry {
 };
 
 /**
- * Per-element execution counters, accumulated by the Pipeline around
- * every element invocation so each Click element reports its own
- * cost (the per-stage breakdown Benchmarking-NFV argues for).
+ * Per-element execution counters of a measured window, so each Click
+ * element reports its own cost (the per-stage breakdown
+ * Benchmarking-NFV argues for). Packets and invocations are the
+ * Pipeline's counts; cycles and stall time are the element's
+ * cycle-accounting scope (Engine::element_stats()).
  */
 struct ElementStats {
     std::uint64_t packets = 0;  ///< packets entering the element

@@ -19,15 +19,8 @@
 namespace pmill {
 namespace {
 
-#define SKIP_IF_COMPILED_OUT()                                             \
-    do {                                                                   \
-        if (!CycleAccount::kCompiledIn)                                    \
-            GTEST_SKIP() << "built with PMILL_ACCT=OFF";                   \
-    } while (0)
-
 TEST(CycleAccount, ChargeConservesByConstruction)
 {
-    SKIP_IF_COMPILED_OUT();
     CycleAccount acct;
     // Fractional cycles stress the fixed-point rounding: the SAME
     // rounded integer must land in the bucket and the total.
@@ -47,7 +40,6 @@ TEST(CycleAccount, ChargeConservesByConstruction)
 
 TEST(CycleAccount, SnapshotDeltaAndTotals)
 {
-    SKIP_IF_COMPILED_OUT();
     CycleAccount acct;
     acct.charge(kAcctMempool, kAcctAccess, 5.0);
     const CycleAccount::Snapshot base = acct.snapshot();
@@ -77,7 +69,6 @@ TEST(CycleAccount, SnapshotDeltaAndTotals)
 
 TEST(CycleAccount, ChargeNsConvertsAtFrequency)
 {
-    SKIP_IF_COMPILED_OUT();
     CycleAccount acct;
     acct.charge_ns(kAcctIdle, kAcctCompute, 10.0, 2.3);
     EXPECT_EQ(acct.total_fixed(), CycleAccount::to_fixed(23.0));
@@ -96,20 +87,14 @@ TEST(AcctScopeGuard, NestsAndRestores)
     EXPECT_EQ(sink.acct_scope(), kAcctFramework);
     {
         AcctScope rx(sink, kAcctDriverRx);
-        if (CycleAccount::kCompiledIn) {
-            EXPECT_EQ(sink.acct_scope(), kAcctDriverRx);
-        }
+        EXPECT_EQ(sink.acct_scope(), kAcctDriverRx);
         {
             // Nested retag (mempool refill inside an RX burst) must
             // land in the innermost scope and restore the outer one.
             AcctScope pool(&sink, kAcctMempool);
-            if (CycleAccount::kCompiledIn) {
-                EXPECT_EQ(sink.acct_scope(), kAcctMempool);
-            }
+            EXPECT_EQ(sink.acct_scope(), kAcctMempool);
         }
-        if (CycleAccount::kCompiledIn) {
-            EXPECT_EQ(sink.acct_scope(), kAcctDriverRx);
-        }
+        EXPECT_EQ(sink.acct_scope(), kAcctDriverRx);
     }
     EXPECT_EQ(sink.acct_scope(), kAcctFramework);
 
@@ -119,7 +104,6 @@ TEST(AcctScopeGuard, NestsAndRestores)
 
 TEST(EngineAcct, BreakdownConservesAndTiesToClock)
 {
-    SKIP_IF_COMPILED_OUT();
     Trace t = make_fixed_size_trace(512, 256, 32);
     MachineConfig m;
     Engine engine(m, router_config(), opts_packetmill(), t);
@@ -159,7 +143,6 @@ TEST(EngineAcct, BreakdownConservesAndTiesToClock)
 
 TEST(AcctReport, JsonlRoundTripPreservesTotals)
 {
-    SKIP_IF_COMPILED_OUT();
     Trace t = make_fixed_size_trace(256, 128, 16);
     MachineConfig m;
     Engine engine(m, forwarder_config(), PipelineOpts::vanilla(), t);

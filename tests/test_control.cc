@@ -262,8 +262,8 @@ Timeline
 tiny_timeline()
 {
     MetricsRegistry reg;
-    CounterHandle cyc = reg.add_counter("cycles");
-    CounterHandle wait = reg.add_counter("poll_wait_cycles");
+    CounterHandle idle = reg.add_counter("acct_idle_cycles");
+    CounterHandle total = reg.add_counter("acct_total_cycles");
     reg.add_counter("rx_drops");
     reg.add_counter("pipeline_drops");
     reg.add_counter("tx_pkts");
@@ -274,8 +274,8 @@ tiny_timeline()
     reg.add_histogram("latency_us", 100.0, 64);
     Sampler s(reg, 10.0);
     s.start(0.0);
-    cyc.add(90);
-    wait.add(10);
+    idle.add(10);
+    total.add(100);
     s.advance(10'000.0);
     return s.timeline();
 }
@@ -349,6 +349,85 @@ TEST(ControllerTest, DecisionLogRoundTripsAsJsonl)
         ++lines;
     }
     EXPECT_EQ(lines, ctl.log().size());
+}
+
+/** Records what the controller distilled; never actuates. */
+class RecordingPolicy : public Policy {
+  public:
+    const char *name() const override { return "recording"; }
+    void reset() override { seen.clear(); }
+    ControlAction
+    decide(const ControlObservation &obs, std::uint32_t, double) override
+    {
+        seen.push_back(obs);
+        return ControlAction{};
+    }
+    std::vector<ControlObservation> seen;
+};
+
+TEST(ControllerTest, IdleFractionIsTheLedgersIdleShare)
+{
+    MachineConfig m;
+    m.freq_ghz = 2.3;
+    Engine engine(m, router_config(), opts_packetmill(),
+                  default_campus_trace());
+    ControlConfig cc;
+    auto policy = std::make_unique<RecordingPolicy>();
+    const RecordingPolicy &rec = *policy;
+    Controller ctl(std::move(policy), cc);
+    engine.set_controller(&ctl);
+
+    RunConfig rc;
+    rc.offered_gbps = 10.0;
+    rc.warmup_us = 100;
+    rc.duration_us = 500;
+    rc.sample_interval_us = 100;
+    engine.run(rc);
+
+    ASSERT_EQ(engine.poll_backoff_ns(0), 0.0);
+    ASSERT_EQ(rec.seen.size(), 5u);
+    const Timeline &tl = engine.timeline();
+    for (std::size_t i = 0; i < rec.seen.size(); ++i) {
+        // Dry polls replayed between arrivals are idle time: a router
+        // offered a tenth of line rate idles most of every interval.
+        EXPECT_GE(rec.seen[i].idle_fraction, 0.8) << "interval " << i;
+        EXPECT_DOUBLE_EQ(rec.seen[i].idle_fraction,
+                         tl.value(i, "acct_idle_cycles") /
+                             tl.value(i, "acct_total_cycles"));
+    }
+}
+
+TEST(EngineActuation, HysteresisReturnsToLowLoadAfterADownwardStep)
+{
+    MachineConfig m;
+    m.freq_ghz = 2.3;
+    Engine engine(m, router_config(), opts_packetmill(),
+                  default_campus_trace());
+    ControlConfig cc;
+    Controller ctl(make_policy("hysteresis", cc.limits, cc.policy), cc);
+    engine.set_controller(&ctl);
+
+    RunConfig rc;
+    rc.offered_gbps = 90.0;
+    rc.warmup_us = 100;
+    rc.duration_us = 1600;
+    rc.sample_interval_us = 100;
+    rc.load_step_us = 1000;
+    rc.load_step_gbps = 10.0;
+    engine.run(rc);
+
+    bool high = false, low_after_step = false;
+    for (const Decision &d : ctl.log().decisions) {
+        if (d.reason.find("high-load regime") != std::string::npos)
+            high = true;
+        if (d.t_us > rc.load_step_us &&
+            d.reason.find("low-load regime") != std::string::npos)
+            low_after_step = true;
+    }
+    EXPECT_TRUE(high) << ctl.log().to_string();
+    EXPECT_TRUE(low_after_step)
+        << "no low-load decision after the 90 -> 10 Gbps step:\n"
+        << ctl.log().to_string();
 }
 
 TEST(EngineActuation, SettersEnforceBoundsHard)

@@ -414,15 +414,5 @@ TEST(ElemDiscard, DropsAll)
     EXPECT_TRUE(h.batch()[1].dropped);
 }
 
-TEST(ElemQueue, PassesThrough)
-{
-    ElementHarness h;
-    Queue e;
-    h.prepare(e, {"1024"});
-    PacketHandle &p = h.add(build_frame(FrameSpec{}));
-    h.run(e);
-    EXPECT_FALSE(p.dropped);
-}
-
 } // namespace
 } // namespace pmill

@@ -115,7 +115,7 @@ TEST(Registry, KnowsStandardElements)
     for (const char *name :
          {"FromDPDKDevice", "ToDPDKDevice", "EtherMirror", "Classifier",
           "CheckIPHeader", "DecIPTTL", "IPLookup", "IdsCheck", "VLANEncap",
-          "Napt", "WorkPackage", "Counter", "Discard", "Queue"}) {
+          "Napt", "WorkPackage", "Counter", "Discard"}) {
         EXPECT_TRUE(r.has(name)) << name;
         EXPECT_NE(r.create(name), nullptr) << name;
     }

@@ -14,7 +14,6 @@
 #include <sstream>
 
 #include "src/accounting/acct_report.hh"
-#include "src/accounting/cycle_account.hh"
 #include "src/common/random.hh"
 #include "src/framework/config_parser.hh"
 #include "src/control/policy.hh"
@@ -552,8 +551,6 @@ TEST(FuzzArtifactReaders, MutatedProfilesPlanWithinTheBurstBound)
 
 TEST(FuzzArtifactReaders, MutatedAcctJsonlParsesOrFailsCleanly)
 {
-    if (!CycleAccount::kCompiledIn)
-        GTEST_SKIP() << "built with PMILL_ACCT=OFF: no acct lines to mutate";
     // An acct JSONL in the format cycle_accounting and --stats-json
     // write, the input of pmill_explain.
     Trace t = make_fixed_size_trace(256, 128, 16);

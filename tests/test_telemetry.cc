@@ -569,6 +569,56 @@ TEST(EngineTelemetry, PerElementStatsAccumulate)
     EXPECT_GT(total_cycles, 0.0);
 }
 
+TEST(EngineTelemetry, PerElementStatsMatchTheTracedDeltas)
+{
+    // element_stats() reads each element's ledger scope. The traced
+    // kElementExit records carry the ExecContext counter deltas around
+    // every invocation: an independent accrual of the same window.
+    MachineConfig m;
+    Engine engine(m, router_config(), PipelineOpts::vanilla(),
+                  default_campus_trace());
+    TracerConfig tc;
+    tc.sample_rate = 1.0;
+    engine.enable_tracing(tc);
+    RunConfig rc;
+    rc.offered_gbps = 20.0;
+    rc.warmup_us = 0;  // cold caches: every element stalls
+    rc.duration_us = 200;
+    engine.run(rc);
+    const Tracer &tr = *engine.tracer();
+    ASSERT_EQ(tr.overwritten(), 0u) << "the ring must hold the window";
+
+    const std::vector<Element *> elems = engine.pipeline().elements();
+    std::vector<double> cycles(elems.size(), 0.0);
+    std::vector<double> mem_ns(elems.size(), 0.0);
+    for (std::size_t k = 0; k < tr.size(); ++k) {
+        const TraceRecord &rec = tr.at(k);
+        if (rec.kind != TraceEventKind::kElementExit)
+            continue;
+        std::size_t i = 0;
+        while (i < elems.size() &&
+               elems[i]->name() != tr.span_name(rec.span))
+            ++i;
+        ASSERT_LT(i, elems.size()) << tr.span_name(rec.span);
+        cycles[i] += rec.cycles;
+        mem_ns[i] += rec.dur_ns - rec.cycles / m.freq_ghz;
+    }
+
+    const std::vector<ElementStats> stats = engine.element_stats();
+    ASSERT_EQ(stats.size(), elems.size());
+    std::size_t with_stalls = 0;
+    for (std::size_t i = 0; i < elems.size(); ++i) {
+        EXPECT_NEAR(stats[i].cycles, cycles[i], 1e-6 * cycles[i])
+            << elems[i]->name();
+        EXPECT_NEAR(stats[i].mem_ns, mem_ns[i], 1e-6 * mem_ns[i])
+            << elems[i]->name();
+        if (mem_ns[i] > 0)
+            ++with_stalls;
+    }
+    EXPECT_GT(with_stalls, elems.size() / 2)
+        << "most elements must stall for the check to mean anything";
+}
+
 TEST(Sampler, SchemaIsFrozenAtConstruction)
 {
     MetricsRegistry reg;
